@@ -6,13 +6,16 @@ Subcommands: ``det`` (determinant of a matrix file), ``expand``
 ``bench`` (CSV timing harness).  Values are printed as JSON carrying a
 backend tag; benchmarks are CSV.  Every error path prints a single
 ``error: ...`` line to stderr and exits 2 (parse or validation
-problems) or 3 (a size cap was exceeded; the message names the cap).
+problems, or a float result that is infinite or NaN and so has no
+strict-JSON form) or 3 (a size cap was exceeded; the message names the
+cap).
 Identical inputs and seed produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import statistics
 import sys
 import time
@@ -25,14 +28,14 @@ from .closed_form import (DEFAULT_CLOSED_FORM_CAP, det_closed_form,
                           expand_symbolic)
 from .determinants import DEFAULT_ORACLE_CAP, det_leibniz, det_recurrence
 from .errors import (FormatError, HessenbergianError, InvalidParams,
-                     OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
-                     OrderTooLargeForOracle)
+                     NonFiniteResult, OrderTooLargeForClosedForm,
+                     OrderTooLargeForExpansion, OrderTooLargeForOracle)
 from .formats import (convert_matrix, convert_spec, dump_text,
                       matrix_from_json, parse_text, scalar_to_json,
                       spec_from_json, spec_to_json)
-from .ldevc import GENERAL_METHODS, LdevcSpec, general_solution, solve_forward
+from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .matrix import HessenbergMatrix, row_length
-from .scalars import EXACT, FLOAT, ComplexRational
+from .scalars import EXACT, FLOAT, ComplexRational, is_exact
 from .sep_codec import decode_columns, tau
 
 BENCH_METHODS = ("recurrence", "closed")
@@ -224,6 +227,16 @@ def _emit(text: str, out: Optional[str]):
             fh.write(text + "\n")
 
 
+def _result_to_json(value):
+    """scalar_to_json for a computed result.  An infinite or NaN float
+    result has no strict-JSON form, so it is refused (NonFiniteResult)."""
+    if not is_exact(value) and not cmath.isfinite(value):
+        raise NonFiniteResult(
+            f"float result {complex(value)!r} is not finite; it has no "
+            f"JSON form")
+    return scalar_to_json(value)
+
+
 def cmd_det(args) -> int:
     config = _config(args)
     matrix, backend = matrix_from_json(parse_text(_read(args.matrix)))
@@ -236,7 +249,7 @@ def cmd_det(args) -> int:
         value = det_closed_form(matrix, closed_form_cap=config.closed_form_cap)
     else:
         value = det_leibniz(matrix, oracle_cap=config.oracle_cap)
-    _emit(dump_text({"backend": backend, "value": scalar_to_json(value)}),
+    _emit(dump_text({"backend": backend, "value": _result_to_json(value)}),
           config.out)
     return 0
 
@@ -270,11 +283,10 @@ def cmd_solve(args) -> int:
     if args.method == "forward":
         values = solve_forward(spec, init)
     else:
-        values = [general_solution(spec, n, init, args.method,
+        values = general_solutions(spec, init, args.method,
                                    closed_form_cap=config.closed_form_cap)
-                  for n in range(spec.horizon + 1)]
     _emit(dump_text({"backend": backend,
-                     "values": [scalar_to_json(v) for v in values]}),
+                     "values": [_result_to_json(v) for v in values]}),
           config.out)
     return 0
 

@@ -90,13 +90,15 @@ def _sum_block_float(crows, n: int, start: int, stop: int) -> complex:
     ms = np.arange(start, stop, dtype=np.int64)
     zrun = np.zeros(len(ms), dtype=np.int64)
     prod = np.ones(len(ms), dtype=np.complex128)
-    for i in range(1, n):
-        bits = (ms >> (n - 1 - i)) & 1
-        cols = np.where(bits == 1, i - 1 - zrun, i)
-        prod *= np.take(crows[i - 1], cols)
-        zrun = np.where(bits == 1, 0, zrun + 1)
-    prod *= np.take(crows[n - 1], n - 1 - zrun)
-    return complex(prod.sum())
+    # an overflowing product becomes inf or nan in the value, not a warning
+    with np.errstate(all="ignore"):
+        for i in range(1, n):
+            bits = (ms >> (n - 1 - i)) & 1
+            cols = np.where(bits == 1, i - 1 - zrun, i)
+            prod *= np.take(crows[i - 1], cols)
+            zrun = np.where(bits == 1, 0, zrun + 1)
+        prod *= np.take(crows[n - 1], n - 1 - zrun)
+        return complex(prod.sum())
 
 
 def _block_ranges(total: int, block_size: int) -> List[Tuple[int, int]]:

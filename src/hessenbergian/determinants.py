@@ -2,7 +2,8 @@
 
 Two routes live here:
 
-* :func:`det_recurrence`, the production path.  It evaluates
+* :func:`det_prefixes` and :func:`det_recurrence`, the production
+  path.  :func:`det_prefixes` evaluates
 
       det(H_n) = h_{n,n} det(H_{n-1})
                + sum_{k=1}^{n-1} (-1)^{n-k} h_{n,k}
@@ -11,19 +12,25 @@ Two routes live here:
   with det(H_0) = 1 and det(H_1) = h_{1,1}, bottom-up over the leading
   principal prefixes.  Prefix determinants are memoized and the
   superdiagonal products run, so the whole evaluation is O(n^2) scalar
-  operations; recursion depth never exceeds O(1) per prefix.  Matrices
-  whose entries are all machine floats take a vectorized path.
+  operations; recursion depth never exceeds O(1) per prefix.  It returns
+  every prefix determinant det(H_0), ..., det(H_n), and
+  :func:`det_recurrence` is its last entry.  Matrices whose entries are
+  all machine floats take a vectorized path, which runs with numpy's
+  floating-point warnings off: an overflow shows up as an inf or nan
+  value that the caller can refuse, never as a warning on stderr.
 
   The generic (non-vectorized) path skips every term whose h_{j,k} is
-  zero, while the superdiagonal product and the sign still advance, so
-  the mostly-zero solution matrices of low-order difference equations
-  cost one multiplication per skipped entry instead of a full round of
-  exact arithmetic.  For exact entries this gives the same value, since
-  a zero term adds exactly 0.  For floats that reach this path (a
-  matrix mixing floats with ints or exact scalars) the one difference is
-  that a zero h_{j,k} times an infinite superdiagonal product or prefix
+  zero, while the superdiagonal product still advances, so the
+  mostly-zero solution matrices of low-order difference equations cost
+  one multiplication per skipped entry instead of a full round of exact
+  arithmetic.  For exact entries this gives the same value, since a
+  zero term adds exactly 0.  For floats that reach this path (a matrix
+  mixing floats with ints or exact scalars) the one difference is that a
+  zero h_{j,k} times an infinite superdiagonal product or prefix
   determinant no longer turns the sum into NaN via 0*inf; the
-  mathematically correct term there is 0.
+  mathematically correct term there is 0.  The sign (-1)^(j-k) selects
+  addition or subtraction instead of being multiplied in; negation is
+  exact, so no value changes.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the full
   n!-term Leibniz expansion, treating structural zeros as 0: column
@@ -45,14 +52,20 @@ from .matrix import HessenbergMatrix, row_length
 DEFAULT_ORACLE_CAP = 10
 
 
+def det_prefixes(matrix: HessenbergMatrix) -> list:
+    """[det(H_0), det(H_1), ..., det(H_n)] for the leading principal
+    submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
+    if matrix.is_float_backed:
+        return _det_prefixes_float(matrix)
+    return _det_prefixes_generic(matrix)
+
+
 def det_recurrence(matrix: HessenbergMatrix):
     """Determinant via the Hessenbergian recurrence, O(n^2)."""
-    if matrix.is_float_backed:
-        return _det_recurrence_float(matrix)
-    return _det_recurrence_generic(matrix)
+    return det_prefixes(matrix)[-1]
 
 
-def _det_recurrence_generic(matrix: HessenbergMatrix):
+def _det_prefixes_generic(matrix: HessenbergMatrix) -> list:
     n = matrix.order
     rows = matrix.rows
     dets = [1]  # dets[k] = det of the leading k x k prefix
@@ -60,22 +73,19 @@ def _det_recurrence_generic(matrix: HessenbergMatrix):
         row = rows[j - 1]
         acc = row[j - 1] * dets[j - 1]
         prod = 1  # prod_{i=k}^{j-1} h_{i,i+1}, built as k descends
-        sign = -1  # (-1)^(j-k) at k = j-1
         for k in range(j - 1, 0, -1):
             prod = prod * rows[k - 1][k]
             h = row[k - 1]
             if h:  # a zero h_{j,k} adds exactly 0; skip its products
-                acc = acc + sign * h * prod * dets[k - 1]
-            sign = -sign
+                term = h * prod * dets[k - 1]
+                acc = acc - term if (j - k) & 1 else acc + term
         dets.append(acc)
-    return dets[n]
+    return dets
 
 
-def _det_recurrence_float(matrix: HessenbergMatrix) -> complex:
+def _det_prefixes_float(matrix: HessenbergMatrix) -> list:
     n = matrix.order
     rows = matrix._float_rows
-    if n == 1:
-        return complex(rows[0][0])
     dets = np.empty(n + 1, dtype=np.complex128)
     dets[0] = 1.0
     dets[1] = rows[0][0]
@@ -84,16 +94,17 @@ def _det_recurrence_float(matrix: HessenbergMatrix) -> complex:
     alt[1] = -1.0
     # prods[k] = prod_{i=k}^{j-1} h_{i,i+1} while processing row j (1-based k)
     prods = np.empty(n, dtype=np.complex128)
-    for j in range(2, n + 1):
-        s = rows[j - 2][j - 1]  # h_{j-1,j}
-        prods[1:j - 1] *= s
-        prods[j - 1] = s
-        row = rows[j - 1]
-        ksum = np.dot(row[:j - 1] * prods[1:j], alt[1:j])
-        sign = 1.0 if j % 2 == 0 else -1.0
-        dets[j] = row[j - 1] * dets[j - 1] + sign * ksum
-        alt[j] = dets[j - 1] if j % 2 == 0 else -dets[j - 1]
-    return complex(dets[n])
+    with np.errstate(all="ignore"):
+        for j in range(2, n + 1):
+            s = rows[j - 2][j - 1]  # h_{j-1,j}
+            prods[1:j - 1] *= s
+            prods[j - 1] = s
+            row = rows[j - 1]
+            ksum = np.dot(row[:j - 1] * prods[1:j], alt[1:j])
+            sign = 1.0 if j % 2 == 0 else -1.0
+            dets[j] = row[j - 1] * dets[j - 1] + sign * ksum
+            alt[j] = dets[j - 1] if j % 2 == 0 else -dets[j - 1]
+    return dets.tolist()
 
 
 def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):

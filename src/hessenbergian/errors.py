@@ -55,3 +55,11 @@ class InvalidParams(HessenbergianError):
 
 class FormatError(HessenbergianError):
     """A JSON file does not conform to the matrix or spec format."""
+
+
+class NonFiniteResult(HessenbergianError):
+    """A float result is infinite or NaN, so it has no strict-JSON form."""
+
+
+class LinearityViolation(HessenbergianError):
+    """Solution families break y_n = p_n + sum_k xi_{n,k} y_{k-N}."""

@@ -173,5 +173,7 @@ def parse_text(text: str):
 
 
 def dump_text(obj) -> str:
-    """Compact canonical JSON; equal inputs yield identical bytes."""
-    return json.dumps(obj, separators=(",", ":"))
+    """Compact canonical JSON; equal inputs yield identical bytes.
+    NaN and infinities are refused (ValueError), never written as the
+    non-JSON tokens NaN/Infinity."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)

@@ -23,28 +23,47 @@ table.  Matrix row i (1-based) corresponds to equation row r = i-1:
 
 The leading coefficient of the last row never enters the matrix; it
 appears only in the denominator product.  With
-D = a_{0,N} a_{1,N+1} ... a_{n,N+n}:
+D_n = a_{0,N} a_{1,N+1} ... a_{n,N+n}:
 
-    xi_{n,iota} = (-1)^(n+1) det(Xi) / D        (fundamental solution)
-    p_n         = (-1)^n     det(P)  / D        (particular solution)
-    y_n         = (-1)^n     det(G)  / D        (general solution)
+    xi_{n,iota} = (-1)^(n+1) det(Xi) / D_n      (fundamental solution)
+    p_n         = (-1)^n     det(P)  / D_n      (particular solution)
+    y_n         = (-1)^n     det(G)  / D_n      (general solution)
 
-and y_n = p_n + sum_k xi_{n,k} y_{k-N}.  The reduced forms rescale the
-first column by (-1)^n / D, after which y_n is the bare determinant.
+and y_n = p_n + sum_k xi_{n,k} y_{k-N}.
+
+Every order-(n+1) solution matrix is the leading principal submatrix of
+the order-(h+1) matrix at the horizon h, so one pass of the
+Hessenbergian recurrence (:func:`det_prefixes`) over the horizon matrix
+yields the determinants for every n in O(h^2) scalar operations.  The
+solvers evaluate a monic horizon matrix: row r is divided by its leading
+coefficient a_{r,N+r}, which turns every superdiagonal entry into 1.  A
+determinant is linear in each row, so the leading order-(n+1) prefix of
+the monic matrix has determinant det(X_n) / D_n: the denominator is
+folded into the rows and never formed.  Each prefix determinant then is
+the solution value itself, up to sign, so in floating point it stays as
+large as the solution, where det(X_n) and D_n apart can overflow while
+their ratio is finite.
+
+The ratio-* methods apply (-1)^n to the n-th prefix determinant; the
+reduced-* methods fold it into the matrix instead, dividing every row
+after the first by -a_{r,N+r}, and return the bare prefix determinants.
+The *-recurrence methods take all prefixes from one recurrence pass; the
+*-closed methods sum the closed form over each leading submatrix of the
+same monic matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Sequence, Tuple
 
 from .closed_form import DEFAULT_CLOSED_FORM_CAP, det_closed_form
-from .determinants import det_recurrence
+from .determinants import det_prefixes
 from .errors import (IndexOutOfRange, InvalidOrder, IrregularOrder,
+                     LinearityViolation, OrderTooLargeForClosedForm,
                      WrongEntryCount, WrongInitLength)
-from .matrix import HessenbergMatrix
+from .matrix import HessenbergMatrix, leading_submatrix
 from .scalars import ComplexRational, is_exact
 
 # Initial conditions are a plain tuple (y_{-N}, ..., y_{-1}); empty when N=0.
@@ -160,39 +179,87 @@ def _check_row_index(spec: LdevcSpec, n: int):
             f"row {n!r} outside [0, {spec.horizon}]")
 
 
-def _solution_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
+def _check_method(method: str):
+    if method not in GENERAL_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {GENERAL_METHODS}")
+
+
+def _solution_rows(spec: LdevcSpec, n: int, first_column) -> list:
+    # matrix row i = r+1 holds the first-column value and a_{r,N..N+min(r,n-1)}
     N = spec.index_N
-    rows = []
-    for i in range(1, n + 2):  # matrix row i holds equation row r = i-1
-        r = i - 1
-        row = [first_column[r]]
-        row.extend(spec.coeffs[r][N + j - 2]
-                   for j in range(2, min(i + 1, n + 1) + 1))
-        rows.append(row)
+    return [[first_column[r], *spec.coeffs[r][N:N + min(r + 1, n)]]
+            for r in range(n + 1)]
+
+
+def _solution_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
+    return HessenbergMatrix(n + 1, _solution_rows(spec, n, first_column))
+
+
+def _monic_matrix(spec: LdevcSpec, n: int, first_column,
+                  reduced: bool = False) -> HessenbergMatrix:
+    """The order-(n+1) solution matrix with row r divided by a_{r,N+r};
+    reduced divides every row after the first by -a_{r,N+r} instead."""
+    rows = _solution_rows(spec, n, first_column)
+    for r, row in enumerate(rows):
+        sign = -1 if reduced and r > 0 else 1
+        lead = spec.leading(r)
+        inv = _divide(sign, lead)  # one division per row, then products
+        scaled = len(row) - 1 if r < n else len(row)
+        for j in range(scaled if inv != 1 else 0):  # a monic row stays
+            if row[j]:  # a zero stays a zero the recurrence skips
+                row[j] = row[j] * inv
+        if r < n:  # the superdiagonal a_{r,N+r} itself: exactly +-1
+            row[-1] = sign if is_exact(lead) else complex(sign)
     return HessenbergMatrix(n + 1, rows)
 
 
-def _denominator(spec: LdevcSpec, n: int):
-    denom = spec.leading(0)
-    for r in range(1, n + 1):
-        denom = denom * spec.leading(r)
-    return denom
+def _solutions(spec: LdevcSpec, n: int, first_column,
+               method: str = "ratio-recurrence", *,
+               closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP,
+               every: bool = True) -> list:
+    """(-1)^k det(X_k) / D_k for k = 0..n, or for k = n alone when not
+    ``every``; X_k is the order-(k+1) solution matrix whose first column
+    is ``first_column``."""
+    reduced = method.startswith("reduced")
+    matrix = _monic_matrix(spec, n, first_column, reduced)
+    orders = range(1, n + 2) if every else (n + 1,)
+    if method.endswith("closed"):
+        if n + 1 > closed_form_cap:
+            raise OrderTooLargeForClosedForm(
+                f"order {n + 1} exceeds closed_form_cap={closed_form_cap}")
+        dets = [det_closed_form(leading_submatrix(matrix, k),
+                                closed_form_cap=closed_form_cap)
+                for k in orders]
+    else:
+        prefixes = det_prefixes(matrix)
+        dets = [prefixes[k] for k in orders]
+    # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd k
+    return [det if reduced or k % 2 else -det for k, det in zip(orders, dets)]
+
+
+def _check_basis_index(spec: LdevcSpec, i: int):
+    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= spec.index_N - 1:
+        raise IndexOutOfRange(
+            f"basis index {i!r} outside [0, {spec.index_N - 1}]")
+
+
+def _coefficient_column(spec: LdevcSpec, i: int) -> list:
+    return [row[i] for row in spec.coeffs]
 
 
 def fundamental_matrix(spec: LdevcSpec, n: int, i: int) -> HessenbergMatrix:
     """Solution matrix whose first column is coefficient column i."""
     _check_row_index(spec, n)
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= spec.index_N - 1:
-        raise IndexOutOfRange(
-            f"basis index {i!r} outside [0, {spec.index_N - 1}]")
-    return _solution_matrix(spec, n, [spec.coeffs[r][i] for r in range(n + 1)])
+    _check_basis_index(spec, i)
+    return _solution_matrix(spec, n, _coefficient_column(spec, i))
 
 
 def fundamental_solution(spec: LdevcSpec, n: int, i: int):
     """xi_{n,i}; the basis sequence value at row n for basis index i."""
-    matrix = fundamental_matrix(spec, n, i)
-    sign = -1 if n % 2 == 0 else 1  # (-1)^(n+1)
-    return _divide(sign * det_recurrence(matrix), _denominator(spec, n))
+    _check_row_index(spec, n)
+    _check_basis_index(spec, i)
+    # (-1)^(n+1) = -(-1)^n
+    return -_solutions(spec, n, _coefficient_column(spec, i), every=False)[0]
 
 
 def particular_matrix(spec: LdevcSpec, n: int) -> HessenbergMatrix:
@@ -203,9 +270,8 @@ def particular_matrix(spec: LdevcSpec, n: int) -> HessenbergMatrix:
 
 def particular_solution(spec: LdevcSpec, n: int):
     """p_n; the forced response under zero initial conditions."""
-    matrix = particular_matrix(spec, n)
-    sign = 1 if n % 2 == 0 else -1  # (-1)^n
-    return _divide(sign * det_recurrence(matrix), _denominator(spec, n))
+    _check_row_index(spec, n)
+    return _solutions(spec, n, spec.forcing, every=False)[0]
 
 
 def _check_init(spec: LdevcSpec, init) -> tuple:
@@ -220,8 +286,9 @@ def _general_first_column(spec: LdevcSpec, n: int, init: tuple):
     column = []
     for r in range(n + 1):
         value = spec.forcing[r]
-        for k, y in enumerate(init):
-            value = value - spec.coeffs[r][k] * y
+        for a, y in zip(spec.coeffs[r], init):
+            if a:  # banded specs have mostly zero a_{r,k}
+                value = value - a * y
         column.append(value)
     return column
 
@@ -239,28 +306,35 @@ def general_solution(spec: LdevcSpec, n: int, init,
                      closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP):
     """y_n by one of four equivalent Hessenbergian routes.
 
-    ratio-* evaluates (-1)^n det(G)/D with the determinant by the
-    recurrence or the closed form; reduced-* first folds (-1)^n / D
-    into the first column and returns the bare determinant.  The two
-    closed variants obey the closed-form cap.
+    Evaluates the order-(n+1) monic general matrix, by the recurrence or
+    by the closed form; ratio-* applies (-1)^n to its determinant,
+    reduced-* folds the sign into the rows.  The two closed variants
+    obey the closed-form cap.  To get every y_0..y_h, use
+    :func:`general_solutions`, which costs as much as one call here at
+    n = h.
     """
     init = _check_init(spec, init)
     _check_row_index(spec, n)
-    if method not in GENERAL_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {GENERAL_METHODS}")
-    sign = 1 if n % 2 == 0 else -1  # (-1)^n
-    first = _general_first_column(spec, n, init)
-    if method.startswith("reduced"):
-        scale = _divide(sign, _denominator(spec, n))
-        first = [value * scale for value in first]
-    matrix = _solution_matrix(spec, n, first)
-    if method.endswith("closed"):
-        det = det_closed_form(matrix, closed_form_cap=closed_form_cap)
-    else:
-        det = det_recurrence(matrix)
-    if method.startswith("reduced"):
-        return det
-    return _divide(sign * det, _denominator(spec, n))
+    _check_method(method)
+    return _solutions(spec, n, _general_first_column(spec, n, init), method,
+                      closed_form_cap=closed_form_cap, every=False)[0]
+
+
+def general_solutions(spec: LdevcSpec, init,
+                      method: str = "ratio-recurrence", *,
+                      closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP) -> list:
+    """[y_0, ..., y_h] by one of the four Hessenbergian routes, from the
+    leading submatrices of one monic horizon matrix.
+
+    The *-recurrence methods take O(h^2) scalar operations.  The *-closed
+    methods refuse a horizon matrix above the closed-form cap before
+    summing anything.
+    """
+    init = _check_init(spec, init)
+    _check_method(method)
+    h = spec.horizon
+    return _solutions(spec, h, _general_first_column(spec, h, init), method,
+                      closed_form_cap=closed_form_cap)
 
 
 def solve_forward(spec: LdevcSpec, init) -> list:
@@ -299,21 +373,23 @@ def _values_agree(a, b) -> bool:
 
 
 def solve_bundle(spec: LdevcSpec, init) -> SolutionBundle:
-    """Assemble all three solution families and verify the linearity
-    identity y_n = p_n + sum_k xi_{n,k} y_{k-N} before returning."""
+    """Assemble all three solution families, one monic horizon pass per
+    family member, and verify the linearity identity
+    y_n = p_n + sum_k xi_{n,k} y_{k-N} before returning (raises
+    LinearityViolation)."""
     init = _check_init(spec, init)
-    rows = range(spec.horizon + 1)
+    h = spec.horizon
     fundamentals = tuple(
-        tuple(fundamental_solution(spec, n, i) for n in rows)
+        tuple(-v for v in _solutions(spec, h, _coefficient_column(spec, i)))
         for i in range(spec.index_N))
-    particulars = tuple(particular_solution(spec, n) for n in rows)
-    generals = tuple(general_solution(spec, n, init) for n in rows)
-    for n in rows:
+    particulars = tuple(_solutions(spec, h, spec.forcing))
+    generals = tuple(general_solutions(spec, init))
+    for n in range(h + 1):
         expected = particulars[n]
         for k, y in enumerate(init):
             expected = expected + fundamentals[k][n] * y
         if not _values_agree(generals[n], expected):
-            raise AssertionError(
+            raise LinearityViolation(
                 f"linearity identity violated at row {n}: "
                 f"{generals[n]!r} != {expected!r}")
     return SolutionBundle(spec.index_N, fundamentals, particulars,

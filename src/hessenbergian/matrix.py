@@ -15,7 +15,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidOrder, WrongEntryCount
-from .scalars import is_exact
 
 
 def row_length(order: int, i: int) -> int:
@@ -90,6 +89,17 @@ class HessenbergMatrix:
         return f"HessenbergMatrix(order={self.order})"
 
 
+def leading_submatrix(matrix: HessenbergMatrix, k: int) -> HessenbergMatrix:
+    """The leading principal k x k submatrix H_k, for 1 <= k <= order."""
+    n = matrix.order
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+        raise IndexOutOfRange(f"submatrix order {k!r} outside [1, {n}]")
+    if k == n:
+        return matrix
+    rows = matrix.rows[:k]
+    return HessenbergMatrix(k, rows[:-1] + (rows[-1][:k],))
+
+
 def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
     """Build a matrix from the row-major list of non-trivial entries.
 
@@ -157,7 +167,3 @@ class SignedFactorView:
                  for j in range(1, row_length(n, i) + 1)]
                 for i in range(1, n + 1)])
 
-
-def matrix_is_exact(matrix: HessenbergMatrix) -> bool:
-    """True when every entry belongs to the exact realization."""
-    return all(is_exact(x) for row in matrix.rows for x in row)

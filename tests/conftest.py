@@ -45,3 +45,19 @@ def random_exact_spec(index_N: int, horizon: int,
               + [nonzero_rational_scalar(rng)] for n in range(horizon + 1)]
     forcing = [random_rational_scalar(rng) for _ in range(horizon + 1)]
     return LdevcSpec(index_N, horizon, coeffs, forcing)
+
+
+def random_float_spec(index_N: int, horizon: int,
+                      rng: random.Random) -> LdevcSpec:
+    """random_exact_spec's distribution, drawn directly as complex
+    doubles."""
+    def part(span=9):
+        return rng.randint(-span, span) / rng.randint(1, span)
+
+    def lead():
+        return complex(rng.choice((1, -1)) * rng.randint(1, 9) / rng.randint(1, 9),
+                       part())
+    coeffs = [[complex(part(), part()) for _ in range(index_N + n)] + [lead()]
+              for n in range(horizon + 1)]
+    forcing = [complex(part(), part()) for _ in range(horizon + 1)]
+    return LdevcSpec(index_N, horizon, coeffs, forcing)

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import hessenbergian
-from hessenbergian import ComplexRational, FormatError
+from conftest import random_float_spec
+from hessenbergian import ComplexRational, FormatError, LdevcSpec, solve_forward
 from hessenbergian.cli import main, parse_scalar_token
-from hessenbergian.formats import parse_text, spec_from_json
+from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
 
 CR = ComplexRational
 
@@ -19,6 +21,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """Environment for a ``python -m hessenbergian`` child that imports
+    this checkout from any cwd, installed or not: the absolute src
+    directory of the imported package goes first on PYTHONPATH (a
+    relative PYTHONPATH=src does not resolve from another cwd)."""
+    src = str(Path(hessenbergian.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def strict_json(text: str):
+    """json.loads that refuses the non-JSON tokens NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.fixture
@@ -104,6 +123,18 @@ def test_det_cap_violations(capsys, tmp_path, matrix_file):
     code, _, err = run_cli(capsys, "det", matrix_file, "--method", "closed",
                            "--closed-form-cap", "1")
     assert code == 3 and "closed_form_cap=1" in err
+
+
+@pytest.mark.filterwarnings("error")  # a leaked numpy warning fails
+@pytest.mark.parametrize("method", ["recurrence", "closed"])
+def test_det_non_finite_result_is_refused(capsys, tmp_path, method):
+    path = tmp_path / "huge.json"
+    path.write_text('{"order":2,"rows":[[[1e200,0.0],[1e200,0.0]],'
+                    '[[1e200,0.0],[1e200,0.0]]]}')
+    code, out, err = run_cli(capsys, "det", str(path), "--method", method)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not finite" in err
 
 
 # expand / sep ----------------------------------------------------------------
@@ -195,6 +226,35 @@ def test_solve_unbounded_spec_no_init(capsys, tmp_path):
     values = json.loads(out)["values"]
     # y0 = 2/2 = 1; 1*y0 + 2*y1 = 0; 1*y1 + 2*y2 = 0
     assert values == [[1, 1, 0, 1], [-1, 2, 0, 1], [1, 4, 0, 1]]
+
+
+def test_solve_closed_cap_is_checked_first(capsys, alpha_spec_file):
+    # horizon 5 needs order 6; refused before any closed-form sum
+    code, out, err = run_cli(capsys, "solve", alpha_spec_file, "--init", "1",
+                             "--method", "ratio-closed", "--closed-form-cap", "5")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "closed_form_cap=5" in err
+
+
+def test_solve_ill_scaled_float_spec(tmp_path):
+    # det(G) and D_n overflow at this horizon; y_n does not
+    spec = random_float_spec(2, 600, random.Random(89))
+    scaled = LdevcSpec(2, 600, [[v * 1000 for v in row] for row in spec.coeffs],
+                       [g * 1000 for g in spec.forcing])
+    path = tmp_path / "scaled.json"
+    path.write_text(dump_text(spec_to_json(scaled)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hessenbergian", "solve", str(path),
+         "--backend", "float", "--init", "1,2"],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = strict_json(proc.stdout)
+    assert doc["backend"] == "float"
+    forward = solve_forward(spec, (1 + 0j, 2 + 0j))
+    assert len(doc["values"]) == len(forward)
+    for (re, im), want in zip(doc["values"], forward):
+        assert abs(complex(re, im) - want) <= 1e-9 * (1 + abs(want))
 
 
 # gen --------------------------------------------------------------------------
@@ -328,12 +388,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point(matrix_file):
-    # The child imports this checkout from any cwd, installed or not:
-    # the absolute src directory of the imported package goes first on
-    # PYTHONPATH (a relative PYTHONPATH=src does not resolve from "/").
-    src = str(Path(hessenbergian.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "hessenbergian", "det", matrix_file],
         capture_output=True, text=True, env=env)

@@ -9,9 +9,10 @@ from conftest import (nonzero_rational_scalar, random_exact_matrix,
                       random_float_matrix)
 from hessenbergian import (ComplexRational, HessenbergMatrix, LdevcSpec,
                            NOrder, OrderTooLargeForOracle, classify,
-                           det_closed_form, det_leibniz, det_recurrence,
-                           entry_count, fundamental_matrix, general_matrix,
-                           make_matrix, row_length)
+                           det_closed_form, det_leibniz, det_prefixes,
+                           det_recurrence, entry_count, fundamental_matrix,
+                           general_matrix, leading_submatrix, make_matrix,
+                           row_length)
 
 CR = ComplexRational
 ALL_METHODS = (det_recurrence, det_leibniz)
@@ -131,6 +132,38 @@ def int_matrices(draw, max_order=8):
 @settings(deadline=None, max_examples=60)
 def test_recurrence_equals_oracle(m):
     assert det_recurrence(m) == det_leibniz(m)
+
+
+@given(int_matrices())
+@settings(deadline=None, max_examples=60)
+def test_prefixes_are_leading_submatrix_determinants(m):
+    prefixes = det_prefixes(m)
+    assert len(prefixes) == m.order + 1 and prefixes[0] == 1
+    for k in range(1, m.order + 1):
+        sub = leading_submatrix(m, k)
+        assert prefixes[k] == det_recurrence(sub) == det_leibniz(sub)
+    assert prefixes[-1] == det_recurrence(m)
+
+
+@st.composite
+def float_matrices(draw, max_order=8):
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    part = st.floats(min_value=-1, max_value=1)
+    entries = draw(st.lists(st.builds(complex, part, part),
+                            min_size=entry_count(n), max_size=entry_count(n)))
+    return make_matrix(n, entries)
+
+
+@given(float_matrices())
+@settings(deadline=None, max_examples=60)
+def test_float_prefixes_match_generic_prefixes(m):
+    assert m.is_float_backed
+    exact_copy = HessenbergMatrix(
+        m.order, [[CR.from_complex(v) for v in row] for row in m.rows])
+    for got, want in zip(det_prefixes(m), det_prefixes(exact_copy),
+                         strict=True):
+        assert isinstance(got, complex)
+        assert abs(got - complex(want)) <= 1e-9 * (1 + abs(complex(want)))
 
 
 def mostly_zero_solution_matrices():

@@ -1,17 +1,21 @@
+import cmath
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_exact_spec, random_fraction
+from conftest import random_exact_spec, random_float_spec, random_fraction
 from hessenbergian import (AscendingOrder, ComplexRational, IndexOutOfRange,
-                           InvalidOrder, IrregularOrder, LdevcSpec, NOrder,
+                           InvalidOrder, IrregularOrder, LdevcSpec,
+                           LinearityViolation, NOrder,
                            OrderTooLargeForClosedForm, UnboundedOrder,
                            WrongEntryCount, WrongInitLength, classify,
                            fundamental_matrix, fundamental_solution,
                            general_matrix, general_solution,
-                           particular_matrix, particular_solution,
-                           solve_bundle, solve_forward)
+                           general_solutions, particular_matrix,
+                           particular_solution, solve_bundle, solve_forward)
+from hessenbergian import ldevc
 from hessenbergian.ldevc import GENERAL_METHODS
 
 F = Fraction
@@ -186,6 +190,16 @@ def test_unbounded_order_has_no_free_constants():
     assert [general_solution(spec, n, ()) for n in range(10)] == forward
 
 
+def test_bundle_refuses_broken_linearity(monkeypatch):
+    spec = golden_system_spec()
+    honest = ldevc.general_solutions
+    monkeypatch.setattr(
+        ldevc, "general_solutions",
+        lambda *args, **kwargs: [y + 1 for y in honest(*args, **kwargs)])
+    with pytest.raises(LinearityViolation, match="row 0"):
+        solve_bundle(spec, GOLDEN_INIT)
+
+
 def test_wrong_init_length():
     spec = golden_system_spec()
     with pytest.raises(WrongInitLength):
@@ -207,6 +221,59 @@ def test_closed_cap_passthrough():
     with pytest.raises(OrderTooLargeForClosedForm):
         general_solution(spec, 3, GOLDEN_INIT, "ratio-closed",
                          closed_form_cap=2)
+    # the whole-horizon route refuses before summing any term
+    with pytest.raises(OrderTooLargeForClosedForm, match="closed_form_cap=4"):
+        general_solutions(spec, GOLDEN_INIT, "reduced-closed",
+                          closed_form_cap=4)
+    assert general_solutions(spec, GOLDEN_INIT, "reduced-closed",
+                             closed_form_cap=5) == GOLDEN_Y
+
+
+def scaled_rows(spec, scales):
+    """The same equations with row n multiplied by scales[n]; the
+    solution does not change."""
+    return LdevcSpec(spec.index_N, spec.horizon,
+                     [[v * c for v in row] for row, c in zip(spec.coeffs, scales)],
+                     [g * c for g, c in zip(spec.forcing, scales)])
+
+
+@pytest.mark.parametrize("index_N", [0, 1, 2, 3])
+def test_general_solutions_equal_forward(index_N):
+    rng = random.Random(83 + index_N)
+    for _ in range(3):
+        spec = random_exact_spec(index_N, 8, rng)
+        init = tuple(random_fraction(rng) for _ in range(index_N))
+        scaled = scaled_rows(spec, [rng.choice((-1, 1)) * rng.randint(2, 10**6)
+                                    for _ in range(spec.horizon + 1)])
+        forward = solve_forward(spec, init)
+        assert solve_forward(scaled, init) == forward
+        for method in GENERAL_METHODS:
+            assert general_solutions(spec, init, method) == forward, method
+            assert general_solutions(scaled, init, method) == forward, method
+
+
+def test_general_solutions_checks_arguments():
+    spec = golden_system_spec()
+    with pytest.raises(WrongInitLength):
+        general_solutions(spec, (1,))
+    with pytest.raises(ValueError):
+        general_solutions(spec, GOLDEN_INIT, "cramer")
+
+
+def test_long_float_horizon_stays_finite():
+    # det(G) and D_n overflow separately at this horizon although y_n is
+    # finite; the monic rows never form either one
+    spec = random_float_spec(2, 600, random.Random(89))
+    init = (1 + 0j, 2 + 0j)
+    forward = solve_forward(spec, init)
+    assert max(abs(y) for y in forward) > 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = general_solutions(spec, init)
+    assert len(got) == len(forward)
+    for a, b in zip(got, forward):
+        assert cmath.isfinite(a)
+        assert abs(a - b) <= 1e-9 * (1 + abs(b))
 
 
 def test_float_spec_agreement():

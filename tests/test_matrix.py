@@ -6,7 +6,8 @@ import pytest
 from conftest import random_exact_matrix
 from hessenbergian import (ComplexRational, HessenbergMatrix, IndexOutOfRange,
                            InvalidOrder, SignedFactorView, WrongEntryCount,
-                           entry_count, make_matrix, row_length)
+                           entry_count, leading_submatrix, make_matrix,
+                           row_length)
 
 
 def test_row_length_goldens():
@@ -24,6 +25,16 @@ def test_make_matrix_flat_row_major():
     m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
     assert m.rows == ((1, 2), (3, 4, 5), (6, 7, 8))
     assert m.order == 3
+
+
+def test_leading_submatrix():
+    m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
+    assert leading_submatrix(m, 1).rows == ((1,),)
+    assert leading_submatrix(m, 2).rows == ((1, 2), (3, 4))
+    assert leading_submatrix(m, 3) is m
+    for k in (0, 4, True):
+        with pytest.raises(IndexOutOfRange):
+            leading_submatrix(m, k)
 
 
 def test_make_matrix_wrong_flat_count():
