@@ -7,8 +7,8 @@ Subcommands: ``det`` (determinant of a matrix file), ``expand``
 backend tag; benchmarks are CSV.  Every error path prints a single
 ``error: ...`` line to stderr and exits 2 (parse or validation
 problems, or a float result that is infinite or NaN and so has no
-strict-JSON form) or 3 (a size cap was exceeded; the message names the
-cap).
+strict-JSON form) or 3 (a size cap was exceeded, including the int/str
+digit limit of an integer read or written; the message names the cap).
 Identical inputs and seed produce byte-identical output.
 """
 
@@ -19,7 +19,6 @@ import cmath
 import statistics
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Optional, Sequence
@@ -27,9 +26,10 @@ from typing import Optional, Sequence
 from .closed_form import (DEFAULT_CLOSED_FORM_CAP, det_closed_form,
                           expand_symbolic)
 from .determinants import DEFAULT_ORACLE_CAP, det_leibniz, det_recurrence
-from .errors import (FormatError, HessenbergianError, InvalidParams,
-                     NonFiniteResult, OrderTooLargeForClosedForm,
-                     OrderTooLargeForExpansion, OrderTooLargeForOracle)
+from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
+                     InvalidParams, NonFiniteResult,
+                     OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
+                     OrderTooLargeForOracle)
 from .formats import (convert_matrix, convert_spec, dump_text,
                       matrix_from_json, parse_text, scalar_to_json,
                       spec_from_json, spec_to_json)
@@ -39,17 +39,6 @@ from .scalars import EXACT, FLOAT, ComplexRational, is_exact
 from .sep_codec import decode_columns, tau
 
 BENCH_METHODS = ("recurrence", "closed")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation knobs shared by all subcommands."""
-
-    backend: Optional[str] = None  # None keeps the input file's realization
-    closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-    seed: int = 0
-    out: Optional[str] = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,11 +198,6 @@ def random_float_matrix(order: int, rng: Random) -> HessenbergMatrix:
 
 # subcommands ---------------------------------------------------------------
 
-def _config(args) -> RunConfig:
-    return RunConfig(backend=args.backend, closed_form_cap=args.closed_form_cap,
-                     oracle_cap=args.oracle_cap, seed=args.seed, out=args.out)
-
-
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -238,87 +222,82 @@ def _result_to_json(value):
 
 
 def cmd_det(args) -> int:
-    config = _config(args)
     matrix, backend = matrix_from_json(parse_text(_read(args.matrix)))
-    if config.backend and config.backend != backend:
-        matrix = convert_matrix(matrix, config.backend)
-        backend = config.backend
+    if args.backend and args.backend != backend:
+        matrix = convert_matrix(matrix, args.backend)
+        backend = args.backend
     if args.method == "recurrence":
         value = det_recurrence(matrix)
     elif args.method == "closed":
-        value = det_closed_form(matrix, closed_form_cap=config.closed_form_cap)
+        value = det_closed_form(matrix, closed_form_cap=args.closed_form_cap)
     else:
-        value = det_leibniz(matrix, oracle_cap=config.oracle_cap)
+        value = det_leibniz(matrix, oracle_cap=args.oracle_cap)
     _emit(dump_text({"backend": backend, "value": _result_to_json(value)}),
-          config.out)
+          args.out)
     return 0
 
 
 def cmd_expand(args) -> int:
-    config = _config(args)
     terms = expand_symbolic(args.order)
     if args.limit is not None:
         terms = terms[:args.limit]
-    _emit("\n".join(term.render() for term in terms), config.out)
+    _emit("\n".join(term.render() for term in terms), args.out)
     return 0
 
 
 def cmd_sep(args) -> int:
-    config = _config(args)
     bits = tau(args.order, args.index)
     factors = decode_columns(bits)
     _emit(dump_text({"bits": list(bits.bits),
                      "columns": list(factors.columns),
-                     "sign": factors.sign}), config.out)
+                     "sign": factors.sign}), args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
-    config = _config(args)
     spec, backend = spec_from_json(parse_text(_read(args.spec)))
-    if config.backend and config.backend != backend:
-        spec = convert_spec(spec, config.backend)
-        backend = config.backend
+    if args.backend and args.backend != backend:
+        spec = convert_spec(spec, args.backend)
+        backend = args.backend
     init = parse_init(args.init, backend)
     if args.method == "forward":
         values = solve_forward(spec, init)
     else:
         values = general_solutions(spec, init, args.method,
-                                   closed_form_cap=config.closed_form_cap)
+                                   closed_form_cap=args.closed_form_cap)
     _emit(dump_text({"backend": backend,
                      "values": [_result_to_json(v) for v in values]}),
-          config.out)
+          args.out)
     return 0
 
 
 def cmd_gen(args) -> int:
-    config = _config(args)
     spec = generate_spec(args.family, args.params, args.N, args.horizon,
-                         config.seed)
-    _emit(dump_text(spec_to_json(spec)), config.out)
+                         args.seed)
+    _emit(dump_text(spec_to_json(spec)), args.out)
     return 0
 
 
-def _timed_ns(matrix: HessenbergMatrix, method: str, config: RunConfig) -> int:
+def _timed_ns(matrix: HessenbergMatrix, method: str,
+              closed_form_cap: int) -> int:
     start = time.perf_counter_ns()
     if method == "recurrence":
         det_recurrence(matrix)
     else:
-        det_closed_form(matrix, closed_form_cap=config.closed_form_cap)
+        det_closed_form(matrix, closed_form_cap=closed_form_cap)
     return time.perf_counter_ns() - start
 
 
 def cmd_bench(args) -> int:
-    config = _config(args)
-    rng = Random(config.seed)
+    rng = Random(args.seed)
     lines = ["order,method,median_ns"]
     for order in args.orders:
         matrix = random_float_matrix(order, rng)
         for method in args.methods:
-            samples = [_timed_ns(matrix, method, config)
+            samples = [_timed_ns(matrix, method, args.closed_form_cap)
                        for _ in range(args.reps)]
             lines.append(f"{order},{method},{int(statistics.median(samples))}")
-    _emit("\n".join(lines), config.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -396,7 +375,7 @@ def build_parser() -> _Parser:
 
 
 _CAP_ERRORS = (OrderTooLargeForOracle, OrderTooLargeForClosedForm,
-               OrderTooLargeForExpansion)
+               OrderTooLargeForExpansion, IntegerTooLargeForJson)
 
 
 def _fail(message) -> None:

@@ -12,23 +12,20 @@ verification and benchmarking route, not a production determinant path;
 orders above a configurable cap are refused.
 
 Summation order is ascending m and therefore deterministic.  For float
-matrices the m-range is processed in fixed-size blocks (vectorized),
-block sums are combined with compensated accumulation, and the opt-in
-parallel mode distributes the same blocks over a thread pool while still
-combining them in ascending order, so its output is bit-identical to
-the sequential mode.
+matrices the m-range is processed in fixed-size blocks (vectorized), and
+the block sums are combined in ascending order with compensated
+accumulation.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
-from .matrix import HessenbergMatrix, SignedFactorView
+from .matrix import HessenbergMatrix, signed_rows
 from .sep_codec import decode_columns, enumerate_seps, sep_count, tau
 
 DEFAULT_CLOSED_FORM_CAP = 28
@@ -40,27 +37,22 @@ _BLOCK = 1 << 16
 def chi(matrix: HessenbergMatrix, m: int):
     """Product value of the m-th non-trivial SEP, sign folded in.
 
-    The factors come from the SignedFactorView, so the superdiagonal
+    The factors come from :func:`signed_rows`, so the superdiagonal
     entries arrive negated and no separate permutation sign is needed.
-    The decode happens per call; nothing is cached.
+    The signed rows and the decode are built per call; nothing is cached.
     """
-    view = SignedFactorView(matrix)
+    crows = signed_rows(matrix)
     factors = decode_columns(tau(matrix.order, m))
     value = 1
     for i, col in enumerate(factors.columns, start=1):
-        value = value * view.entry(i, col)
+        value = value * crows[i - 1][col - 1]
     return value
 
 
-def _signed_rows(matrix: HessenbergMatrix) -> List[tuple]:
-    view = SignedFactorView(matrix)
-    return [view.row(i) for i in range(1, matrix.order + 1)]
-
-
-def _sum_range_generic(crows, n: int, start: int, stop: int):
+def _sum_range_generic(crows, n: int):
     # Inlined decode of each m; avoids per-term object construction.
     total = 0
-    for m in range(start, stop):
+    for m in range(sep_count(n)):
         value = 1
         zrun = 0
         for i in range(1, n):
@@ -73,17 +65,6 @@ def _sum_range_generic(crows, n: int, start: int, stop: int):
         value = value * crows[n - 1][n - 1 - zrun]
         total = total + value
     return total
-
-
-def _signed_rows_float(matrix: HessenbergMatrix) -> List[np.ndarray]:
-    crows = []
-    n = matrix.order
-    for i, row in enumerate(matrix._float_rows, start=1):
-        crow = row.copy()
-        if i < n:
-            crow[-1] = -crow[-1]
-        crows.append(crow)
-    return crows
 
 
 def _sum_block_float(crows, n: int, start: int, stop: int) -> complex:
@@ -101,52 +82,26 @@ def _sum_block_float(crows, n: int, start: int, stop: int) -> complex:
         return complex(prod.sum())
 
 
-def _block_ranges(total: int, block_size: int) -> List[Tuple[int, int]]:
-    return [(s, min(s + block_size, total))
-            for s in range(0, total, block_size)]
-
-
 def det_closed_form(matrix: HessenbergMatrix, *,
-                    closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP,
-                    parallel: bool = False,
-                    workers: Optional[int] = None,
-                    block_size: int = _BLOCK):
+                    closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP):
     """Determinant as the sum of all non-trivial SEP values.
 
     2^(n-1) terms; raises OrderTooLargeForClosedForm above the cap.
-    The value does not depend on the block partitioning: exact sums are
-    associative, and float blocks are always combined in ascending order.
+    Exact matrices are summed term by term in ascending m; float
+    matrices in _BLOCK-sized blocks, combined in ascending order.
     """
     n = matrix.order
     if n > closed_form_cap:
         raise OrderTooLargeForClosedForm(
             f"order {n} exceeds closed_form_cap={closed_form_cap}")
-    if block_size < 1:
-        raise ValueError(f"block_size must be positive, got {block_size}")
+    crows = signed_rows(matrix)
+    if not matrix.is_float_backed:
+        return _sum_range_generic(crows, n)
+    crows = [np.array(row, dtype=np.complex128) for row in crows]
     total = sep_count(n)
-    ranges = _block_ranges(total, block_size)
-    if matrix.is_float_backed:
-        crows = _signed_rows_float(matrix)
-        summer, combine = _sum_block_float, _kahan_sum
-    else:
-        crows = _signed_rows(matrix)
-        summer, combine = _sum_range_generic, _plain_sum
-
-    def worker(block):
-        return summer(crows, n, block[0], block[1])
-    if parallel and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(worker, ranges))
-    else:
-        partials = [worker(r) for r in ranges]
-    return combine(partials)
-
-
-def _plain_sum(parts):
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total
+    return _kahan_sum(_sum_block_float(crows, n, start,
+                                       min(start + _BLOCK, total))
+                      for start in range(0, total, _BLOCK))
 
 
 def _kahan_sum(parts) -> complex:

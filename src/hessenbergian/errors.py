@@ -41,6 +41,12 @@ class OrderTooLargeForExpansion(HessenbergianError):
     """Order exceeds the symbolic expansion cap (2^(n-1) emitted terms)."""
 
 
+class IntegerTooLargeForJson(HessenbergianError):
+    """An integer has more decimal digits than Python converts between
+    int and str (sys.get_int_max_str_digits()), so it can be neither read
+    from nor written to JSON."""
+
+
 class IrregularOrder(HessenbergianError):
     """A leading coefficient a_{n,N+n} is zero; such equations are rejected."""
 

@@ -19,15 +19,21 @@ holding min(i+1, n) scalars.  An equation-spec document is
 with coefficient row n holding N+n+1 scalars.  Serialization is
 canonical (sorted shapes, compact separators) so equal objects dump to
 identical bytes.
+
+Text is strict JSON both ways: the tokens NaN and Infinity are refused.
+An integer with more decimal digits than Python converts between int
+and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
+parse and on dump; the limit itself is left as it is.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from numbers import Rational
 
-from .errors import FormatError
+from .errors import FormatError, IntegerTooLargeForJson
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
 from .scalars import EXACT, FLOAT, ComplexRational, convert_scalar
@@ -151,29 +157,67 @@ def spec_to_json(spec: LdevcSpec) -> dict:
             "forcing": [scalar_to_json(v) for v in spec.forcing]}
 
 
+def _convert_row(row, backend: str) -> list:
+    try:
+        return [convert_scalar(v, backend) for v in row]
+    except ValueError as exc:  # an infinite or NaN float has no exact value
+        raise FormatError(f"cannot convert to {backend}: {exc}") from None
+
+
 def convert_matrix(matrix: HessenbergMatrix, backend: str) -> HessenbergMatrix:
+    """The matrix in the other realization; a non-finite float entry
+    raises FormatError on conversion to exact."""
     return HessenbergMatrix(
-        matrix.order,
-        [[convert_scalar(v, backend) for v in row] for row in matrix.rows])
+        matrix.order, [_convert_row(row, backend) for row in matrix.rows])
 
 
 def convert_spec(spec: LdevcSpec, backend: str) -> LdevcSpec:
+    """The spec in the other realization; a non-finite float value
+    raises FormatError on conversion to exact."""
     return LdevcSpec(
         spec.index_N, spec.horizon,
-        [[convert_scalar(v, backend) for v in row] for row in spec.coeffs],
-        [convert_scalar(v, backend) for v in spec.forcing])
+        [_convert_row(row, backend) for row in spec.coeffs],
+        _convert_row(spec.forcing, backend))
+
+
+def _over_digit_limit(exc: ValueError) -> bool:
+    # CPython's message for an int/str conversion above the digit limit
+    return "integer string conversion" in str(exc)
+
+
+def _digit_limit_error(where: str) -> IntegerTooLargeForJson:
+    return IntegerTooLargeForJson(
+        f"an integer in the {where} has more than "
+        f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()} "
+        f"decimal digits")
+
+
+def _refuse_constant(token: str):
+    raise FormatError(f"invalid JSON: non-JSON token {token}")
 
 
 def parse_text(text: str):
-    """json.loads with errors reported as FormatError."""
+    """json.loads with errors reported as FormatError.  The non-JSON
+    tokens NaN, Infinity and -Infinity are refused, and an integer above
+    the int/str digit limit raises IntegerTooLargeForJson."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        raise _digit_limit_error("input") from None
 
 
 def dump_text(obj) -> str:
     """Compact canonical JSON; equal inputs yield identical bytes.
     NaN and infinities are refused (ValueError), never written as the
-    non-JSON tokens NaN/Infinity."""
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    non-JSON tokens NaN/Infinity; an integer above the int/str digit
+    limit raises IntegerTooLargeForJson."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        if not _over_digit_limit(exc):
+            raise
+        raise _digit_limit_error("output") from None

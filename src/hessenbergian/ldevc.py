@@ -64,7 +64,7 @@ from .errors import (IndexOutOfRange, InvalidOrder, IrregularOrder,
                      LinearityViolation, OrderTooLargeForClosedForm,
                      WrongEntryCount, WrongInitLength)
 from .matrix import HessenbergMatrix, leading_submatrix
-from .scalars import ComplexRational, is_exact
+from .scalars import is_exact
 
 # Initial conditions are a plain tuple (y_{-N}, ..., y_{-1}); empty when N=0.
 InitialConditions = tuple
@@ -163,13 +163,11 @@ def classify(spec: LdevcSpec) -> EquationClass:
 
 
 def _divide(num, den):
-    # int/int must not fall through to float division on the exact path
-    if is_exact(num) and is_exact(den):
-        if isinstance(num, ComplexRational) or isinstance(den, ComplexRational):
-            num = num if isinstance(num, ComplexRational) else ComplexRational(Fraction(num))
-            den = den if isinstance(den, ComplexRational) else ComplexRational(Fraction(den))
-            return num / den
-        return Fraction(num) / Fraction(den)
+    # int/int must not fall through to float division on the exact path;
+    # every other exact pair already divides through Fraction or
+    # ComplexRational
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
     return num / den
 
 

@@ -121,49 +121,14 @@ def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
     return HessenbergMatrix(order, rows)
 
 
-class SignedFactorView:
-    """Read-only signed-factor view c_{i,j} of a Hessenberg matrix.
+def signed_rows(matrix: HessenbergMatrix) -> tuple:
+    """The stored rows as signed factors c_{i,j}.
 
-    Standard factors (on or below the diagonal) pass through unchanged,
-    c_{i,j} = h_{i,j} for j <= i; the superdiagonal is negated,
-    c_{i,i+1} = -h_{i,i+1}.  The convention c_{0,0} = 1 is exposed at
-    (0,0).  Every non-trivial signed elementary product of the matrix is
-    a plain product of these factors, its permutation sign folded in.
+    The superdiagonal entry h_{i,i+1}, the last stored entry of every
+    row except row n, is negated: c_{i,i+1} = -h_{i,i+1}.  Every other
+    entry passes through unchanged.  Each non-trivial signed elementary
+    product of the matrix is a plain product of these factors, its
+    permutation sign folded in.
     """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: HessenbergMatrix):
-        object.__setattr__(self, "matrix", matrix)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedFactorView is immutable")
-
-    @property
-    def order(self) -> int:
-        return self.matrix.order
-
-    def entry(self, i: int, j: int):
-        """c_{i,j}; (0,0) returns the conventional 1."""
-        if i == 0 and j == 0:
-            return 1
-        value = self.matrix.entry(i, j)
-        if j == i + 1:
-            return -value
-        return value
-
-    def row(self, i: int) -> tuple:
-        """Stored factors of row i: (c_{i,1}, ..., c_{i,min(i+1,n)})."""
-        stored = self.matrix.rows[i - 1]
-        if i < self.order:
-            return stored[:-1] + (-stored[-1],)
-        return stored
-
-    def to_matrix(self) -> HessenbergMatrix:
-        """Reconstruct the plain matrix; exact round-trip."""
-        n = self.order
-        return HessenbergMatrix(
-            n, [[self.entry(i, j) if j != i + 1 else -self.entry(i, j)
-                 for j in range(1, row_length(n, i) + 1)]
-                for i in range(1, n + 1)])
-
+    rows = matrix.rows
+    return tuple(row[:-1] + (-row[-1],) for row in rows[:-1]) + rows[-1:]

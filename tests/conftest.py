@@ -5,6 +5,8 @@ logic so library tests do not depend on front-end plumbing.
 """
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hessenbergian import (ComplexRational, HessenbergMatrix, LdevcSpec,
@@ -61,3 +63,15 @@ def random_float_spec(index_N: int, horizon: int,
               for n in range(horizon + 1)]
     forcing = [complex(part(), part()) for _ in range(horizon + 1)]
     return LdevcSpec(index_N, horizon, coeffs, forcing)
+
+
+@contextmanager
+def default_digit_limit():
+    """Python's default int/str digit limit, whatever the environment
+    set; the previous limit is restored on exit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(saved)

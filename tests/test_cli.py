@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hessenbergian
-from conftest import random_float_spec
+from conftest import default_digit_limit, random_float_spec
 from hessenbergian import ComplexRational, FormatError, LdevcSpec, solve_forward
 from hessenbergian.cli import main, parse_scalar_token
 from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
@@ -135,6 +135,49 @@ def test_det_non_finite_result_is_refused(capsys, tmp_path, method):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "not finite" in err
+
+
+def assert_refused(code, out, err, want_code):
+    assert code == want_code and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ["1e400", "NaN", "-Infinity"])
+def test_det_exact_backend_refuses_non_finite_input(capsys, tmp_path, entry):
+    path = tmp_path / "inf.json"
+    path.write_text(f'{{"order":1,"rows":[[{entry}]]}}')
+    code, out, err = run_cli(capsys, "det", str(path), "--backend", "exact")
+    assert_refused(code, out, err, 2)
+
+
+def test_solve_exact_backend_refuses_non_finite_input(capsys, tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('{"N":0,"horizon":0,"coeffs":[[1e400]],"forcing":[1.0]}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--backend", "exact")
+    assert_refused(code, out, err, 2)
+
+
+def test_det_input_integer_above_digit_limit(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    with default_digit_limit() as limit:
+        digits = "7" * (limit + 700)
+        path.write_text(f'{{"order":1,"rows":[[{digits}]]}}')
+        code, out, err = run_cli(capsys, "det", str(path))
+    assert_refused(code, out, err, 3)
+    assert f"get_int_max_str_digits()={limit}" in err
+
+
+def test_det_result_integer_above_digit_limit(capsys, tmp_path):
+    # 10^250 on the diagonal of an order-30 matrix: det = 10^7500
+    n = 30
+    rows = [[10 ** 250 if j == i else 0 for j in range(min(i + 2, n))]
+            for i in range(n)]
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"order": n, "rows": rows}))
+    with default_digit_limit() as limit:
+        code, out, err = run_cli(capsys, "det", str(path))
+    assert_refused(code, out, err, 3)
+    assert f"get_int_max_str_digits()={limit}" in err
 
 
 # expand / sep ----------------------------------------------------------------

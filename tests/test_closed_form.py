@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_exact_matrix, random_float_matrix
+from hessenbergian import closed_form
 from hessenbergian import (IndexOutOfRange, InvalidOrder,
                            OrderTooLargeForClosedForm,
                            OrderTooLargeForExpansion, chi, det_closed_form,
@@ -97,26 +98,17 @@ def test_closed_form_cap():
         det_closed_form(small, closed_form_cap=3)
 
 
-def test_partitioning_never_changes_exact_sums():
-    rng = random.Random(47)
-    m = random_exact_matrix(8, rng)
-    reference = det_closed_form(m)
-    for block_size in (1, 3, 16, 1000):
-        assert det_closed_form(m, block_size=block_size) == reference
-        assert det_closed_form(m, block_size=block_size,
-                               parallel=True, workers=3) == reference
-
-
-def test_partitioning_float_determinism():
+def test_multi_block_float_sum(monkeypatch):
+    # 64-term blocks give order 13 (4096 terms) 64 blocks, so the
+    # compensated combination of several blocks is covered below the
+    # default block size's order 18
+    monkeypatch.setattr(closed_form, "_BLOCK", 64)
     rng = random.Random(53)
     m = random_float_matrix(13, rng)
-    sequential = det_closed_form(m, block_size=64)
-    parallel = det_closed_form(m, block_size=64, parallel=True, workers=4)
-    # blocks are combined in ascending order either way
-    assert parallel == sequential
-    assert abs(parallel - det_closed_form(m)) <= 1e-12 * (1 + abs(parallel))
-    with pytest.raises(ValueError):
-        det_closed_form(m, block_size=0)
+    value = det_closed_form(m)
+    assert det_closed_form(m) == value  # blocks combine in ascending order
+    reference = det_recurrence(m)
+    assert abs(value - reference) <= 1e-12 * (1 + abs(reference))
 
 
 def test_closed_form_single_row():

@@ -1,12 +1,17 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_exact_matrix, random_exact_spec
-from hessenbergian import (ComplexRational, FormatError, IrregularOrder,
+from conftest import (default_digit_limit, random_exact_matrix,
+                      random_exact_spec)
+from hessenbergian import (ComplexRational, FormatError,
+                           IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
                            WrongEntryCount)
 from hessenbergian.formats import (convert_matrix, convert_spec, dump_text,
                                    matrix_from_json, matrix_to_json,
@@ -136,3 +141,38 @@ def test_parse_text_errors():
     with pytest.raises(FormatError):
         parse_text("{not json")
     assert parse_text('{"a": 1}') == {"a": 1}
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(FormatError):
+            parse_text(f"[{token}]")
+
+
+def test_non_finite_float_has_no_exact_conversion():
+    m, _ = matrix_from_json({"order": 1, "rows": [[1e400]]})
+    with pytest.raises(FormatError):
+        convert_matrix(m, "exact")
+    spec = LdevcSpec(0, 0, [[1.0]], [float("nan")])
+    with pytest.raises(FormatError):
+        convert_spec(spec, "exact")
+
+
+_LIMIT = sys.int_info.default_max_str_digits
+
+
+@given(st.integers(1, 2 * _LIMIT), st.booleans())
+@example(_LIMIT, False)
+@example(_LIMIT + 1, True)
+@settings(deadline=None, max_examples=60)
+def test_digit_limit_in_both_directions(digits, negative):
+    value = (10 ** digits - 1) * (-1 if negative else 1)  # `digits` digits
+    text = "[" + "-" * negative + "9" * digits + "]"
+    with default_digit_limit() as limit:
+        if digits <= limit:
+            assert dump_text([value]) == text
+            assert parse_text(text) == [value]
+        else:
+            with pytest.raises(IntegerTooLargeForJson):
+                dump_text([value])
+            with pytest.raises(IntegerTooLargeForJson):
+                parse_text(text)
+        with pytest.raises(ValueError):  # NaN stays a plain ValueError
+            dump_text([float("nan")])

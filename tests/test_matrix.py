@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_exact_matrix
 from hessenbergian import (ComplexRational, HessenbergMatrix, IndexOutOfRange,
-                           InvalidOrder, SignedFactorView, WrongEntryCount,
-                           entry_count, leading_submatrix, make_matrix,
-                           row_length)
+                           InvalidOrder, WrongEntryCount, entry_count,
+                           leading_submatrix, make_matrix, row_length,
+                           signed_rows)
 
 
 def test_row_length_goldens():
@@ -89,30 +89,26 @@ def test_is_float_backed():
     assert not make_matrix(2, [1, 2.0, 3.0, 4.0]).is_float_backed  # mixed
 
 
-def test_signed_factor_view_negates_superdiagonal_only():
+def test_signed_rows_negate_superdiagonal_only():
     m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
-    view = SignedFactorView(m)
-    assert view.order == 3
-    assert view.entry(0, 0) == 1  # empty-product convention
-    assert view.entry(1, 2) == -2
-    assert view.entry(2, 3) == -5
-    assert view.entry(1, 1) == 1
-    assert view.entry(3, 1) == 6
-    assert view.entry(3, 3) == 8
-    assert view.row(1) == (1, -2)
-    assert view.row(3) == (6, 7, 8)
+    assert signed_rows(m) == ((1, -2), (3, 4, -5), (6, 7, 8))
+    assert m.rows == ((1, 2), (3, 4, 5), (6, 7, 8))  # stored rows untouched
+    one = make_matrix(1, [ComplexRational(3, -1)])
+    assert signed_rows(one) == one.rows  # order 1 has no superdiagonal
 
 
-def test_signed_factor_view_round_trip():
+def test_signed_rows_round_trip():
+    # negating the superdiagonal twice gives the stored rows back
     rng = random.Random(11)
     for order in (1, 2, 5, 8):
         m = random_exact_matrix(order, rng)
-        assert SignedFactorView(m).to_matrix() == m
+        assert signed_rows(HessenbergMatrix(order, signed_rows(m))) == m.rows
 
 
-def test_signed_factor_view_round_trip_exact_fractions():
+def test_signed_rows_keep_fractions():
     m = HessenbergMatrix(2, [[Fraction(1, 3), Fraction(-2, 7)],
                              [Fraction(5, 2), Fraction(0)]])
-    back = SignedFactorView(m).to_matrix()
-    assert back == m
-    assert back.rows[0][1] == Fraction(-2, 7)
+    rows = signed_rows(m)
+    assert rows == ((Fraction(1, 3), Fraction(2, 7)),
+                    (Fraction(5, 2), Fraction(0)))
+    assert type(rows[0][1]) is Fraction
