@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_exact_matrix, random_float_matrix
-from hessenbergian import closed_form
 from hessenbergian import (IndexOutOfRange, InvalidOrder,
                            OrderTooLargeForClosedForm,
-                           OrderTooLargeForExpansion, chi, det_closed_form,
-                           det_leibniz, det_recurrence, expand_symbolic,
-                           make_matrix, sep_count)
+                           OrderTooLargeForExpansion, chi, closed_form,
+                           det_closed_form, det_leibniz, det_recurrence,
+                           expand_symbolic, make_matrix, sep_count)
 
 
 def test_chi_goldens_order_two():
