@@ -12,12 +12,11 @@ from .errors import (FormatError, HessenbergianError, IndexOutOfRange,
                      NonFiniteResult, NotInRangeSet,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
                      OrderTooLargeForOracle, WrongEntryCount, WrongInitLength)
-from .ldevc import (AscendingOrder, EquationClass, InitialConditions,
-                    LdevcSpec, NOrder, SolutionBundle, UnboundedOrder,
-                    classify, fundamental_matrix, fundamental_solution,
-                    general_matrix, general_solution, general_solutions,
-                    particular_matrix, particular_solution, solve_bundle,
-                    solve_forward)
+from .ldevc import (AscendingOrder, EquationClass, LdevcSpec, NOrder,
+                    SolutionBundle, UnboundedOrder, classify,
+                    fundamental_matrix, fundamental_solution, general_matrix,
+                    general_solution, general_solutions, particular_matrix,
+                    particular_solution, solve_bundle, solve_forward)
 from .matrix import (HessenbergMatrix, entry_count, leading_submatrix,
                      make_matrix, row_length, signed_rows)
 from .scalars import EXACT, FLOAT, ComplexRational, Scalar, convert_scalar
@@ -30,8 +29,8 @@ __all__ = [
     "AscendingOrder", "BitArray", "ComplexRational", "DEFAULT_CLOSED_FORM_CAP",
     "DEFAULT_ORACLE_CAP", "EXACT", "EXPANSION_CAP", "EquationClass", "FLOAT",
     "FormatError", "HessenbergianError", "HessenbergMatrix", "IndexOutOfRange",
-    "InitialConditions", "IntegerTooLargeForJson", "InvalidOrder",
-    "InvalidParams", "InvalidSep", "IrregularOrder", "LdevcSpec",
+    "IntegerTooLargeForJson", "InvalidOrder", "InvalidParams", "InvalidSep",
+    "IrregularOrder", "LdevcSpec",
     "LinearityViolation", "NOrder",
     "NonFiniteResult", "NotInRangeSet", "OrderTooLargeForClosedForm",
     "OrderTooLargeForExpansion", "OrderTooLargeForOracle", "Scalar",

@@ -200,7 +200,10 @@ def random_float_matrix(order: int, rng: Random) -> HessenbergMatrix:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]):

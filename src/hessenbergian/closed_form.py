@@ -11,10 +11,12 @@ decoding m's bit array.  The exponential term count makes this a
 verification and benchmarking route, not a production determinant path;
 orders above a configurable cap are refused.
 
-Summation order is ascending m and therefore deterministic.  For float
-matrices the m-range is processed in fixed-size blocks (vectorized), and
-the block sums are combined in ascending order with compensated
-accumulation.
+Summation order is ascending m and therefore deterministic.  One
+kernel serves both realizations: the m-range is processed in fixed-size
+blocks, vectorized over numpy arrays of the signed rows (complex128 for
+float-backed matrices, object arrays of exact scalars otherwise; see
+:func:`row_arrays`), and the block sums are combined in ascending order
+with compensated accumulation, which adds exactly 0 for exact values.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
-from .matrix import HessenbergMatrix, signed_rows
+from .matrix import HessenbergMatrix, row_arrays, signed_rows
 from .sep_codec import decode_columns, enumerate_seps, sep_count, tau
 
 DEFAULT_CLOSED_FORM_CAP = 28
@@ -49,28 +51,11 @@ def chi(matrix: HessenbergMatrix, m: int):
     return value
 
 
-def _sum_range_generic(crows, n: int):
-    # Inlined decode of each m; avoids per-term object construction.
-    total = 0
-    for m in range(sep_count(n)):
-        value = 1
-        zrun = 0
-        for i in range(1, n):
-            if (m >> (n - 1 - i)) & 1:
-                value = value * crows[i - 1][i - 1 - zrun]
-                zrun = 0
-            else:
-                value = value * crows[i - 1][i]
-                zrun += 1
-        value = value * crows[n - 1][n - 1 - zrun]
-        total = total + value
-    return total
-
-
-def _sum_block_float(crows, n: int, start: int, stop: int) -> complex:
+def _sum_block(crows, n: int, start: int, stop: int):
+    # Inlined decode of every m in [start, stop), one factor row at a time
     ms = np.arange(start, stop, dtype=np.int64)
     zrun = np.zeros(len(ms), dtype=np.int64)
-    prod = np.ones(len(ms), dtype=np.complex128)
+    prod = np.ones(len(ms), dtype=crows[0].dtype)
     # an overflowing product becomes inf or nan in the value, not a warning
     with np.errstate(all="ignore"):
         for i in range(1, n):
@@ -79,7 +64,7 @@ def _sum_block_float(crows, n: int, start: int, stop: int) -> complex:
             prod *= np.take(crows[i - 1], cols)
             zrun = np.where(bits == 1, 0, zrun + 1)
         prod *= np.take(crows[n - 1], n - 1 - zrun)
-        return complex(prod.sum())
+        return prod.sum(keepdims=True).item()
 
 
 def det_closed_form(matrix: HessenbergMatrix, *,
@@ -87,27 +72,24 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     """Determinant as the sum of all non-trivial SEP values.
 
     2^(n-1) terms; raises OrderTooLargeForClosedForm above the cap.
-    Exact matrices are summed term by term in ascending m; float
-    matrices in _BLOCK-sized blocks, combined in ascending order.
+    The terms are summed in _BLOCK-sized blocks of ascending m, and the
+    block sums are combined in ascending order.
     """
     n = matrix.order
     if n > closed_form_cap:
         raise OrderTooLargeForClosedForm(
             f"order {n} exceeds closed_form_cap={closed_form_cap}")
-    crows = signed_rows(matrix)
-    if not matrix.is_float_backed:
-        return _sum_range_generic(crows, n)
-    crows = [np.array(row, dtype=np.complex128) for row in crows]
+    crows = row_arrays(matrix, signed_rows(matrix))
     total = sep_count(n)
-    return _kahan_sum(_sum_block_float(crows, n, start,
-                                       min(start + _BLOCK, total))
+    return _kahan_sum(_sum_block(crows, n, start, min(start + _BLOCK, total))
                       for start in range(0, total, _BLOCK))
 
 
-def _kahan_sum(parts) -> complex:
-    # Compensated accumulation; the partial sums carry mixed signs.
-    total = 0j
-    carry = 0j
+def _kahan_sum(parts):
+    # Compensated accumulation; the partial sums carry mixed signs.  The
+    # integer start adds nothing, so exact block sums combine exactly.
+    total = 0
+    carry = 0
     for p in parts:
         y = p - carry
         t = total + y

@@ -14,23 +14,25 @@ Two routes live here:
   superdiagonal products run, so the whole evaluation is O(n^2) scalar
   operations; recursion depth never exceeds O(1) per prefix.  It returns
   every prefix determinant det(H_0), ..., det(H_n), and
-  :func:`det_recurrence` is its last entry.  Matrices whose entries are
-  all machine floats take a vectorized path, which runs with numpy's
-  floating-point warnings off: an overflow shows up as an inf or nan
-  value that the caller can refuse, never as a warning on stderr.
+  :func:`det_recurrence` is its last entry.
 
-  The generic (non-vectorized) path skips every term whose h_{j,k} is
-  zero, while the superdiagonal product still advances, so the
-  mostly-zero solution matrices of low-order difference equations cost
-  one multiplication per skipped entry instead of a full round of exact
-  arithmetic.  For exact entries this gives the same value, since a
-  zero term adds exactly 0.  For floats that reach this path (a matrix
-  mixing floats with ints or exact scalars) the one difference is that a
-  zero h_{j,k} times an infinite superdiagonal product or prefix
-  determinant no longer turns the sum into NaN via 0*inf; the
-  mathematically correct term there is 0.  The sign (-1)^(j-k) selects
-  addition or subtraction instead of being multiplied in; negation is
-  exact, so no value changes.
+  There is one kernel for both realizations: each k-sum is one numpy
+  dot product over the row's arrays, which :func:`row_arrays` builds
+  per call as complex128 for float-backed matrices and as object
+  arrays (plain Python arithmetic, exact for exact entries) otherwise.
+  Float overflow shows up as an inf or nan value that the caller can
+  refuse, never as a warning on stderr: numpy's floating-point warnings
+  are off.
+
+  One zero rule holds on both realizations: the terms whose h_{j,k} is
+  zero are dropped before the dot product, while the superdiagonal
+  products still advance.  The mostly-zero solution matrices of
+  low-order difference equations then cost one superdiagonal product
+  per zero entry instead of a full round of exact arithmetic, and a
+  zero h_{j,k} times an infinite superdiagonal
+  product or prefix determinant never turns the sum into NaN via
+  0*inf; the mathematically correct term there is 0.  Exact values are
+  unchanged, since a zero term adds exactly 0.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the full
   n!-term Leibniz expansion, treating structural zeros as 0: column
@@ -47,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderTooLargeForOracle
-from .matrix import HessenbergMatrix, row_length
+from .matrix import HessenbergMatrix, row_arrays, row_length
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -55,56 +57,35 @@ DEFAULT_ORACLE_CAP = 10
 def det_prefixes(matrix: HessenbergMatrix) -> list:
     """[det(H_0), det(H_1), ..., det(H_n)] for the leading principal
     submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
-    if matrix.is_float_backed:
-        return _det_prefixes_float(matrix)
-    return _det_prefixes_generic(matrix)
-
-
-def det_recurrence(matrix: HessenbergMatrix):
-    """Determinant via the Hessenbergian recurrence, O(n^2)."""
-    return det_prefixes(matrix)[-1]
-
-
-def _det_prefixes_generic(matrix: HessenbergMatrix) -> list:
     n = matrix.order
-    rows = matrix.rows
-    dets = [1]  # dets[k] = det of the leading k x k prefix
-    for j in range(1, n + 1):
-        row = rows[j - 1]
-        acc = row[j - 1] * dets[j - 1]
-        prod = 1  # prod_{i=k}^{j-1} h_{i,i+1}, built as k descends
-        for k in range(j - 1, 0, -1):
-            prod = prod * rows[k - 1][k]
-            h = row[k - 1]
-            if h:  # a zero h_{j,k} adds exactly 0; skip its products
-                term = h * prod * dets[k - 1]
-                acc = acc - term if (j - k) & 1 else acc + term
-        dets.append(acc)
-    return dets
-
-
-def _det_prefixes_float(matrix: HessenbergMatrix) -> list:
-    n = matrix.order
-    rows = matrix._float_rows
-    dets = np.empty(n + 1, dtype=np.complex128)
-    dets[0] = 1.0
+    rows = row_arrays(matrix, matrix.rows)
+    dtype = rows[0].dtype
+    dets = np.empty(n + 1, dtype=dtype)
+    dets[0] = 1
     dets[1] = rows[0][0]
     # alt[k] = (-1)^k * dets[k-1]; lets the k-sum become one dot product
-    alt = np.empty(n + 1, dtype=np.complex128)
-    alt[1] = -1.0
+    alt = np.empty(n + 1, dtype=dtype)
+    alt[1] = -1
     # prods[k] = prod_{i=k}^{j-1} h_{i,i+1} while processing row j (1-based k)
-    prods = np.empty(n, dtype=np.complex128)
+    prods = np.empty(n, dtype=dtype)
     with np.errstate(all="ignore"):
         for j in range(2, n + 1):
             s = rows[j - 2][j - 1]  # h_{j-1,j}
             prods[1:j - 1] *= s
             prods[j - 1] = s
             row = rows[j - 1]
-            ksum = np.dot(row[:j - 1] * prods[1:j], alt[1:j])
-            sign = 1.0 if j % 2 == 0 else -1.0
+            # k - 1 for every nonzero h_{j,k}; a zero one adds nothing
+            nz = np.flatnonzero(row[:j - 1])
+            ksum = np.dot(row[nz] * prods[nz + 1], alt[nz + 1])
+            sign = 1 if j % 2 == 0 else -1
             dets[j] = row[j - 1] * dets[j - 1] + sign * ksum
             alt[j] = dets[j - 1] if j % 2 == 0 else -dets[j - 1]
     return dets.tolist()
+
+
+def det_recurrence(matrix: HessenbergMatrix):
+    """Determinant via the Hessenbergian recurrence, O(n^2)."""
+    return det_prefixes(matrix)[-1]
 
 
 def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):

@@ -21,6 +21,7 @@ canonical (sorted shapes, compact separators) so equal objects dump to
 identical bytes.
 
 Text is strict JSON both ways: the tokens NaN and Infinity are refused.
+A number beyond the double range in a float document is a FormatError.
 An integer with more decimal digits than Python converts between int
 and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
 parse and on dump; the limit itself is left as it is.
@@ -79,7 +80,11 @@ def scalar_from_json(obj, tracker: _ModeTracker):
         if len(obj) == 2 and all(
                 _is_int(v) or isinstance(v, float) for v in obj):
             tracker.note(FLOAT)
-            return complex(obj[0], obj[1])
+            try:
+                return complex(obj[0], obj[1])
+            except OverflowError:  # an integer beyond the double range
+                raise FormatError(
+                    "a float scalar is beyond the double range") from None
     raise FormatError(
         f"invalid scalar {obj!r}; expected [re_num,re_den,im_num,im_den], "
         f"[re,im], or a bare integer")
@@ -160,20 +165,24 @@ def spec_to_json(spec: LdevcSpec) -> dict:
 def _convert_row(row, backend: str) -> list:
     try:
         return [convert_scalar(v, backend) for v in row]
-    except ValueError as exc:  # an infinite or NaN float has no exact value
+    # an infinite or NaN float has no exact value (ValueError), and a
+    # value beyond the double range has no float one (OverflowError)
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"cannot convert to {backend}: {exc}") from None
 
 
 def convert_matrix(matrix: HessenbergMatrix, backend: str) -> HessenbergMatrix:
     """The matrix in the other realization; a non-finite float entry
-    raises FormatError on conversion to exact."""
+    (to exact) or an entry beyond the double range (to float) raises
+    FormatError."""
     return HessenbergMatrix(
         matrix.order, [_convert_row(row, backend) for row in matrix.rows])
 
 
 def convert_spec(spec: LdevcSpec, backend: str) -> LdevcSpec:
     """The spec in the other realization; a non-finite float value
-    raises FormatError on conversion to exact."""
+    (to exact) or a value beyond the double range (to float) raises
+    FormatError."""
     return LdevcSpec(
         spec.index_N, spec.horizon,
         [_convert_row(row, backend) for row in spec.coeffs],
@@ -198,12 +207,15 @@ def _refuse_constant(token: str):
 
 def parse_text(text: str):
     """json.loads with errors reported as FormatError.  The non-JSON
-    tokens NaN, Infinity and -Infinity are refused, and an integer above
-    the int/str digit limit raises IntegerTooLargeForJson."""
+    tokens NaN, Infinity and -Infinity are refused, so is nesting deeper
+    than the parser can recurse, and an integer above the int/str digit
+    limit raises IntegerTooLargeForJson."""
     try:
         return json.loads(text, parse_constant=_refuse_constant)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise FormatError("invalid JSON: nested too deeply") from None
     except ValueError as exc:
         if not _over_digit_limit(exc):
             raise

@@ -66,9 +66,6 @@ from .errors import (IndexOutOfRange, InvalidOrder, IrregularOrder,
 from .matrix import HessenbergMatrix, leading_submatrix
 from .scalars import is_exact
 
-# Initial conditions are a plain tuple (y_{-N}, ..., y_{-1}); empty when N=0.
-InitialConditions = tuple
-
 GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
                    "reduced-recurrence", "reduced-closed")
 

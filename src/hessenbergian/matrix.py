@@ -10,7 +10,7 @@ interface are 1-based; values are immutable after construction.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -55,27 +55,12 @@ class HessenbergMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("HessenbergMatrix is immutable")
 
-    def entry(self, i: int, j: int):
-        """h_{i,j} with 1-based indices; trivial positions return 0."""
-        n = self.order
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise IndexOutOfRange(f"({i},{j}) outside order-{n} matrix")
-        if j - i > 1:
-            return 0
-        return self.rows[i - 1][j - 1]
-
     @cached_property
     def is_float_backed(self) -> bool:
         """True when every entry is a machine float/complex scalar."""
         return all(
             isinstance(x, (float, complex)) and not isinstance(x, bool)
             for row in self.rows for x in row)
-
-    @cached_property
-    def _float_rows(self) -> Tuple[np.ndarray, ...]:
-        # complex128 copies of the stored rows, for the vectorized paths
-        return tuple(np.array([complex(x) for x in row], dtype=np.complex128)
-                     for row in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, HessenbergMatrix):
@@ -132,3 +117,12 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     """
     rows = matrix.rows
     return tuple(row[:-1] + (-row[-1],) for row in rows[:-1]) + rows[-1:]
+
+
+def row_arrays(matrix: HessenbergMatrix, rows: Sequence[Sequence]) -> tuple:
+    """``rows`` (the stored rows or a row-for-row image of them) as numpy
+    arrays, built per call.  The realization picks the dtype and nothing
+    else: complex128 when the matrix is float-backed, object otherwise,
+    so exact, int, Fraction and mixed entries keep Python arithmetic."""
+    dtype = np.complex128 if matrix.is_float_backed else object
+    return tuple(np.array(row, dtype=dtype) for row in rows)

@@ -49,13 +49,6 @@ class BitArray:
         if any(b not in (0, 1) for b in self.bits):
             raise InvalidOrder("bits must be 0 or 1")
 
-    def as_integer(self) -> int:
-        """The bits read as a base-2 numeral, r_1 most significant."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | b
-        return value
-
 
 @dataclass(frozen=True)
 class SepFactors:

@@ -157,6 +157,51 @@ def test_solve_exact_backend_refuses_non_finite_input(capsys, tmp_path):
     assert_refused(code, out, err, 2)
 
 
+def test_det_refuses_non_utf8_input(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"order":1,"rows":[[1]]}\xff')
+    code, out, err = run_cli(capsys, "det", str(path))
+    assert_refused(code, out, err, 2)
+    assert "UTF-8" in err
+
+
+def test_det_refuses_too_deeply_nested_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "det", str(path))
+    assert_refused(code, out, err, 2)
+
+
+BEYOND_DOUBLE = 10 ** 400  # 401 digits, well inside the int/str limit
+
+
+def test_det_float_backend_refuses_exact_entry_beyond_double_range(
+        capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"order":1,"rows":[[[{BEYOND_DOUBLE},1,0,1]]]}}')
+    code, out, err = run_cli(capsys, "det", str(path), "--backend", "float")
+    assert_refused(code, out, err, 2)
+
+
+def test_solve_float_backend_refuses_exact_value_beyond_double_range(
+        capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"N":0,"horizon":0,"coeffs":[[[{BEYOND_DOUBLE},1,0,1]]],'
+                    f'"forcing":[[1,1,0,1]]}}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--backend", "float")
+    assert_refused(code, out, err, 2)
+
+
+@pytest.mark.parametrize("entry", [f"{BEYOND_DOUBLE}", f"[{BEYOND_DOUBLE},0]"],
+                         ids=["bare", "pair"])
+def test_det_float_document_refuses_integer_beyond_double_range(
+        capsys, tmp_path, entry):
+    path = tmp_path / "big.json"
+    path.write_text(f'{{"order":2,"rows":[[1.5,{entry}],[1.0,2.0]]}}')
+    code, out, err = run_cli(capsys, "det", str(path))
+    assert_refused(code, out, err, 2)
+
+
 def test_det_input_integer_above_digit_limit(capsys, tmp_path):
     path = tmp_path / "long.json"
     with default_digit_limit() as limit:

@@ -97,17 +97,23 @@ def test_closed_form_cap():
         det_closed_form(small, closed_form_cap=3)
 
 
-def test_multi_block_float_sum(monkeypatch):
+@pytest.mark.parametrize("random_matrix", [random_float_matrix,
+                                           random_exact_matrix],
+                         ids=["float", "exact"])
+def test_multi_block_sum(monkeypatch, random_matrix):
     # 64-term blocks give order 13 (4096 terms) 64 blocks, so the
     # compensated combination of several blocks is covered below the
-    # default block size's order 18
+    # default block size's order 18; exact block sums combine exactly
     monkeypatch.setattr(closed_form, "_BLOCK", 64)
     rng = random.Random(53)
-    m = random_float_matrix(13, rng)
+    m = random_matrix(13, rng)
     value = det_closed_form(m)
     assert det_closed_form(m) == value  # blocks combine in ascending order
     reference = det_recurrence(m)
-    assert abs(value - reference) <= 1e-12 * (1 + abs(reference))
+    if m.is_float_backed:
+        assert abs(value - reference) <= 1e-12 * (1 + abs(reference))
+    else:
+        assert value == reference
 
 
 def test_closed_form_single_row():

@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -38,8 +39,8 @@ def test_identity_up_to_64():
                 for i in range(1, n + 1)]
         ident = HessenbergMatrix(n, rows)
         for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                assert ident.entry(i, j) == (1 if i == j else 0)
+            for j in range(1, row_length(n, i) + 1):
+                assert ident.rows[i - 1][j - 1] == (1 if i == j else 0)
         assert det_recurrence(ident) == 1
 
 
@@ -85,7 +86,7 @@ def test_zero_superdiagonal_blocks_triangularize():
     m = HessenbergMatrix(n, rows)
     diag = Fraction(1)
     for i in range(1, n + 1):
-        diag *= m.entry(i, i)
+        diag *= m.rows[i - 1][i - 1]
     assert det_recurrence(m) == diag
     assert det_leibniz(m) == diag
 
@@ -110,6 +111,32 @@ def test_float_path_matches_generic_path():
         reference = complex(det_recurrence(exact_copy))
         got = det_recurrence(mf)
         assert abs(got - reference) <= 1e-12 * (1 + abs(reference))
+
+
+def test_zero_entry_meeting_overflowing_superdiagonal_product():
+    # h_{1,2} h_{2,3} = 1e600 overflows to inf, but its term in det(H_3)
+    # has h_{3,1} = 0, so it adds nothing; 0 * inf must not make it NaN
+    m = HessenbergMatrix(3, [[2 + 0j, 1e300 + 0j],
+                             [1e-300 + 0j, 3 + 0j, 1e300 + 0j],
+                             [0j, 1e-300 + 1e-301j, 5 + 0j]])
+    exact = [complex(v) for v in det_prefixes(HessenbergMatrix(
+        3, [[CR.from_complex(v) for v in row] for row in m.rows]))]
+    got = det_prefixes(m)
+    for g, e in zip(got, exact, strict=True):
+        assert cmath.isfinite(g)
+        assert abs(g - e) <= 1e-12 * abs(e)
+    assert got[-1] == det_recurrence(m)
+
+
+def test_exact_results_keep_python_scalar_types():
+    # the object realization runs plain Python arithmetic, so an int
+    # matrix gives int determinants and Fraction entries give Fractions
+    ints = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
+    assert [type(v) for v in det_prefixes(ints)] == [int] * 4
+    assert type(det_closed_form(ints)) is int
+    fracs = make_matrix(2, [Fraction(1, 2), 2, 3, 4])
+    assert det_recurrence(fracs) == det_closed_form(fracs) == Fraction(-4)
+    assert type(det_recurrence(fracs)) is type(det_closed_form(fracs)) is Fraction
 
 
 def test_oracle_cap():
@@ -156,7 +183,7 @@ def float_matrices(draw, max_order=8):
 
 @given(float_matrices())
 @settings(deadline=None, max_examples=60)
-def test_float_prefixes_match_generic_prefixes(m):
+def test_float_prefixes_match_exact_prefixes(m):
     assert m.is_float_backed
     exact_copy = HessenbergMatrix(
         m.order, [[CR.from_complex(v) for v in row] for row in m.rows])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_exact_matrix
@@ -8,6 +9,7 @@ from hessenbergian import (ComplexRational, HessenbergMatrix, IndexOutOfRange,
                            InvalidOrder, WrongEntryCount, entry_count,
                            leading_submatrix, make_matrix, row_length,
                            signed_rows)
+from hessenbergian.matrix import row_arrays
 
 
 def test_row_length_goldens():
@@ -40,18 +42,6 @@ def test_leading_submatrix():
 def test_make_matrix_wrong_flat_count():
     with pytest.raises(WrongEntryCount):
         make_matrix(3, [1, 2, 3])
-
-
-def test_entry_one_based_with_structural_zeros():
-    m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
-    assert m.entry(1, 1) == 1
-    assert m.entry(1, 2) == 2
-    assert m.entry(1, 3) == 0  # above the superdiagonal: structurally zero
-    assert m.entry(2, 3) == 5
-    assert m.entry(3, 1) == 6
-    for bad in ((0, 1), (1, 0), (4, 1), (1, 4)):
-        with pytest.raises(IndexOutOfRange):
-            m.entry(*bad)
 
 
 @pytest.mark.parametrize("order", [0, -1, 2.0, "3", True])
@@ -87,6 +77,18 @@ def test_is_float_backed():
     assert not make_matrix(2, [1, 2, 3, 4]).is_float_backed
     assert not make_matrix(1, [ComplexRational(1)]).is_float_backed
     assert not make_matrix(2, [1, 2.0, 3.0, 4.0]).is_float_backed  # mixed
+
+
+def test_row_arrays_dtype_follows_realization():
+    floats = make_matrix(2, [1.0, 2j, 0.5, 4.0])
+    assert [a.dtype for a in row_arrays(floats, floats.rows)] == [
+        np.complex128, np.complex128]
+    for m in (make_matrix(2, [1, 2, 3, 4]),
+              make_matrix(2, [1, 2.0, 3.0, 4.0]),
+              make_matrix(1, [ComplexRational(1, 2)])):
+        arrays = row_arrays(m, m.rows)
+        assert all(a.dtype == object for a in arrays)
+        assert tuple(tuple(a.tolist()) for a in arrays) == m.rows
 
 
 def test_signed_rows_negate_superdiagonal_only():
