@@ -21,7 +21,7 @@ canonical (sorted shapes, compact separators) so equal objects dump to
 identical bytes.
 
 Text is strict JSON both ways: the tokens NaN and Infinity are refused.
-A number beyond the double range in a float document is a FormatError.
+An integer beyond the double range in a float document is a FormatError.
 An integer with more decimal digits than Python converts between int
 and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
 parse and on dump; the limit itself is left as it is.
