@@ -29,10 +29,10 @@ Two routes live here:
   products still advance.  The mostly-zero solution matrices of
   low-order difference equations then cost one superdiagonal product
   per zero entry instead of a full round of exact arithmetic, and a
-  zero h_{j,k} times an infinite superdiagonal
-  product or prefix determinant never turns the sum into NaN via
-  0*inf; the mathematically correct term there is 0.  Exact values are
-  unchanged, since a zero term adds exactly 0.
+  zero h_{j,k} times an infinite superdiagonal product or prefix
+  determinant never turns the sum into NaN via 0*inf; the
+  mathematically correct term there is 0.  Exact values are unchanged,
+  since a zero term adds exactly 0.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the full
   n!-term Leibniz expansion, treating structural zeros as 0: column
