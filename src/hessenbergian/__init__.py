@@ -19,7 +19,7 @@ from .ldevc import (AscendingOrder, EquationClass, LdevcSpec, NOrder,
                     particular_solution, solve_bundle, solve_forward)
 from .matrix import (HessenbergMatrix, entry_count, leading_submatrix,
                      make_matrix, row_length, signed_rows)
-from .scalars import EXACT, FLOAT, ComplexRational, Scalar, convert_scalar
+from .scalars import EXACT, FLOAT, ComplexRational, Scalar
 from .sep_codec import (BitArray, SepFactors, SepIndex, decode_columns,
                         encode_sep, enumerate_seps, sep_count, sep_index, tau)
 
@@ -36,7 +36,7 @@ __all__ = [
     "OrderTooLargeForExpansion", "OrderTooLargeForOracle", "Scalar",
     "SepFactors", "SepIndex", "SolutionBundle", "SymbolicTerm",
     "UnboundedOrder", "WrongEntryCount", "WrongInitLength",
-    "chi", "classify", "convert_scalar", "decode_columns", "det_closed_form",
+    "chi", "classify", "decode_columns", "det_closed_form",
     "det_leibniz", "det_prefixes", "det_recurrence", "encode_sep",
     "entry_count", "enumerate_seps", "expand_symbolic", "fundamental_matrix",
     "fundamental_solution", "general_matrix", "general_solution",

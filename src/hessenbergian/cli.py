@@ -30,9 +30,8 @@ from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
                      InvalidParams, NonFiniteResult,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
                      OrderTooLargeForOracle)
-from .formats import (convert_matrix, convert_spec, dump_text,
-                      matrix_from_json, parse_text, scalar_to_json,
-                      spec_from_json, spec_to_json)
+from .formats import (dump_text, matrix_from_json, parse_text,
+                      scalar_to_json, spec_from_json, spec_to_json)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .matrix import HessenbergMatrix, row_length
 from .scalars import EXACT, FLOAT, ComplexRational, is_exact
@@ -225,10 +224,8 @@ def _result_to_json(value):
 
 
 def cmd_det(args) -> int:
-    matrix, backend = matrix_from_json(parse_text(_read(args.matrix)))
-    if args.backend and args.backend != backend:
-        matrix = convert_matrix(matrix, args.backend)
-        backend = args.backend
+    matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
+                                       args.backend)
     if args.method == "recurrence":
         value = det_recurrence(matrix)
     elif args.method == "closed":
@@ -258,10 +255,7 @@ def cmd_sep(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    spec, backend = spec_from_json(parse_text(_read(args.spec)))
-    if args.backend and args.backend != backend:
-        spec = convert_spec(spec, args.backend)
-        backend = args.backend
+    spec, backend = spec_from_json(parse_text(_read(args.spec)), args.backend)
     init = parse_init(args.init, backend)
     if args.method == "forward":
         values = solve_forward(spec, init)
@@ -306,47 +300,57 @@ def cmd_bench(args) -> int:
 
 # wiring --------------------------------------------------------------------
 
+def _option(*flags, **kwargs) -> _Parser:
+    parent = _Parser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
+
+
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--backend", choices=(EXACT, FLOAT), default=None,
-                        help="force a scalar realization (default: keep the file's)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="generator seed (default 0)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write output to PATH instead of stdout")
-    common.add_argument("--closed-form-cap", dest="closed_form_cap",
-                        type=_positive_int, default=DEFAULT_CLOSED_FORM_CAP,
-                        help=f"order cap for the closed form (default {DEFAULT_CLOSED_FORM_CAP})")
-    common.add_argument("--oracle-cap", dest="oracle_cap",
-                        type=_positive_int, default=DEFAULT_ORACLE_CAP,
-                        help=f"order cap for the Leibniz oracle (default {DEFAULT_ORACLE_CAP})")
+    # each subcommand takes only the shared options it reads
+    backend = _option("--backend", choices=(EXACT, FLOAT), default=None,
+                      help="read the input into this realization "
+                           "(default: the file's own)")
+    seed = _option("--seed", type=int, default=0,
+                   help="generator seed (default 0)")
+    out = _option("--out", metavar="PATH", default=None,
+                  help="write output to PATH instead of stdout")
+    closed_form_cap = _option(
+        "--closed-form-cap", dest="closed_form_cap", type=_positive_int,
+        default=DEFAULT_CLOSED_FORM_CAP,
+        help=f"order cap for the closed form (default {DEFAULT_CLOSED_FORM_CAP})")
+    oracle_cap = _option(
+        "--oracle-cap", dest="oracle_cap", type=_positive_int,
+        default=DEFAULT_ORACLE_CAP,
+        help=f"order cap for the Leibniz oracle (default {DEFAULT_ORACLE_CAP})")
 
     parser = _Parser(prog="hessenbergian",
                      description="Hessenberg determinants and linear "
                                  "difference equation solutions")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p = sub.add_parser("det", parents=[common],
+    p = sub.add_parser("det",
+                       parents=[backend, out, closed_form_cap, oracle_cap],
                        help="determinant of a matrix JSON file")
     p.add_argument("matrix", help="path to a matrix JSON document")
     p.add_argument("--method", choices=("recurrence", "closed", "leibniz"),
                    default="recurrence")
     p.set_defaults(func=cmd_det)
 
-    p = sub.add_parser("expand", parents=[common],
+    p = sub.add_parser("expand", parents=[out],
                        help="print the symbolic determinant expansion")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--limit", type=_positive_int, default=None,
                    help="print only the first K terms")
     p.set_defaults(func=cmd_expand)
 
-    p = sub.add_parser("sep", parents=[common],
+    p = sub.add_parser("sep", parents=[out],
                        help="decode one term index into bits, columns and sign")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--index", type=int, required=True)
     p.set_defaults(func=cmd_sep)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", parents=[backend, out, closed_form_cap],
                        help="solve an equation-spec JSON file")
     p.add_argument("spec", help="path to a spec JSON document")
     p.add_argument("--init", default="",
@@ -355,7 +359,7 @@ def build_parser() -> _Parser:
                    default="ratio-recurrence")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("gen", parents=[common],
+    p = sub.add_parser("gen", parents=[seed, out],
                        help="generate an equation-spec JSON file")
     p.add_argument("--family", choices=("constant", "periodic", "random"),
                    required=True)
@@ -365,7 +369,7 @@ def build_parser() -> _Parser:
                    help="family parameters (see generate_spec)")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("bench", parents=[common],
+    p = sub.add_parser("bench", parents=[seed, out, closed_form_cap],
                        help="time determinant methods; prints CSV")
     p.add_argument("--orders", type=_order_list, required=True,
                    help="comma list of matrix orders")

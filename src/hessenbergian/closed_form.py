@@ -51,19 +51,25 @@ def chi(matrix: HessenbergMatrix, m: int):
     return value
 
 
-def _sum_block(crows, n: int, start: int, stop: int):
+def _sum_block(crows, zeros, n: int, start: int, stop: int):
     # Inlined decode of every m in [start, stop), one factor row at a time
     ms = np.arange(start, stop, dtype=np.int64)
     zrun = np.zeros(len(ms), dtype=np.int64)
     prod = np.ones(len(ms), dtype=crows[0].dtype)
+    dead = np.zeros(len(ms), dtype=bool)  # the terms with a zero factor
     # an overflowing product becomes inf or nan in the value, not a warning
     with np.errstate(all="ignore"):
-        for i in range(1, n):
-            bits = (ms >> (n - 1 - i)) & 1
-            cols = np.where(bits == 1, i - 1 - zrun, i)
+        for i in range(1, n + 1):
+            if i < n:
+                bits = (ms >> (n - 1 - i)) & 1
+                cols = np.where(bits == 1, i - 1 - zrun, i)
+                zrun = np.where(bits == 1, 0, zrun + 1)
+            else:
+                cols = n - 1 - zrun
             prod *= np.take(crows[i - 1], cols)
-            zrun = np.where(bits == 1, 0, zrun + 1)
-        prod *= np.take(crows[n - 1], n - 1 - zrun)
+            if zeros[i - 1] is not None:
+                dead |= np.take(zeros[i - 1], cols)
+        prod[dead] = 0
         return prod.sum(keepdims=True).item()
 
 
@@ -73,16 +79,21 @@ def det_closed_form(matrix: HessenbergMatrix, *,
 
     2^(n-1) terms; raises OrderTooLargeForClosedForm above the cap.
     The terms are summed in _BLOCK-sized blocks of ascending m, and the
-    block sums are combined in ascending order.
+    block sums are combined in ascending order.  A term with a zero
+    factor adds exactly 0 on both realizations, as in the recurrence, so
+    a zero entry never turns an overflowing product into NaN; rows with
+    no zero entry skip that bookkeeping.
     """
     n = matrix.order
     if n > closed_form_cap:
         raise OrderTooLargeForClosedForm(
             f"order {n} exceeds closed_form_cap={closed_form_cap}")
     crows = row_arrays(matrix, signed_rows(matrix))
+    zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     total = sep_count(n)
-    return _kahan_sum(_sum_block(crows, n, start, min(start + _BLOCK, total))
-                      for start in range(0, total, _BLOCK))
+    return _kahan_sum(
+        _sum_block(crows, zeros, n, start, min(start + _BLOCK, total))
+        for start in range(0, total, _BLOCK))
 
 
 def _kahan_sum(parts):

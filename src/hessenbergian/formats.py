@@ -9,9 +9,13 @@ Scalars are written in one of two canonical shapes:
 On input a bare integer is also accepted and is neutral (it fits either
 realization); a bare float forces the float realization.  One document
 must stay within a single realization: mixing four-integer and
-two-number scalars is a format error.  Loaders return the decoded
-object together with the realization they inferred ("exact" unless
-something float-only appeared).
+two-number scalars is a format error, whatever it is read into.
+
+There is one conversion rule: the loaders decode every scalar once,
+straight into their ``backend`` argument (default: the document's own
+realization, "exact" unless something float-only appeared), and return
+it with the object.  Float values go through ``complex`` first, even when
+read as exact; :func:`convert_spec` reuses the rule.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -21,7 +25,8 @@ canonical (sorted shapes, compact separators) so equal objects dump to
 identical bytes.
 
 Text is strict JSON both ways: the tokens NaN and Infinity are refused.
-An integer beyond the double range in a float document is a FormatError.
+A value beyond the double range read as float, and a non-finite float
+read as exact, are FormatErrors.
 An integer with more decimal digits than Python converts between int
 and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
 parse and on dump; the limit itself is left as it is.
@@ -32,62 +37,71 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 
 from .errors import FormatError, IntegerTooLargeForJson
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
-from .scalars import EXACT, FLOAT, ComplexRational, convert_scalar
-
-
-class _ModeTracker:
-    """Records which scalar realizations a document used."""
-
-    __slots__ = ("mode",)
-
-    def __init__(self):
-        self.mode = None
-
-    def note(self, mode: str):
-        if self.mode is None:
-            self.mode = mode
-        elif self.mode != mode:
-            raise FormatError(
-                "document mixes exact and float scalars; use one realization")
-
-    def backend(self) -> str:
-        return FLOAT if self.mode == FLOAT else EXACT
+from .scalars import EXACT, FLOAT, ComplexRational
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def scalar_from_json(obj, tracker: _ModeTracker):
-    if _is_int(obj):
-        return obj
-    if isinstance(obj, float):
-        tracker.note(FLOAT)
-        return complex(obj, 0.0)
-    if isinstance(obj, list):
-        if len(obj) == 4 and all(_is_int(v) for v in obj):
-            tracker.note(EXACT)
-            re_num, re_den, im_num, im_den = obj
-            if re_den == 0 or im_den == 0:
-                raise FormatError(f"zero denominator in scalar {obj!r}")
-            return ComplexRational(Fraction(re_num, re_den),
-                                   Fraction(im_num, im_den))
+def _shape(obj):
+    """The realization a scalar's shape names; None for a bare integer."""
+    if isinstance(obj, list):  # float pairs, the bulk of large files, first
         if len(obj) == 2 and all(
-                _is_int(v) or isinstance(v, float) for v in obj):
-            tracker.note(FLOAT)
-            try:
-                return complex(obj[0], obj[1])
-            except OverflowError:  # an integer beyond the double range
-                raise FormatError(
-                    "a float scalar is beyond the double range") from None
+                isinstance(v, float) or _is_int(v) for v in obj):
+            return FLOAT
+        if len(obj) == 4 and all(_is_int(v) for v in obj):
+            return EXACT
+    elif isinstance(obj, float):
+        return FLOAT
+    elif _is_int(obj):
+        return None
     raise FormatError(
         f"invalid scalar {obj!r}; expected [re_num,re_den,im_num,im_den], "
         f"[re,im], or a bare integer")
+
+
+def _ratio(num: int, den: int) -> float:
+    # num/den rounded once, bit for bit as float(Fraction(num, den)): the
+    # sign moves to the numerator, so 0/-1 gives 0.0 rather than -0.0
+    return -num / -den if den < 0 else num / den
+
+
+def scalar_from_json(obj, mode: str, backend: str):
+    """One scalar of a document in realization ``mode``, decoded straight
+    into ``backend``; a scalar of the other realization is a FormatError."""
+    shape = _shape(obj)
+    if shape not in (None, mode):
+        raise FormatError(
+            "document mixes exact and float scalars; use one realization")
+    if shape == EXACT:
+        re_num, re_den, im_num, im_den = obj
+        if re_den == 0 or im_den == 0:
+            raise FormatError(f"zero denominator in scalar {obj!r}")
+        if backend == EXACT:
+            return ComplexRational(Fraction(re_num, re_den),
+                                   Fraction(im_num, im_den))
+    elif mode == backend == EXACT:  # a bare integer of an exact document
+        return obj
+    try:
+        if shape == EXACT:
+            z = complex(_ratio(re_num, re_den), _ratio(im_num, im_den))
+        else:
+            z = complex(*obj) if isinstance(obj, list) else complex(obj)
+    except OverflowError:  # an integer or ratio beyond the double range
+        raise FormatError("a scalar is beyond the double range") from None
+    if backend == FLOAT:
+        return z
+    try:
+        return ComplexRational.from_complex(z)
+    except ValueError as exc:  # a non-finite float has no exact value
+        raise FormatError(f"cannot read a scalar as exact: {exc}") from None
 
 
 def scalar_to_json(value):
@@ -112,25 +126,31 @@ def _require_keys(obj, keys, what: str) -> None:
         raise FormatError(f"{what} document has unknown keys: {', '.join(extra)}")
 
 
-def _scalar_rows(rows, tracker: _ModeTracker, what: str):
+def _require_rows(rows, what: str) -> None:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise FormatError(f"{what} must be a list of lists")
-    return [[scalar_from_json(v, tracker) for v in row] for row in rows]
 
 
-def matrix_from_json(obj):
-    """Decode a matrix document; returns (matrix, backend)."""
+def _realizations(scalars, backend):
+    """(mode, backend): the realization named by the document's first
+    scalar that is not a bare integer, and the one to decode into."""
+    if backend not in (None, EXACT, FLOAT):
+        raise ValueError(f"unknown backend {backend!r}")
+    mode = next((_shape(v) for v in scalars if not _is_int(v)), EXACT)
+    return mode, backend or mode
+
+
+def matrix_from_json(obj, backend=None):
+    """Decode a matrix document into ``backend`` (default: the document's
+    own realization); returns (matrix, backend)."""
     _require_keys(obj, ("order", "rows"), "matrix")
     if not _is_int(obj["order"]):
         raise FormatError(f"matrix order must be an integer, got {obj['order']!r}")
-    tracker = _ModeTracker()
-    rows = _scalar_rows(obj["rows"], tracker, "matrix rows")
-    matrix = HessenbergMatrix(obj["order"], rows)
-    backend = tracker.backend()
-    if backend == FLOAT:
-        # bare integers are neutral; normalize them into the realization
-        matrix = convert_matrix(matrix, FLOAT)
-    return matrix, backend
+    rows = obj["rows"]
+    _require_rows(rows, "matrix rows")
+    mode, backend = _realizations(chain.from_iterable(rows), backend)
+    rows = [[scalar_from_json(v, mode, backend) for v in row] for row in rows]
+    return HessenbergMatrix(obj["order"], rows), backend
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
@@ -138,21 +158,22 @@ def matrix_to_json(matrix: HessenbergMatrix) -> dict:
             "rows": [[scalar_to_json(v) for v in row] for row in matrix.rows]}
 
 
-def spec_from_json(obj):
-    """Decode an equation-spec document; returns (spec, backend)."""
+def spec_from_json(obj, backend=None):
+    """Decode an equation-spec document into ``backend`` (default: the
+    document's own realization); returns (spec, backend)."""
     _require_keys(obj, ("N", "horizon", "coeffs", "forcing"), "spec")
     if not _is_int(obj["N"]) or not _is_int(obj["horizon"]):
         raise FormatError("spec N and horizon must be integers")
-    tracker = _ModeTracker()
-    coeffs = _scalar_rows(obj["coeffs"], tracker, "spec coeffs")
-    if not isinstance(obj["forcing"], list):
+    coeffs, forcing = obj["coeffs"], obj["forcing"]
+    _require_rows(coeffs, "spec coeffs")
+    if not isinstance(forcing, list):
         raise FormatError("spec forcing must be a list")
-    forcing = [scalar_from_json(v, tracker) for v in obj["forcing"]]
-    spec = LdevcSpec(obj["N"], obj["horizon"], coeffs, forcing)
-    backend = tracker.backend()
-    if backend == FLOAT:
-        spec = convert_spec(spec, FLOAT)
-    return spec, backend
+    mode, backend = _realizations(
+        chain(chain.from_iterable(coeffs), forcing), backend)
+    coeffs = [[scalar_from_json(v, mode, backend) for v in row]
+              for row in coeffs]
+    forcing = [scalar_from_json(v, mode, backend) for v in forcing]
+    return LdevcSpec(obj["N"], obj["horizon"], coeffs, forcing), backend
 
 
 def spec_to_json(spec: LdevcSpec) -> dict:
@@ -162,31 +183,10 @@ def spec_to_json(spec: LdevcSpec) -> dict:
             "forcing": [scalar_to_json(v) for v in spec.forcing]}
 
 
-def _convert_row(row, backend: str) -> list:
-    try:
-        return [convert_scalar(v, backend) for v in row]
-    # an infinite or NaN float has no exact value (ValueError), and a
-    # value beyond the double range has no float one (OverflowError)
-    except (ValueError, OverflowError) as exc:
-        raise FormatError(f"cannot convert to {backend}: {exc}") from None
-
-
-def convert_matrix(matrix: HessenbergMatrix, backend: str) -> HessenbergMatrix:
-    """The matrix in the other realization; a non-finite float entry
-    (to exact) or an entry beyond the double range (to float) raises
-    FormatError."""
-    return HessenbergMatrix(
-        matrix.order, [_convert_row(row, backend) for row in matrix.rows])
-
-
 def convert_spec(spec: LdevcSpec, backend: str) -> LdevcSpec:
-    """The spec in the other realization; a non-finite float value
-    (to exact) or a value beyond the double range (to float) raises
-    FormatError."""
-    return LdevcSpec(
-        spec.index_N, spec.horizon,
-        [_convert_row(row, backend) for row in spec.coeffs],
-        _convert_row(spec.forcing, backend))
+    """The spec written out and read back into ``backend``; a spec no
+    document can express (one mixing exact and float values) is refused."""
+    return spec_from_json(spec_to_json(spec), backend)[0]
 
 
 def _over_digit_limit(exc: ValueError) -> bool:

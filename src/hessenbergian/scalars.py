@@ -191,25 +191,3 @@ FLOAT = "float"
 def is_exact(value) -> bool:
     """True for scalars belonging to the exact realization."""
     return isinstance(value, (ComplexRational, Rational))
-
-
-def to_exact(value) -> ComplexRational:
-    """Coerce any supported scalar to ComplexRational (floats exactly)."""
-    if isinstance(value, ComplexRational):
-        return value
-    if isinstance(value, Rational):
-        return ComplexRational(Fraction(value))
-    return ComplexRational.from_complex(value)
-
-
-def to_float(value) -> complex:
-    """Coerce any supported scalar to a complex double (may round)."""
-    return complex(value)
-
-
-def convert_scalar(value, backend: str):
-    if backend == EXACT:
-        return to_exact(value)
-    if backend == FLOAT:
-        return to_float(value)
-    raise ValueError(f"unknown backend {backend!r}")

@@ -137,6 +137,18 @@ def test_det_non_finite_result_is_refused(capsys, tmp_path, method):
     assert "not finite" in err
 
 
+def test_det_closed_zero_entry_meets_overflowing_product(capsys, tmp_path):
+    # the term h12 h23 h31 overflows before it meets the zero h31
+    path = tmp_path / "zero.json"
+    path.write_text('{"order":3,"rows":[[[2.0,0.0],[1e300,0.0]],'
+                    '[[1e-300,0.0],[3.0,0.0],[1e300,0.0]],'
+                    '[[0.0,0.0],[1e-300,1e-301],[5.0,0.0]]]}')
+    code, out, err = run_cli(capsys, "det", str(path), "--method", "closed")
+    assert code == 0 and err == ""
+    re, im = strict_json(out)["value"]
+    assert abs(complex(re, im) - (23 - 0.2j)) <= 1e-12 * 23
+
+
 def assert_refused(code, out, err, want_code):
     assert code == want_code and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -348,7 +360,7 @@ def test_solve_ill_scaled_float_spec(tmp_path):
 # gen --------------------------------------------------------------------------
 
 def test_gen_constant_is_alpha_spec(capsys, alpha_spec_file):
-    spec, backend = spec_from_json(parse_text(open(alpha_spec_file).read()))
+    spec, backend = spec_from_json(parse_text(Path(alpha_spec_file).read_text()))
     assert backend == "exact"
     assert spec.index_N == 1 and spec.horizon == 5
     for n in range(6):
@@ -468,6 +480,16 @@ def test_bad_usage(capsys):
     assert code == 2 and err.startswith("error: ")
     code, _, err = run_cli(capsys, "det", "x.json", "--closed-form-cap", "-3")
     assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "constant", "--N", "1", "--params", "2",
+     "--horizon", "2", "--backend", "float"],
+    ["expand", "--order", "3", "--oracle-cap", "5"],
+], ids=["gen-backend", "expand-oracle-cap"])
+def test_shared_option_a_subcommand_does_not_read_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert_refused(code, out, err, 2)
 
 
 def test_help_exits_zero(capsys):

@@ -48,6 +48,15 @@ def test_float_agreement():
         assert abs(a - b) <= 1e-9 * (1 + abs(a))
 
 
+def test_zero_factor_meets_overflowing_product():
+    # h12 h23 h31 is inf * 0 term by term; the zero rule makes it 0
+    m = make_matrix(3, [complex(v) for v in (2, 1e300, 1e-300, 3, 1e300,
+                                             0, 1e-300 + 1e-301j, 5)])
+    want = det_recurrence(m)
+    assert abs(want - (23 - 0.2j)) <= 1e-12 * 23
+    assert abs(det_closed_form(m) - want) <= 1e-12 * abs(want)
+
+
 def test_term_structure_invariants():
     for order in range(1, 11):
         terms = expand_symbolic(order)

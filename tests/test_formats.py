@@ -13,10 +13,9 @@ from conftest import (default_digit_limit, random_exact_matrix,
 from hessenbergian import (ComplexRational, FormatError,
                            IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
                            WrongEntryCount)
-from hessenbergian.formats import (convert_matrix, convert_spec, dump_text,
-                                   matrix_from_json, matrix_to_json,
-                                   parse_text, scalar_to_json, spec_from_json,
-                                   spec_to_json)
+from hessenbergian.formats import (convert_spec, dump_text, matrix_from_json,
+                                   matrix_to_json, parse_text, scalar_to_json,
+                                   spec_from_json, spec_to_json)
 
 CR = ComplexRational
 
@@ -46,13 +45,14 @@ def test_bare_integers_are_neutral():
 
 
 def test_mixed_realizations_rejected():
-    with pytest.raises(FormatError):
-        matrix_from_json(
-            {"order": 2, "rows": [[[1, 1, 0, 1], [0.5, 0]], [[1, 2], [3, 4]]]})
-    # mixing across sections of a spec document is just as invalid
-    with pytest.raises(FormatError):
-        spec_from_json({"N": 0, "horizon": 0,
-                        "coeffs": [[[1, 1, 0, 1]]], "forcing": [0.5]})
+    for backend in (None, "exact", "float"):
+        with pytest.raises(FormatError):
+            matrix_from_json({"order": 2, "rows": [[[1, 1, 0, 1], [0.5, 0]],
+                                                   [[1, 2], [3, 4]]]}, backend)
+        # mixing across sections of a spec document is just as invalid
+        with pytest.raises(FormatError):
+            spec_from_json({"N": 0, "horizon": 0, "coeffs": [[[1, 1, 0, 1]]],
+                            "forcing": [0.5]}, backend)
 
 
 def test_bad_scalars_rejected():
@@ -120,15 +120,65 @@ def test_spec_round_trip():
 
 
 def test_convert_between_realizations():
-    m, _ = matrix_from_json({"order": 1, "rows": [[[3, 4, 1, 2]]]})
-    f = convert_matrix(m, "float")
-    assert f.rows[0][0] == 0.75 + 0.5j
-    back = convert_matrix(f, "exact")
+    doc = {"order": 1, "rows": [[[3, 4, 1, 2]]]}
+    m, _ = matrix_from_json(doc)
+    f, backend = matrix_from_json(doc, "float")
+    assert backend == "float" and f.rows[0][0] == 0.75 + 0.5j
+    back, backend = matrix_from_json(matrix_to_json(f), "exact")
+    assert backend == "exact"
     assert back == m  # dyadic floats convert back exactly
     rng = random.Random(97)
     spec = random_exact_spec(1, 2, rng)
     fs = convert_spec(spec, "float")
     assert fs.coeffs[0][0] == complex(spec.coeffs[0][0])
+
+
+def _float_hex(z: complex) -> tuple:
+    # tells -0.0 from 0.0, which == does not
+    return z.real.hex(), z.imag.hex()
+
+
+_parts = st.one_of(st.integers(-20, 20),
+                   st.integers(-2 ** 1100, 2 ** 1100))
+_dens = _parts.filter(bool)
+
+
+@given(_parts, _dens, _parts, _dens)
+@example(0, -1, 0, -7)            # zero numerators over negative denominators
+@example(-1, 10 ** 400, 1, -10 ** 400)  # underflow to -0.0 on both parts
+@example(3, -4, -1, -2)
+@example(10 ** 400, 1, 0, 1)      # beyond the double range
+@example(1, 1, -2 ** 1100, 3)
+@settings(max_examples=300)
+def test_exact_scalar_read_as_float_is_bit_identical(a, b, c, d):
+    doc = {"order": 1, "rows": [[[a, b, c, d]]]}
+    try:
+        want = complex(CR(Fraction(a, b), Fraction(c, d)))
+    except OverflowError:
+        with pytest.raises(FormatError):
+            matrix_from_json(doc, "float")
+        return
+    got = matrix_from_json(doc, "float")[0].rows[0][0]
+    assert _float_hex(got) == _float_hex(want)
+
+
+def test_float_document_read_as_exact_goes_through_complex():
+    near = 2 ** 60 + 1  # not a double; complex() rounds it to 2**60
+    m, backend = matrix_from_json(
+        {"order": 2, "rows": [[0.5, near], [1.0, 2.0]]}, "exact")
+    assert backend == "exact"
+    assert m.rows[0][1] == CR.from_complex(complex(near)) != near
+    with pytest.raises(FormatError):
+        matrix_from_json(
+            {"order": 2, "rows": [[0.5, 10 ** 400], [1.0, 2.0]]}, "exact")
+
+
+def test_convert_spec_refuses_mixed_spec():
+    # no document can express this spec, so the wire rule refuses it
+    spec = LdevcSpec(0, 0, [[CR(1)]], [0.5])
+    for backend in ("exact", "float"):
+        with pytest.raises(FormatError):
+            convert_spec(spec, backend)
 
 
 def test_dump_text_is_canonical():
@@ -147,9 +197,8 @@ def test_parse_text_errors():
 
 
 def test_non_finite_float_has_no_exact_conversion():
-    m, _ = matrix_from_json({"order": 1, "rows": [[1e400]]})
     with pytest.raises(FormatError):
-        convert_matrix(m, "exact")
+        matrix_from_json({"order": 1, "rows": [[1e400]]}, "exact")
     spec = LdevcSpec(0, 0, [[1.0]], [float("nan")])
     with pytest.raises(FormatError):
         convert_spec(spec, "exact")

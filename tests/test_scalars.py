@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import hessenbergian.scalars
-from hessenbergian.scalars import (EXACT, FLOAT, ComplexRational,
-                                   convert_scalar, is_exact, to_exact,
-                                   to_float)
+from hessenbergian.formats import matrix_from_json
+from hessenbergian.scalars import EXACT, FLOAT, ComplexRational, is_exact
 
 CR = ComplexRational
 
@@ -95,15 +94,21 @@ def test_str_forms():
     assert str(CR(0, Fraction(-2, 3))) == "-2/3i"
 
 
+def read_as(scalar, backend):
+    """One scalar read through the wire decoder into ``backend``."""
+    matrix, _ = matrix_from_json({"order": 1, "rows": [[scalar]]}, backend)
+    return matrix.rows[0][0]
+
+
 def test_conversions():
     assert complex(CR(Fraction(1, 2), 1)) == 0.5 + 1j
-    assert to_float(CR(1, 1)) == 1 + 1j
-    assert to_exact(0.25 + 0.5j) == CR(Fraction(1, 4), Fraction(1, 2))
-    assert to_exact(Fraction(2, 3)) == CR(Fraction(2, 3))
-    assert convert_scalar(3, EXACT) == CR(3)
-    assert convert_scalar(CR(1, 1), FLOAT) == 1 + 1j
+    assert read_as([1, 1, 1, 1], FLOAT) == 1 + 1j
+    assert read_as([0.25, 0.5], EXACT) == CR(Fraction(1, 4), Fraction(1, 2))
+    assert read_as([2, 3, 0, 1], EXACT) == CR(Fraction(2, 3))
+    assert read_as(3, EXACT) == CR(3)
+    assert read_as(3, FLOAT) == 3 + 0j
     with pytest.raises(ValueError):
-        convert_scalar(1, "decimal")
+        read_as(1, "decimal")
     assert not is_exact(0.5) and not is_exact(1j)
 
 
