@@ -97,16 +97,19 @@ def _split_complex(s: str):
 
 
 def parse_scalar_token(token: str, backend: str):
-    """Parse literals like ``3/2``, ``-2``, ``1+i``, ``2i``, ``3/2-1/3i``
-    or ``1.5e-2`` into the requested realization."""
+    """Parse finite literals like ``3/2``, ``-2``, ``1+i``, ``2i``, ``1e-2``
+    or ``3/2-1/3i`` into the requested realization (never inf or nan)."""
     s = token.strip()
     if not s:
         raise FormatError("empty scalar literal")
     re_text, im_text = _split_complex(s)
     try:
         if backend == FLOAT:
-            return complex(float(re_text) if re_text else 0.0,
-                           float(im_text) if im_text else 0.0)
+            z = complex(float(re_text) if re_text else 0.0,
+                        float(im_text) if im_text else 0.0)
+            if not cmath.isfinite(z):
+                raise ValueError(token)
+            return z
         return ComplexRational(Fraction(re_text) if re_text else 0,
                                Fraction(im_text) if im_text else 0)
     except (ValueError, ZeroDivisionError):

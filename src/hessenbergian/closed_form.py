@@ -13,9 +13,9 @@ orders above a configurable cap are refused.
 
 Summation order is ascending m and therefore deterministic.  One
 kernel serves both realizations: the m-range is processed in fixed-size
-blocks, vectorized over numpy arrays of the signed rows (complex128 for
-float-backed matrices, object arrays of exact scalars otherwise; see
-:func:`row_arrays`), and the block sums are combined in ascending order
+blocks, vectorized over the signed rows, which keep the matrix's stored
+dtype (complex128 for float-backed matrices, object arrays of exact
+scalars otherwise), and the block sums are combined in ascending order
 with compensated accumulation, which adds exactly 0 for exact values.
 """
 
@@ -27,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
-from .matrix import HessenbergMatrix, row_arrays, signed_rows
+from .matrix import HessenbergMatrix, signed_rows
 from .sep_codec import decode_columns, enumerate_seps, sep_count, tau
 
 DEFAULT_CLOSED_FORM_CAP = 28
@@ -43,7 +43,7 @@ def chi(matrix: HessenbergMatrix, m: int):
     entries arrive negated and no separate permutation sign is needed.
     The signed rows and the decode are built per call; nothing is cached.
     """
-    crows = signed_rows(matrix)
+    crows = [row.tolist() for row in signed_rows(matrix)]  # Python scalars
     factors = decode_columns(tau(matrix.order, m))
     value = 1
     for i, col in enumerate(factors.columns, start=1):
@@ -88,7 +88,7 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     if n > closed_form_cap:
         raise OrderTooLargeForClosedForm(
             f"order {n} exceeds closed_form_cap={closed_form_cap}")
-    crows = row_arrays(matrix, signed_rows(matrix))
+    crows = signed_rows(matrix)
     zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     total = sep_count(n)
     return _kahan_sum(

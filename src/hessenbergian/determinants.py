@@ -17,9 +17,9 @@ Two routes live here:
   :func:`det_recurrence` is its last entry.
 
   There is one kernel for both realizations: each k-sum is one numpy
-  dot product over the row's arrays, which :func:`row_arrays` builds
-  per call as complex128 for float-backed matrices and as object
-  arrays (plain Python arithmetic, exact for exact entries) otherwise.
+  dot product over the matrix's stored row arrays, complex128 for
+  float-backed matrices and object arrays (plain Python arithmetic,
+  exact for exact entries) otherwise.
   Float overflow shows up as an inf or nan value that the caller can
   refuse, never as a warning on stderr: numpy's floating-point warnings
   are off.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OrderTooLargeForOracle
-from .matrix import HessenbergMatrix, row_arrays, row_length
+from .matrix import HessenbergMatrix, row_length
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -58,7 +58,7 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
     """[det(H_0), det(H_1), ..., det(H_n)] for the leading principal
     submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
     n = matrix.order
-    rows = row_arrays(matrix, matrix.rows)
+    rows = matrix.rows
     dtype = rows[0].dtype
     dets = np.empty(n + 1, dtype=dtype)
     dets[0] = 1
@@ -94,7 +94,7 @@ def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):
     if n > oracle_cap:
         raise OrderTooLargeForOracle(
             f"order {n} exceeds oracle_cap={oracle_cap}")
-    rows = matrix.rows
+    rows = [row.tolist() for row in matrix.rows]  # Python scalars
     used = [False] * (n + 1)
     columns = [0] * n
     total = 0

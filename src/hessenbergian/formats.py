@@ -155,7 +155,8 @@ def matrix_from_json(obj, backend=None):
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
     return {"order": matrix.order,
-            "rows": [[scalar_to_json(v) for v in row] for row in matrix.rows]}
+            "rows": [[scalar_to_json(v) for v in row.tolist()]
+                     for row in matrix.rows]}
 
 
 def spec_from_json(obj, backend=None):

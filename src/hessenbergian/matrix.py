@@ -4,12 +4,13 @@ An order-n lower Hessenberg matrix has h_{i,j} = 0 whenever j - i > 1.
 Those trivial entries are never stored: row i keeps exactly
 min(i+1, n) scalars, the entries h_{i,1} .. h_{i,min(i+1,n)}, so a
 matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
-interface are 1-based; values are immutable after construction.
+interface are 1-based.  Values and realization are fixed at
+construction: each row is stored as a read-only numpy array, complex128
+when every entry is a float or complex and object otherwise.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +35,7 @@ class HessenbergMatrix:
     :func:`make_matrix` to build one from a flat row-major entry list.
     """
 
-    __slots__ = ("order", "rows", "__dict__")
+    __slots__ = ("order", "rows")
 
     def __init__(self, order: int, rows: Sequence[Sequence]):
         if not isinstance(order, int) or isinstance(order, bool) or order < 1:
@@ -42,33 +43,37 @@ class HessenbergMatrix:
         if len(rows) != order:
             raise WrongEntryCount(
                 f"expected {order} rows, got {len(rows)}")
-        frozen = []
         for i, row in enumerate(rows, start=1):
             want = row_length(order, i)
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-            frozen.append(tuple(row))
+        floats = all(isinstance(x, (float, complex))
+                     for row in rows for x in row)
+        # np.array copies, so a caller's array is never frozen in place
+        frozen = tuple(np.array(row, dtype=np.complex128 if floats else object)
+                       for row in rows)
+        for row in frozen:
+            row.flags.writeable = False
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", tuple(frozen))
+        object.__setattr__(self, "rows", frozen)
 
     def __setattr__(self, name, value):
         raise AttributeError("HessenbergMatrix is immutable")
 
-    @cached_property
+    @property
     def is_float_backed(self) -> bool:
-        """True when every entry is a machine float/complex scalar."""
-        return all(
-            isinstance(x, (float, complex)) and not isinstance(x, bool)
-            for row in self.rows for x in row)
+        """True when the rows are stored as complex128 arrays."""
+        return self.rows[0].dtype == np.complex128
 
     def __eq__(self, other):
         if not isinstance(other, HessenbergMatrix):
             return NotImplemented
-        return self.order == other.order and self.rows == other.rows
+        return self.order == other.order and all(
+            map(np.array_equal, self.rows, other.rows))
 
     def __hash__(self):
-        return hash((self.order, self.rows))
+        return hash((self.order, tuple(tuple(row.tolist()) for row in self.rows)))
 
     def __repr__(self):
         return f"HessenbergMatrix(order={self.order})"
@@ -107,7 +112,7 @@ def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
 
 
 def signed_rows(matrix: HessenbergMatrix) -> tuple:
-    """The stored rows as signed factors c_{i,j}.
+    """The stored rows as signed factors c_{i,j}, one array per row.
 
     The superdiagonal entry h_{i,i+1}, the last stored entry of every
     row except row n, is negated: c_{i,i+1} = -h_{i,i+1}.  Every other
@@ -115,14 +120,7 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     product of the matrix is a plain product of these factors, its
     permutation sign folded in.
     """
-    rows = matrix.rows
-    return tuple(row[:-1] + (-row[-1],) for row in rows[:-1]) + rows[-1:]
-
-
-def row_arrays(matrix: HessenbergMatrix, rows: Sequence[Sequence]) -> tuple:
-    """``rows`` (the stored rows or a row-for-row image of them) as numpy
-    arrays, built per call.  The realization picks the dtype and nothing
-    else: complex128 when the matrix is float-backed, object otherwise,
-    so exact, int, Fraction and mixed entries keep Python arithmetic."""
-    dtype = np.complex128 if matrix.is_float_backed else object
-    return tuple(np.array(row, dtype=dtype) for row in rows)
+    signed = tuple(row.copy() for row in matrix.rows)
+    for row in signed[:-1]:
+        row[-1] = -row[-1]
+    return signed

@@ -41,7 +41,8 @@ class BitArray:
     bits: Tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
+        if (not isinstance(self.order, int) or isinstance(self.order, bool)
+                or self.order < 1):
             raise InvalidOrder(f"order must be positive, got {self.order!r}")
         if len(self.bits) != self.order:
             raise InvalidOrder(

@@ -314,6 +314,22 @@ def test_solve_bad_init_literal(capsys, alpha_spec_file):
     assert code == 2 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("literal", ["inf", "nan", "1e999"])
+@pytest.mark.parametrize("method",
+                         ["ratio-recurrence", "reduced-closed", "forward"])
+def test_solve_float_init_refuses_non_finite_literal(
+        capsys, tmp_path, literal, method):
+    # refused by the literal parser for every method, not by the one
+    # method whose arithmetic happens to meet the non-finite value
+    path = tmp_path / "spec.json"
+    path.write_text('{"N":1,"horizon":1,"coeffs":[[0,2],[0,4,5]],'
+                    '"forcing":[1,1]}')
+    code, out, err = run_cli(capsys, "solve", str(path), "--backend", "float",
+                             "--init", literal, "--method", method)
+    assert_refused(code, out, err, 2)
+    assert "invalid scalar literal" in err
+
+
 def test_solve_unbounded_spec_no_init(capsys, tmp_path):
     path = tmp_path / "n0.json"
     path.write_text(json.dumps(
@@ -539,7 +555,13 @@ def test_parse_scalar_token_float(text, expected):
     assert parse_scalar_token(text, "float") == expected
 
 
-@pytest.mark.parametrize("text", ["", "1+2", "1//2", "/2", "abc", "1+2j"])
-def test_parse_scalar_token_rejects(text):
+@pytest.mark.parametrize("text,backend", [
+    *(pytest.param(text, "exact", id=text)
+      for text in ["", "1+2", "1//2", "/2", "abc", "1+2j"]),
+    # a float literal with no finite value
+    *(pytest.param(text, "float", id=f"float-{text}")
+      for text in ["inf", "nan", "1e999"]),
+])
+def test_parse_scalar_token_rejects(text, backend):
     with pytest.raises(FormatError):
-        parse_scalar_token(text, "exact")
+        parse_scalar_token(text, backend)

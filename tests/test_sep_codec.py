@@ -63,6 +63,8 @@ def test_bit_array_validation():
         BitArray(2, (1, 2))
     with pytest.raises(InvalidOrder):
         BitArray(0, ())
+    with pytest.raises(InvalidOrder):
+        BitArray(True, (1,))  # a bool is not an order
 
 
 def test_encode_goldens():
