@@ -14,8 +14,7 @@ from .errors import (FormatError, HessenbergianError, IndexOutOfRange,
                      OrderTooLargeForOracle, WrongEntryCount, WrongInitLength)
 from .ldevc import (AscendingOrder, EquationClass, LdevcSpec, NOrder,
                     SolutionBundle, UnboundedOrder, classify,
-                    fundamental_matrix, fundamental_solution, general_matrix,
-                    general_solution, general_solutions, particular_matrix,
+                    fundamental_solution, general_solution, general_solutions,
                     particular_solution, solve_bundle, solve_forward)
 from .matrix import (HessenbergMatrix, entry_count, leading_submatrix,
                      make_matrix, row_length, signed_rows)
@@ -38,9 +37,9 @@ __all__ = [
     "UnboundedOrder", "WrongEntryCount", "WrongInitLength",
     "chi", "classify", "decode_columns", "det_closed_form",
     "det_leibniz", "det_prefixes", "det_recurrence", "encode_sep",
-    "entry_count", "enumerate_seps", "expand_symbolic", "fundamental_matrix",
-    "fundamental_solution", "general_matrix", "general_solution",
-    "general_solutions", "leading_submatrix", "make_matrix",
-    "particular_matrix", "particular_solution", "row_length", "sep_count",
+    "entry_count", "enumerate_seps", "expand_symbolic",
+    "fundamental_solution", "general_solution", "general_solutions",
+    "leading_submatrix", "make_matrix", "particular_solution",
+    "row_length", "sep_count",
     "sep_index", "signed_rows", "solve_bundle", "solve_forward", "tau",
 ]

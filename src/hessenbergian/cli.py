@@ -30,8 +30,8 @@ from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
                      InvalidParams, NonFiniteResult,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
                      OrderTooLargeForOracle)
-from .formats import (dump_text, matrix_from_json, parse_text,
-                      scalar_to_json, spec_from_json, spec_to_json)
+from .formats import (_digit_limit_error, dump_text, matrix_from_json,
+                      parse_text, scalar_to_json, spec_from_json, spec_to_json)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .matrix import HessenbergMatrix, row_length
 from .scalars import EXACT, FLOAT, ComplexRational, is_exact
@@ -96,6 +96,30 @@ def _split_complex(s: str):
     return re_text, im_text
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), refusing first (IntegerTooLargeForJson) a
+    numerator or denominator longer than the int/str digit limit, or an
+    exponent whose magnitude reaches it: Fraction would spend minutes
+    expanding 10**exponent."""
+    limit = sys.get_int_max_str_digits()
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.lstrip("+-").replace("_", "")
+    parts = (*mantissa.lstrip("+-").split("/"), exponent)
+    if limit and (any(len(part) > limit for part in parts)
+                  or exponent.isdecimal() and int(exponent) >= limit):
+        raise _digit_limit_error("scalar literal")
+    return Fraction(text)
+
+
+def _float_part(text: str) -> float:
+    # p/q is the correctly rounded double of the ratio, as a document's
+    # [p, q, 0, 1] read as float
+    if "/" not in text:
+        return float(text)
+    ratio = _fraction(text)
+    return ratio.numerator / ratio.denominator
+
+
 def parse_scalar_token(token: str, backend: str):
     """Parse finite literals like ``3/2``, ``-2``, ``1+i``, ``2i``, ``1e-2``
     or ``3/2-1/3i`` into the requested realization (never inf or nan)."""
@@ -105,14 +129,14 @@ def parse_scalar_token(token: str, backend: str):
     re_text, im_text = _split_complex(s)
     try:
         if backend == FLOAT:
-            z = complex(float(re_text) if re_text else 0.0,
-                        float(im_text) if im_text else 0.0)
+            z = complex(_float_part(re_text) if re_text else 0.0,
+                        _float_part(im_text) if im_text else 0.0)
             if not cmath.isfinite(z):
                 raise ValueError(token)
             return z
-        return ComplexRational(Fraction(re_text) if re_text else 0,
-                               Fraction(im_text) if im_text else 0)
-    except (ValueError, ZeroDivisionError):
+        return ComplexRational(_fraction(re_text) if re_text else 0,
+                               _fraction(im_text) if im_text else 0)
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise FormatError(f"invalid scalar literal {token!r}") from None
 
 
@@ -152,8 +176,7 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
     leading coefficients are forced nonzero.
     """
     if family == "constant":
-        alphas = [parse_scalar_token(tok, EXACT) for tok in params.split(",")
-                  if tok.strip()] if params.strip() else []
+        alphas = parse_init(params, EXACT)
         if len(alphas) != index_N:
             raise InvalidParams(
                 f"constant family needs {index_N} params, got {len(alphas)}")

@@ -9,12 +9,12 @@ Two routes live here:
                + sum_{k=1}^{n-1} (-1)^{n-k} h_{n,k}
                  (prod_{i=k}^{n-1} h_{i,i+1}) det(H_{k-1}),
 
-  with det(H_0) = 1 and det(H_1) = h_{1,1}, bottom-up over the leading
-  principal prefixes.  Prefix determinants are memoized and the
-  superdiagonal products run, so the whole evaluation is O(n^2) scalar
-  operations; recursion depth never exceeds O(1) per prefix.  It returns
-  every prefix determinant det(H_0), ..., det(H_n), and
-  :func:`det_recurrence` is its last entry.
+  with det(H_0) = 1 and det(H_1) = h_{1,1}, in one bottom-up loop over
+  the leading principal prefixes.  Each step reads the prefix
+  determinants already computed and keeps the superdiagonal products as
+  running products, so the whole evaluation is O(n^2) scalar operations
+  with no recursion.  It returns every prefix determinant det(H_0), ...,
+  det(H_n), and :func:`det_recurrence` is its last entry.
 
   There is one kernel for both realizations: each k-sum is one numpy
   dot product over the matrix's stored row arrays, complex128 for

@@ -12,44 +12,42 @@ is constructed, and specs violating it are rejected outright
 
 Solutions come from two independent routes.  :func:`solve_forward`
 substitutes row by row, solving each equation for its leading unknown;
-it is the plain reference.  The Hessenbergian route builds
-(n+1) x (n+1) lower Hessenberg solution matrices from the coefficient
-table.  Matrix row i (1-based) corresponds to equation row r = i-1:
+it is the plain reference.  The Hessenbergian route writes every
+solution value as one Hessenbergian.  With
+D_n = a_{0,N} a_{1,N+1} ... a_{n,N+n}, the paper's
 
-* column 1 carries a_{r,iota} (fundamental matrix for basis index
-  iota), g_r (particular matrix), or g_r - sum_{k<N} a_{r,k} y_{k-N}
-  (general matrix);
-* column j >= 2 carries a_{r,N+j-2}, stored for j <= min(i+1, n+1).
+    xi_{n,iota} = (-1)^(n+1) det(Xi_n) / D_n    (fundamental solution)
+    p_n         = (-1)^n     det(P_n)  / D_n    (particular solution)
+    y_n         = (-1)^n     det(G_n)  / D_n    (general solution)
 
-The leading coefficient of the last row never enters the matrix; it
-appears only in the denominator product.  With
-D_n = a_{0,N} a_{1,N+1} ... a_{n,N+n}:
+use (n+1) x (n+1) lower Hessenberg matrices that differ only in column
+1, and y_n = p_n + sum_k xi_{n,k} y_{k-N}.
 
-    xi_{n,iota} = (-1)^(n+1) det(Xi) / D_n      (fundamental solution)
-    p_n         = (-1)^n     det(P)  / D_n      (particular solution)
-    y_n         = (-1)^n     det(G)  / D_n      (general solution)
+The solvers build one matrix per first column: the order-(h+1) monic
+matrix at the horizon h.  Its row i = r+1 is row r of the paper's
+matrices divided by the leading coefficient a_{r,N+r}:
 
-and y_n = p_n + sum_k xi_{n,k} y_{k-N}.
+* column 1 carries a_{r,iota} (fundamental, basis index iota), g_r
+  (particular), or g_r - sum_{k<N} a_{r,k} y_{k-N} (general), over
+  a_{r,N+r};
+* column j >= 2 carries a_{r,N+j-2} / a_{r,N+r}, stored for
+  j <= min(i+1, h+1), so every superdiagonal entry is exactly 1.
 
-Every order-(n+1) solution matrix is the leading principal submatrix of
-the order-(h+1) matrix at the horizon h, so one pass of the
-Hessenbergian recurrence (:func:`det_prefixes`) over the horizon matrix
-yields the determinants for every n in O(h^2) scalar operations.  The
-solvers evaluate a monic horizon matrix: row r is divided by its leading
-coefficient a_{r,N+r}, which turns every superdiagonal entry into 1.  A
-determinant is linear in each row, so the leading order-(n+1) prefix of
-the monic matrix has determinant det(X_n) / D_n: the denominator is
-folded into the rows and never formed.  Each prefix determinant then is
-the solution value itself, up to sign, so in floating point it stays as
-large as the solution, where det(X_n) and D_n apart can overflow while
-their ratio is finite.
+A determinant is linear in each row, so the leading order-(n+1) prefix
+of this matrix has determinant det(X_n) / D_n: D_n is folded into the
+rows and never formed.  The solution value at row n is (-1)^n times
+that prefix (times -1 again for xi), so in floating point each prefix
+stays as large as the solution, where det(X_n) and D_n apart can
+overflow while their ratio is finite.
 
-The ratio-* methods apply (-1)^n to the n-th prefix determinant; the
-reduced-* methods fold it into the matrix instead, dividing every row
-after the first by -a_{r,N+r}, and return the bare prefix determinants.
-The *-recurrence methods take all prefixes from one recurrence pass; the
-*-closed methods sum the closed form over each leading submatrix of the
-same monic matrix.
+The *-recurrence methods take every prefix from one pass of the
+Hessenbergian recurrence (:func:`det_prefixes`), O(h^2) scalar
+operations in all; the *-closed methods sum the closed form over each
+leading submatrix.  The reduced-* methods name the same values as the
+ratio-* methods and run the same computation: dividing the rows after
+the first by -a_{r,N+r} instead would only move the sign (-1)^n into
+the rows, and negation is exact in both realizations (in floating point
+only the sign of a zero part can differ).
 """
 
 from __future__ import annotations
@@ -179,32 +177,24 @@ def _check_method(method: str):
         raise ValueError(f"unknown method {method!r}; expected one of {GENERAL_METHODS}")
 
 
-def _solution_rows(spec: LdevcSpec, n: int, first_column) -> list:
-    # matrix row i = r+1 holds the first-column value and a_{r,N..N+min(r,n-1)}
+def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
+    """The order-(n+1) solution matrix with row r divided by a_{r,N+r}.
+
+    Matrix row r+1 holds first_column[r] and a_{r,N..N+r-1}, then, for
+    r < n, the superdiagonal a_{r,N+r} / a_{r,N+r}, which is exactly 1.
+    """
     N = spec.index_N
-    return [[first_column[r], *spec.coeffs[r][N:N + min(r + 1, n)]]
-            for r in range(n + 1)]
-
-
-def _solution_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
-    return HessenbergMatrix(n + 1, _solution_rows(spec, n, first_column))
-
-
-def _monic_matrix(spec: LdevcSpec, n: int, first_column,
-                  reduced: bool = False) -> HessenbergMatrix:
-    """The order-(n+1) solution matrix with row r divided by a_{r,N+r};
-    reduced divides every row after the first by -a_{r,N+r} instead."""
-    rows = _solution_rows(spec, n, first_column)
-    for r, row in enumerate(rows):
-        sign = -1 if reduced and r > 0 else 1
+    rows = []
+    for r in range(n + 1):
         lead = spec.leading(r)
-        inv = _divide(sign, lead)  # one division per row, then products
-        scaled = len(row) - 1 if r < n else len(row)
-        for j in range(scaled if inv != 1 else 0):  # a monic row stays
-            if row[j]:  # a zero stays a zero the recurrence skips
-                row[j] = row[j] * inv
-        if r < n:  # the superdiagonal a_{r,N+r} itself: exactly +-1
-            row[-1] = sign if is_exact(lead) else complex(sign)
+        inv = _divide(1, lead)  # one division per row, then products
+        row = [first_column[r], *spec.coeffs[r][N:N + r]]
+        if inv != 1:  # a monic row stays as it is
+            # a zero stays a zero the recurrence skips
+            row = [v * inv if v else v for v in row]
+        if r < n:
+            row.append(1 if is_exact(lead) else complex(1))
+        rows.append(row)
     return HessenbergMatrix(n + 1, rows)
 
 
@@ -215,8 +205,7 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     """(-1)^k det(X_k) / D_k for k = 0..n, or for k = n alone when not
     ``every``; X_k is the order-(k+1) solution matrix whose first column
     is ``first_column``."""
-    reduced = method.startswith("reduced")
-    matrix = _monic_matrix(spec, n, first_column, reduced)
+    matrix = _monic_matrix(spec, n, first_column)
     orders = range(1, n + 2) if every else (n + 1,)
     if method.endswith("closed"):
         if n + 1 > closed_form_cap:
@@ -229,7 +218,7 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
         prefixes = det_prefixes(matrix)
         dets = [prefixes[k] for k in orders]
     # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd k
-    return [det if reduced or k % 2 else -det for k, det in zip(orders, dets)]
+    return [det if k % 2 else -det for k, det in zip(orders, dets)]
 
 
 def _check_basis_index(spec: LdevcSpec, i: int):
@@ -242,25 +231,12 @@ def _coefficient_column(spec: LdevcSpec, i: int) -> list:
     return [row[i] for row in spec.coeffs]
 
 
-def fundamental_matrix(spec: LdevcSpec, n: int, i: int) -> HessenbergMatrix:
-    """Solution matrix whose first column is coefficient column i."""
-    _check_row_index(spec, n)
-    _check_basis_index(spec, i)
-    return _solution_matrix(spec, n, _coefficient_column(spec, i))
-
-
 def fundamental_solution(spec: LdevcSpec, n: int, i: int):
     """xi_{n,i}; the basis sequence value at row n for basis index i."""
     _check_row_index(spec, n)
     _check_basis_index(spec, i)
     # (-1)^(n+1) = -(-1)^n
     return -_solutions(spec, n, _coefficient_column(spec, i), every=False)[0]
-
-
-def particular_matrix(spec: LdevcSpec, n: int) -> HessenbergMatrix:
-    """Solution matrix whose first column is the forcing sequence."""
-    _check_row_index(spec, n)
-    return _solution_matrix(spec, n, spec.forcing)
 
 
 def particular_solution(spec: LdevcSpec, n: int):
@@ -288,23 +264,15 @@ def _general_first_column(spec: LdevcSpec, n: int, init: tuple):
     return column
 
 
-def general_matrix(spec: LdevcSpec, n: int, init) -> HessenbergMatrix:
-    """Solution matrix combining forcing and initial conditions; its
-    first column is g_r - sum_{k<N} a_{r,k} y_{k-N}."""
-    init = _check_init(spec, init)
-    _check_row_index(spec, n)
-    return _solution_matrix(spec, n, _general_first_column(spec, n, init))
-
-
 def general_solution(spec: LdevcSpec, n: int, init,
                      method: str = "ratio-recurrence", *,
                      closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP):
     """y_n by one of four equivalent Hessenbergian routes.
 
     Evaluates the order-(n+1) monic general matrix, by the recurrence or
-    by the closed form; ratio-* applies (-1)^n to its determinant,
-    reduced-* folds the sign into the rows.  The two closed variants
-    obey the closed-form cap.  To get every y_0..y_h, use
+    by the closed form, and applies (-1)^n to its determinant; reduced-*
+    is another name for ratio-*.  The two closed variants obey the
+    closed-form cap.  To get every y_0..y_h, use
     :func:`general_solutions`, which costs as much as one call here at
     n = h.
     """

@@ -140,7 +140,7 @@ def enumerate_seps(order: int) -> Iterator[Tuple[SepIndex, SepFactors]]:
     """Yield (m, decode_columns(tau(order, m))) for ascending m.
 
     Exactly 2^(order-1) items; nothing is materialized, so callers may
-    stop early or partition the index range across workers.
+    stop early.
     """
     for m in range(sep_count(order)):
         yield m, decode_columns(tau(order, m))

@@ -10,7 +10,8 @@ import pytest
 
 import hessenbergian
 from conftest import default_digit_limit, random_float_spec
-from hessenbergian import ComplexRational, FormatError, LdevcSpec, solve_forward
+from hessenbergian import (ComplexRational, FormatError, IntegerTooLargeForJson,
+                           LdevcSpec, solve_forward)
 from hessenbergian.cli import main, parse_scalar_token
 from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
 
@@ -435,6 +436,10 @@ def test_gen_invalid_params(capsys):
     code, _, err = run_cli(capsys, "gen", "--family", "random", "--N", "1",
                            "--horizon", "3", "--params", "x")
     assert code == 2 and err.startswith("error: ")
+    # an empty token is refused, as it is by solve --init
+    code, _, err = run_cli(capsys, "gen", "--family", "constant", "--N", "2",
+                           "--horizon", "3", "--params", "1,,2")
+    assert code == 2 and err.startswith("error: ")
 
 
 # bench ------------------------------------------------------------------------
@@ -550,6 +555,8 @@ def test_parse_scalar_token_exact(text, expected):
     ("0.5-0.25i", 0.5 - 0.25j),
     ("2", 2 + 0j),
     ("1.5e-2i", 0.015j),
+    ("3/2", 1.5 + 0j),
+    ("3/2-1/3i", complex(1.5, -1 / 3)),
 ])
 def test_parse_scalar_token_float(text, expected):
     assert parse_scalar_token(text, "float") == expected
@@ -565,3 +572,25 @@ def test_parse_scalar_token_float(text, expected):
 def test_parse_scalar_token_rejects(text, backend):
     with pytest.raises(FormatError):
         parse_scalar_token(text, backend)
+
+
+@pytest.mark.parametrize("text,backend", [
+    ("1e5000", "exact"),
+    ("1e-5000", "exact"),
+    ("1/" + "1" * 5000, "exact"),
+    ("1" * 5000 + "/3", "float"),
+], ids=["exponent", "negative-exponent", "denominator", "float-ratio"])
+def test_parse_scalar_token_refuses_integer_above_digit_limit(text, backend):
+    # refused before Fraction expands 10**5000 or parses 5000 digits
+    with default_digit_limit() as limit:
+        with pytest.raises(IntegerTooLargeForJson,
+                           match=f"get_int_max_str_digits\\(\\)={limit}"):
+            parse_scalar_token(text, backend)
+
+
+def test_solve_init_integer_above_digit_limit(capsys, alpha_spec_file):
+    with default_digit_limit() as limit:
+        code, out, err = run_cli(capsys, "solve", alpha_spec_file,
+                                 "--init", "1e10000000")
+    assert_refused(code, out, err, 3)
+    assert f"get_int_max_str_digits()={limit}" in err

@@ -11,9 +11,8 @@ from conftest import (nonzero_rational_scalar, random_exact_matrix,
 from hessenbergian import (ComplexRational, HessenbergMatrix, LdevcSpec,
                            NOrder, OrderTooLargeForOracle, classify,
                            det_closed_form, det_leibniz, det_prefixes,
-                           det_recurrence, entry_count, fundamental_matrix,
-                           general_matrix, leading_submatrix, make_matrix,
-                           row_length)
+                           det_recurrence, entry_count, leading_submatrix,
+                           make_matrix, row_length)
 
 CR = ComplexRational
 ALL_METHODS = (det_recurrence, det_leibniz)
@@ -193,6 +192,15 @@ def test_float_prefixes_match_exact_prefixes(m):
         assert abs(got - complex(want)) <= 1e-9 * (1 + abs(complex(want)))
 
 
+def undivided_solution_matrix(spec, n, first_column):
+    """The paper's order-(n+1) solution matrix: row r+1 holds
+    first_column[r] and a_{r,N..N+min(r,n-1)}, no row divided."""
+    N = spec.index_N
+    return HessenbergMatrix(n + 1, [
+        [first_column[r], *spec.coeffs[r][N:N + min(r + 1, n)]]
+        for r in range(n + 1)])
+
+
 def mostly_zero_solution_matrices():
     """Solution matrices of a first-order and a banded N=2 spec, orders
     1..10: most stored entries are zeros that the recurrence skips."""
@@ -206,12 +214,26 @@ def mostly_zero_solution_matrices():
         [nonzero_rational_scalar(rng) for _ in range(10)])
     assert classify(banded) == NOrder(2)
     init = (CR(Fraction(2, 7), Fraction(-1, 3)), CR(5))
+
+    def column(spec, i):
+        return [row[i] for row in spec.coeffs]
+
+    def general_column(spec, init):
+        column = []
+        for row, value in zip(spec.coeffs, spec.forcing):
+            for a, y in zip(row, init):
+                if a:
+                    value = value - a * y
+            column.append(value)
+        return column
     for n in range(10):
-        yield fundamental_matrix(first, n, 0)
-        yield general_matrix(first, n, init[:1])
-        yield fundamental_matrix(banded, n, 0)
-        yield fundamental_matrix(banded, n, 1)
-        yield general_matrix(banded, n, init)
+        yield undivided_solution_matrix(first, n, column(first, 0))
+        yield undivided_solution_matrix(first, n,
+                                        general_column(first, init[:1]))
+        yield undivided_solution_matrix(banded, n, column(banded, 0))
+        yield undivided_solution_matrix(banded, n, column(banded, 1))
+        yield undivided_solution_matrix(banded, n,
+                                        general_column(banded, init))
 
 
 def test_recurrence_skipping_zero_terms_equals_oracles():

@@ -11,10 +11,9 @@ from hessenbergian import (AscendingOrder, ComplexRational, IndexOutOfRange,
                            LinearityViolation, NOrder,
                            OrderTooLargeForClosedForm, UnboundedOrder,
                            WrongEntryCount, WrongInitLength, classify,
-                           fundamental_matrix, fundamental_solution,
-                           general_matrix, general_solution,
-                           general_solutions, particular_matrix,
-                           particular_solution, solve_bundle, solve_forward)
+                           fundamental_solution, general_solution,
+                           general_solutions, particular_solution,
+                           solve_bundle, solve_forward)
 from hessenbergian import ldevc
 from hessenbergian.ldevc import GENERAL_METHODS
 
@@ -81,14 +80,21 @@ def test_classify():
 
 def test_solution_matrix_structure():
     spec = LdevcSpec(1, 1, [[2, 3], [5, 7, 11]], [13, 17])
-    xi_m = fundamental_matrix(spec, 1, 0)
-    assert xi_m.order == 2
-    # leading 11 only divides
-    assert [row.tolist() for row in xi_m.rows] == [[2, 3], [5, 7]]
-    p_m = particular_matrix(spec, 1)
-    assert [row.tolist() for row in p_m.rows] == [[13, 3], [17, 7]]
-    g_m = general_matrix(spec, 1, (F(1, 2),))
-    assert [row.tolist() for row in g_m.rows] == [[12, 3], [F(29, 2), 7]]
+
+    def rows(first_column):
+        m = ldevc._monic_matrix(spec, 1, first_column)
+        assert m.order == 2
+        superdiagonal = m.rows[0].tolist()[1]
+        assert type(superdiagonal) is int and superdiagonal == 1
+        return [row.tolist() for row in m.rows]
+    # row r is divided by its lead a_{r,N+r} (3, then 11), so the
+    # superdiagonal is exactly 1; the last lead only divides
+    xi_column = ldevc._coefficient_column(spec, 0)
+    assert rows(xi_column) == [[F(2, 3), 1], [F(5, 11), F(7, 11)]]
+    assert rows(spec.forcing) == [[F(13, 3), 1], [F(17, 11), F(7, 11)]]
+    g_column = ldevc._general_first_column(spec, 1, (F(1, 2),))
+    assert g_column == [12, F(29, 2)]
+    assert rows(g_column) == [[4, 1], [F(29, 22), F(7, 11)]]
 
 
 def test_row_zero_ratios():
@@ -100,14 +106,14 @@ def test_row_zero_ratios():
 def test_index_out_of_range():
     spec = first_order_spec(F(2), 3)
     with pytest.raises(IndexOutOfRange):
-        fundamental_matrix(spec, 1, 1)
+        fundamental_solution(spec, 1, 1)
     with pytest.raises(IndexOutOfRange):
-        fundamental_matrix(spec, 4, 0)
+        fundamental_solution(spec, 4, 0)
     with pytest.raises(IndexOutOfRange):
-        particular_matrix(spec, -1)
+        particular_solution(spec, -1)
     spec0 = LdevcSpec(0, 1, [[1], [0, 1]], [1, 1])
     with pytest.raises(IndexOutOfRange):
-        fundamental_matrix(spec0, 0, 0)  # no basis sequences when N=0
+        fundamental_solution(spec0, 0, 0)  # no basis sequences when N=0
 
 
 def test_golden_system_forward():
@@ -174,13 +180,18 @@ def test_methods_agree_on_random_specs():
 
 
 def test_reduced_equals_ratio():
-    # the rescaled-first-column determinant is the ratio value itself
+    # the sign (-1)^n folded into the rows changes no value; negation is
+    # exact, so on these specs, which have no zero parts, not even a
+    # float bit changes
     rng = random.Random(71)
-    spec = random_exact_spec(2, 9, rng)
-    init = (F(1, 3), F(-2))
-    for n in range(10):
-        assert (general_solution(spec, n, init, "reduced-recurrence")
-                == general_solution(spec, n, init, "ratio-recurrence"))
+    exact = random_exact_spec(2, 9, rng), (F(1, 3), F(-2))
+    floating = random_float_spec(2, 40, rng), (1 / 3 + 0j, -2 + 0j)
+    for spec, init in (exact, floating):
+        assert (repr(general_solutions(spec, init, "reduced-recurrence"))
+                == repr(general_solutions(spec, init, "ratio-recurrence")))
+        for n in range(min(spec.horizon, 10) + 1):
+            assert (repr(general_solution(spec, n, init, "reduced-closed"))
+                    == repr(general_solution(spec, n, init, "ratio-closed")))
 
 
 def test_unbounded_order_has_no_free_constants():
