@@ -47,11 +47,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+_ECHO_CHARS = 40
+
+
+def _echo(text: str) -> str:
+    """repr(text) for an error message; a longer text is cut to its first
+    _ECHO_CHARS characters and marked, so the error line stays short."""
+    if len(text) <= _ECHO_CHARS:
+        return repr(text)
+    return f"{text[:_ECHO_CHARS]!r}... (cut, {len(text)} characters)"
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {_echo(text)}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
@@ -61,9 +72,9 @@ def _order_list(text: str) -> list:
     try:
         values = [int(tok) for tok in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid order list {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid order list {_echo(text)}")
     if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"orders must be positive, got {text!r}")
+        raise argparse.ArgumentTypeError(f"orders must be positive, got {_echo(text)}")
     return values
 
 
@@ -71,7 +82,7 @@ def _method_list(text: str) -> list:
     values = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not values or any(v not in BENCH_METHODS for v in values):
         raise argparse.ArgumentTypeError(
-            f"methods must be a comma list drawn from {BENCH_METHODS}, got {text!r}")
+            f"methods must be a comma list drawn from {BENCH_METHODS}, got {_echo(text)}")
     return values
 
 
@@ -137,7 +148,7 @@ def parse_scalar_token(token: str, backend: str):
         return ComplexRational(_fraction(re_text) if re_text else 0,
                                _fraction(im_text) if im_text else 0)
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise FormatError(f"invalid scalar literal {token!r}") from None
+        raise FormatError(f"invalid scalar literal {_echo(token)}") from None
 
 
 def parse_init(text: Optional[str], backend: str) -> tuple:
@@ -194,7 +205,7 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
             period = int(params)
         except ValueError:
             raise InvalidParams(
-                f"periodic family needs an integer period, got {params!r}") from None
+                f"periodic family needs an integer period, got {_echo(params)}") from None
         if period < 1:
             raise InvalidParams(f"period must be positive, got {period}")
         band = [[_random_scalar(rng) for _ in range(index_N)] + [_random_nonzero(rng)]

@@ -13,21 +13,27 @@ orders above a configurable cap are refused.
 
 Summation order is ascending m and therefore deterministic.  One
 kernel serves both realizations: the m-range is processed in fixed-size
-blocks, vectorized over the signed rows, which keep the matrix's stored
-dtype (complex128 for float-backed matrices, object arrays of exact
-scalars otherwise), and the block sums are combined in ascending order
-with compensated accumulation, which adds exactly 0 for exact values.
+blocks, vectorized over the signed rows, and only the product step
+depends on the realization.  A float-backed matrix multiplies its
+stored complex128 rows, and its block sums are combined in ascending
+order with compensated accumulation.  An exact matrix is summed
+fraction-free: :func:`gaussian_rows` scales each signed row by the lcm
+of its denominators into object arrays of plain ``int`` real and
+imaginary parts, the products and sums stay Gaussian integers, and the
+total is divided once, by the product of the row scales.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
-from .matrix import HessenbergMatrix, signed_rows
+from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
+                     multiply_parts, signed_rows)
 from .sep_codec import decode_columns, enumerate_seps, sep_count, tau
 
 DEFAULT_CLOSED_FORM_CAP = 28
@@ -51,11 +57,14 @@ def chi(matrix: HessenbergMatrix, m: int):
     return value
 
 
-def _sum_block(crows, zeros, n: int, start: int, stop: int):
-    # Inlined decode of every m in [start, stop), one factor row at a time
+def _sum_block(factors, zeros, n: int, start: int, stop: int) -> tuple:
+    # Inlined decode of every m in [start, stop), one factor row at a
+    # time.  factors[i-1] holds signed row i as (complex128 array,) or as
+    # Gaussian-integer (re,) or (re, im) parts; the block sum comes back
+    # in the same parts.
     ms = np.arange(start, stop, dtype=np.int64)
     zrun = np.zeros(len(ms), dtype=np.int64)
-    prod = np.ones(len(ms), dtype=crows[0].dtype)
+    prod = (np.ones(len(ms), dtype=factors[0][0].dtype),)
     dead = np.zeros(len(ms), dtype=bool)  # the terms with a zero factor
     # an overflowing product becomes inf or nan in the value, not a warning
     with np.errstate(all="ignore"):
@@ -66,11 +75,17 @@ def _sum_block(crows, zeros, n: int, start: int, stop: int):
                 zrun = np.where(bits == 1, 0, zrun + 1)
             else:
                 cols = n - 1 - zrun
-            prod *= np.take(crows[i - 1], cols)
+            picked = tuple(np.take(p, cols) for p in factors[i - 1])
+            if len(picked) == 1:  # a plain factor scales every part
+                for p in prod:
+                    p *= picked[0]
+            else:
+                prod = multiply_parts(prod, picked)
             if zeros[i - 1] is not None:
                 dead |= np.take(zeros[i - 1], cols)
-        prod[dead] = 0
-        return prod.sum(keepdims=True).item()
+        for p in prod:
+            p[dead] = 0
+        return tuple(p.sum(keepdims=True).item() for p in prod)
 
 
 def det_closed_form(matrix: HessenbergMatrix, *,
@@ -89,16 +104,23 @@ def det_closed_form(matrix: HessenbergMatrix, *,
         raise OrderTooLargeForClosedForm(
             f"order {n} exceeds closed_form_cap={closed_form_cap}")
     crows = signed_rows(matrix)
-    zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
+    if matrix.is_float_backed:
+        factors = tuple((row,) for row in crows)
+    else:
+        factors, scales, kind = gaussian_rows(crows)
+    zeros = tuple(z if z.any() else None for z in (
+        np.logical_and.reduce([p == 0 for p in parts]) for parts in factors))
     total = sep_count(n)
-    return _kahan_sum(
-        _sum_block(crows, zeros, n, start, min(start + _BLOCK, total))
-        for start in range(0, total, _BLOCK))
+    sums = [_sum_block(factors, zeros, n, start, min(start + _BLOCK, total))
+            for start in range(0, total, _BLOCK)]
+    if matrix.is_float_backed:
+        return _kahan_sum(part for part, in sums)
+    return exact_value(tuple(map(sum, zip(*sums))), math.prod(scales), kind)
 
 
 def _kahan_sum(parts):
-    # Compensated accumulation; the partial sums carry mixed signs.  The
-    # integer start adds nothing, so exact block sums combine exactly.
+    # Compensated accumulation of float block sums, whose partial sums
+    # carry mixed signs.
     total = 0
     carry = 0
     for p in parts:

@@ -16,10 +16,14 @@ Two routes live here:
   with no recursion.  It returns every prefix determinant det(H_0), ...,
   det(H_n), and :func:`det_recurrence` is its last entry.
 
-  There is one kernel for both realizations: each k-sum is one numpy
-  dot product over the matrix's stored row arrays, complex128 for
-  float-backed matrices and object arrays (plain Python arithmetic,
-  exact for exact entries) otherwise.
+  Each k-sum is one numpy dot product.  A float-backed matrix runs the
+  loop on its stored complex128 rows.  An exact matrix runs it
+  fraction-free, on Gaussian integers: :func:`gaussian_rows` scales
+  row i by the lcm d_i of its denominators and holds it as object
+  arrays of plain ``int`` real and imaginary parts, the recurrence then
+  needs only +, - and x on ints, and every prefix determinant is divided
+  once, by D_k = d_1...d_k, into an ``int``, ``Fraction`` or
+  ``ComplexRational`` as the entries are (see :func:`exact_value`).
   Float overflow shows up as an inf or nan value that the caller can
   refuse, never as a warning on stderr: numpy's floating-point warnings
   are off.
@@ -46,10 +50,14 @@ Two routes live here:
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
 from .errors import OrderTooLargeForOracle
-from .matrix import HessenbergMatrix, row_length
+from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
+                     multiply_parts, row_length)
 
 DEFAULT_ORACLE_CAP = 10
 
@@ -57,6 +65,14 @@ DEFAULT_ORACLE_CAP = 10
 def det_prefixes(matrix: HessenbergMatrix) -> list:
     """[det(H_0), det(H_1), ..., det(H_n)] for the leading principal
     submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
+    if not matrix.is_float_backed:
+        parts, scales, kind = gaussian_rows(matrix.rows)
+        values = [1]
+        scale = 1
+        for d, det in zip(scales, _gaussian_prefixes(parts)):
+            scale *= d
+            values.append(exact_value(det, scale, kind))
+        return values
     n = matrix.order
     rows = matrix.rows
     dtype = rows[0].dtype
@@ -81,6 +97,49 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
             dets[j] = row[j - 1] * dets[j - 1] + sign * ksum
             alt[j] = dets[j - 1] if j % 2 == 0 else -dets[j - 1]
     return dets.tolist()
+
+
+def _dot_parts(a: tuple, b: tuple) -> tuple:
+    if len(a) == 1:
+        return (np.dot(a[0], b[0]),)
+    (ar, ai), (br, bi) = a, b
+    return np.dot(ar, br) - np.dot(ai, bi), np.dot(ar, bi) + np.dot(ai, br)
+
+
+def _gaussian_prefixes(rows: tuple) -> list:
+    """det(H_1), ..., det(H_n) of Gaussian-integer rows, as int parts.
+
+    The loop of :func:`det_prefixes` on rows of ``(re,)`` or
+    ``(re, im)`` object arrays of ints; every value is a tuple of the
+    same width."""
+    n = len(rows)
+    width = len(rows[0])
+    one = (1, 0)[:width]
+    dets = [one, tuple(p[0] for p in rows[0])]
+    alt = tuple(np.zeros(n + 1, dtype=object) for _ in range(width))
+    alt[0][1] = -1
+    prods = tuple(np.zeros(n, dtype=object) for _ in range(width))
+    for j in range(2, n + 1):
+        s = tuple(p[j - 1] for p in rows[j - 2])  # h_{j-1,j}
+        if s != one:  # the solution matrices have a unit superdiagonal
+            grown = multiply_parts(tuple(p[1:j - 1] for p in prods), s)
+            for p, g in zip(prods, grown):
+                p[1:j - 1] = g
+        for p, v in zip(prods, s):
+            p[j - 1] = v
+        row = rows[j - 1]
+        dets.append(multiply_parts(tuple(p[j - 1] for p in row), dets[j - 1]))
+        # k for every nonzero h_{j,k}, k < j; a zero one adds nothing
+        k = np.flatnonzero(reduce(operator.or_, (p[:j - 1] for p in row))) + 1
+        if len(k):
+            terms = multiply_parts(tuple(p[k - 1] for p in row),
+                                   tuple(p[k] for p in prods))
+            ksum = _dot_parts(terms, tuple(a[k] for a in alt))
+            sign = 1 if j % 2 == 0 else -1
+            dets[j] = tuple(x + sign * y for x, y in zip(dets[j], ksum))
+        for a, v in zip(alt, dets[j - 1]):
+            a[j] = v if j % 2 == 0 else -v
+    return dets[1:]
 
 
 def det_recurrence(matrix: HessenbergMatrix):

@@ -217,8 +217,9 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     else:
         prefixes = det_prefixes(matrix)
         dets = [prefixes[k] for k in orders]
-    # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd k
-    return [det if k % 2 else -det for k, det in zip(orders, dets)]
+    # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd
+    # k; 0 - det rather than -det keeps a +0.0 part of a float +0.0
+    return [det if k % 2 else 0 - det for k, det in zip(orders, dets)]
 
 
 def _check_basis_index(spec: LdevcSpec, i: int):

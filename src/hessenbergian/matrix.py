@@ -7,15 +7,22 @@ matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
 interface are 1-based.  Values and realization are fixed at
 construction: each row is stored as a read-only numpy array, complex128
 when every entry is a float or complex and object otherwise.
+
+The exact kernels read object rows through :func:`gaussian_rows`, which
+scales each row by the lcm of its entries' denominators so that every
+entry is a Gaussian integer held in plain ``int`` parts.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidOrder, WrongEntryCount
+from .scalars import ComplexRational
 
 
 def row_length(order: int, i: int) -> int:
@@ -124,3 +131,81 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     for row in signed[:-1]:
         row[-1] = -row[-1]
     return signed
+
+
+def _exact_parts(x) -> tuple:
+    # (re numerator, re denominator, im numerator, im denominator)
+    if isinstance(x, ComplexRational):
+        return (x.re.numerator, x.re.denominator,
+                x.im.numerator, x.im.denominator)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator, 0, 1
+    raise TypeError(f"exact kernels take int, Fraction and ComplexRational "
+                    f"entries, got {type(x).__name__}")
+
+
+def gaussian_rows(rows) -> tuple:
+    """Exact object rows as Gaussian integers: ``(parts, scales, kind)``.
+
+    Row i is multiplied by d_i = ``scales[i]``, the lcm of its entries'
+    denominators, so every entry becomes a Gaussian integer.
+    ``parts[i]`` holds the scaled row as object arrays of plain ``int``:
+    ``(re,)`` when no entry of any row has an imaginary part, ``(re, im)``
+    otherwise.  A determinant is linear in each row, so the determinant
+    of the leading k x k block of the scaled rows is d_1...d_k times the
+    original one, and :func:`exact_value` divides it back once.
+    ``kind`` is the type of the results: ``int`` for int entries,
+    ``Fraction`` when int and Fraction entries mix, and
+    ``ComplexRational`` when any entry is one.  Built per call; nothing
+    is cached.
+    """
+    kind = int
+    scaled = []
+    scales = []
+    for row in rows:
+        values = row.tolist()
+        # int entries never go through Fraction
+        others = [(i, x) for i, x in enumerate(values)
+                  if not isinstance(x, int)]
+        im = [0] * len(values)
+        if not others:
+            scaled.append((values, im))
+            scales.append(1)
+            continue
+        if any(isinstance(x, ComplexRational) for _, x in others):
+            kind = ComplexRational
+        elif kind is int:
+            kind = Fraction
+        quads = [(i, *_exact_parts(x)) for i, x in others]
+        d = math.lcm(*(q[2] for q in quads), *(q[4] for q in quads))
+        re = [x * d if isinstance(x, int) else 0 for x in values]
+        for i, a, b, c, e in quads:
+            re[i] = a * (d // b)
+            im[i] = c * (d // e)
+        scaled.append((re, im))
+        scales.append(d)
+    width = 2 if any(any(im) for _, im in scaled) else 1
+    parts = tuple(tuple(np.array(p, dtype=object) for p in pair[:width])
+                  for pair in scaled)
+    return parts, scales, kind
+
+
+def exact_value(parts: tuple, scale: int, kind):
+    """The ``kind`` scalar (re + i im) / scale, from ``(re,)`` or
+    ``(re, im)`` int parts; the one division of an exact result."""
+    if kind is int:
+        return parts[0]  # every scale is 1
+    re = Fraction(parts[0], scale)
+    if kind is Fraction:
+        return re
+    im = Fraction(parts[1], scale) if len(parts) == 2 else Fraction(0)
+    return ComplexRational._from_fractions(re, im)
+
+
+def multiply_parts(a: tuple, b: tuple) -> tuple:
+    """Product of two Gaussian integers held as ``(re,)`` or ``(re, im)``
+    int parts, ``b`` at least as wide as ``a``; elementwise on arrays."""
+    if len(a) == 1:
+        return tuple(a[0] * c for c in b)
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br

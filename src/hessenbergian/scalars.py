@@ -50,6 +50,14 @@ class ComplexRational:
         object.__setattr__(self, "re", Fraction(re))
         object.__setattr__(self, "im", Fraction(im))
 
+    @classmethod
+    def _from_fractions(cls, re: Fraction, im: Fraction) -> "ComplexRational":
+        # results of exact arithmetic, whose parts are already Fractions
+        z = object.__new__(cls)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
 
@@ -66,7 +74,7 @@ class ComplexRational:
         if isinstance(value, ComplexRational):
             return value
         if isinstance(value, Rational):  # int, Fraction
-            return cls(Fraction(value))
+            return cls._from_fractions(Fraction(value), _ZERO)
         return None
 
     # arithmetic -----------------------------------------------------------
@@ -75,7 +83,7 @@ class ComplexRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re + o.re, self.im + o.im)
+        return _from_fractions(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
@@ -83,20 +91,29 @@ class ComplexRational:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re - o.re, self.im - o.im)
+        return _from_fractions(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(o.re - self.re, o.im - self.im)
+        return _from_fractions(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
+        if isinstance(other, int):  # e.g. a +-1 superdiagonal entry
+            return _from_fractions(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ComplexRational(self.re * o.re - self.im * o.im,
-                               self.re * o.im + self.im * o.re)
+        # (p/q + r/s i)(t/u + v/w i) over common denominators: one
+        # normalizing gcd per part instead of six Fraction operations
+        p, q = self.re.numerator, self.re.denominator
+        r, s = self.im.numerator, self.im.denominator
+        t, u = o.re.numerator, o.re.denominator
+        v, w = o.im.numerator, o.im.denominator
+        return _from_fractions(
+            Fraction(p * t * s * w - r * v * q * u, q * u * s * w),
+            Fraction(p * v * s * u + r * t * q * w, q * w * s * u))
 
     __rmul__ = __mul__
 
@@ -107,7 +124,7 @@ class ComplexRational:
         d = o.re * o.re + o.im * o.im
         if d == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational((self.re * o.re + self.im * o.im) / d,
+        return _from_fractions((self.re * o.re + self.im * o.im) / d,
                                (self.im * o.re - self.re * o.im) / d)
 
     def __rtruediv__(self, other):
@@ -117,7 +134,7 @@ class ComplexRational:
         return o.__truediv__(self)
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _from_fractions(-self.re, -self.im)
 
     def __pos__(self):
         return self
@@ -138,7 +155,7 @@ class ComplexRational:
         return result
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _from_fractions(self.re, -self.im)
 
     # comparisons and conversions -----------------------------------------
 
@@ -181,6 +198,9 @@ class ComplexRational:
             return imag if sign == "+" else f"-{imag}"
         return f"{self.re}{sign}{imag}"
 
+
+_ZERO = Fraction(0)
+_from_fractions = ComplexRational._from_fractions
 
 Scalar = Union[int, Fraction, ComplexRational, float, complex]
 

@@ -331,6 +331,40 @@ def test_solve_float_init_refuses_non_finite_literal(
     assert "invalid scalar literal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "SPEC", "--backend", "float", "--init", "1" * 5000),
+    ("solve", "SPEC", "--init", "1/" + "x" * 3998),
+    ("bench", "--orders", "1" * 4999 + "x"),
+    ("gen", "--family", "periodic", "--N", "1", "--horizon", "3",
+     "--params", "p" * 5000),
+], ids=["float-init", "exact-init", "orders", "period"])
+def test_long_bad_token_is_echoed_cut(capsys, alpha_spec_file, argv):
+    # a token of thousands of characters is refused with a short error
+    # line that says it was cut, not echoed in full
+    argv = [alpha_spec_file if a == "SPEC" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert_refused(code, out, err, 2)
+    assert len(err.encode()) < 200
+    assert f"(cut, {len(argv[-1])} characters)" in err
+
+
+def test_solve_sign_of_zero_matches_forward(capsys, tmp_path):
+    # (-1)^n applied to a real float prefix keeps its +0.0 imaginary part,
+    # so every Hessenbergian route prints the bytes forward prints
+    path = tmp_path / "alpha.json"
+    assert main(["gen", "--family", "constant", "--N", "1", "--params", "2",
+                 "--horizon", "14", "--out", str(path)]) == 0
+    outputs = {}
+    for method in ("forward", "ratio-recurrence", "reduced-closed"):
+        code, out, err = run_cli(capsys, "solve", str(path), "--backend",
+                                 "float", "--init", "1.5", "--method", method)
+        assert code == 0 and err == ""
+        outputs[method] = out
+    assert "-0.0" not in outputs["forward"]
+    assert outputs["ratio-recurrence"] == outputs["forward"]
+    assert outputs["reduced-closed"] == outputs["forward"]
+
+
 def test_solve_unbounded_spec_no_init(capsys, tmp_path):
     path = tmp_path / "n0.json"
     path.write_text(json.dumps(

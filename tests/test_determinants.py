@@ -1,5 +1,6 @@
 import cmath
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from conftest import (nonzero_rational_scalar, random_exact_matrix,
                       random_float_matrix)
 from hessenbergian import (ComplexRational, HessenbergMatrix, LdevcSpec,
-                           NOrder, OrderTooLargeForOracle, classify,
+                           NOrder, OrderTooLargeForOracle, chi, classify,
                            det_closed_form, det_leibniz, det_prefixes,
                            det_recurrence, entry_count, leading_submatrix,
-                           make_matrix, row_length)
+                           make_matrix, row_length, sep_count)
 
 CR = ComplexRational
 ALL_METHODS = (det_recurrence, det_leibniz)
@@ -128,14 +129,50 @@ def test_zero_entry_meeting_overflowing_superdiagonal_product():
 
 
 def test_exact_results_keep_python_scalar_types():
-    # the object realization runs plain Python arithmetic, so an int
-    # matrix gives int determinants and Fraction entries give Fractions
+    # an int matrix gives int determinants, Fraction entries give
+    # Fractions and ComplexRational entries give ComplexRationals;
+    # det(H_0) is the int 1 throughout
     ints = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
     assert [type(v) for v in det_prefixes(ints)] == [int] * 4
     assert type(det_closed_form(ints)) is int
     fracs = make_matrix(2, [Fraction(1, 2), 2, 3, 4])
     assert det_recurrence(fracs) == det_closed_form(fracs) == Fraction(-4)
     assert type(det_recurrence(fracs)) is type(det_closed_form(fracs)) is Fraction
+    all_fracs = make_matrix(2, [Fraction(1, 2), Fraction(2), Fraction(3),
+                                Fraction(-4, 3)])
+    assert det_prefixes(all_fracs) == [1, Fraction(1, 2), Fraction(-20, 3)]
+    assert [type(v) for v in det_prefixes(all_fracs)] == [int] + [Fraction] * 2
+    crs = make_matrix(2, [CR(Fraction(1, 2), 1), CR(3), CR(0, 1),
+                          CR(Fraction(-1, 3))])
+    want = CR(Fraction(-1, 6), Fraction(-10, 3))
+    assert det_prefixes(crs) == [1, CR(Fraction(1, 2), 1), want]
+    assert det_closed_form(crs) == want
+    assert [type(v) for v in det_prefixes(crs)] == [int] + [CR] * 2
+    assert type(det_closed_form(crs)) is CR
+
+
+def test_exact_kernels_refuse_float_entries():
+    # an object-backed matrix holding a float has no exact value
+    mixed = make_matrix(2, [1, 2.0, 3.0, 4.0])
+    for det in (det_recurrence, det_closed_form):
+        with pytest.raises(TypeError, match="got float"):
+            det(mixed)
+
+
+def test_exact_recurrence_budget_at_order_200():
+    m = random_exact_matrix(200, random.Random(200))
+    start = time.perf_counter()
+    det_recurrence(m)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"order-200 exact recurrence took {elapsed:.2f}s"
+
+
+def test_exact_closed_form_budget_at_order_12():
+    m = random_exact_matrix(12, random.Random(12))
+    start = time.perf_counter()
+    det_closed_form(m)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.2, f"order-12 exact closed form took {elapsed:.2f}s"
 
 
 def test_oracle_cap():
@@ -169,6 +206,53 @@ def test_prefixes_are_leading_submatrix_determinants(m):
         sub = leading_submatrix(m, k)
         assert prefixes[k] == det_recurrence(sub) == det_leibniz(sub)
     assert prefixes[-1] == det_recurrence(m)
+
+
+fractions = st.builds(Fraction, st.integers(-10**6, 10**6),
+                      st.integers(1, 10**6))
+exact_entries = {
+    int: st.integers(-10**6, 10**6) | st.just(0),
+    Fraction: st.integers(-9, 9) | fractions | st.just(Fraction(0)),
+    CR: (st.integers(-9, 9) | fractions
+         | st.sampled_from([0, Fraction(0), CR(0)])
+         | st.builds(CR, fractions, fractions)
+         | st.builds(lambda f: CR(0, f), fractions)),  # purely imaginary
+}
+
+
+@st.composite
+def exact_matrices(draw, max_order=8):
+    """(matrix, kind): entries of one kind's mix, some rows all zero."""
+    kind = draw(st.sampled_from(sorted(exact_entries, key=str)))
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    zero_rows = draw(st.sets(st.integers(1, n), max_size=2))
+    rows = [[0] * row_length(n, i) if i in zero_rows else
+            draw(st.lists(exact_entries[kind], min_size=row_length(n, i),
+                          max_size=row_length(n, i)))
+            for i in range(1, n + 1)]
+    return HessenbergMatrix(n, rows), kind
+
+
+def result_kind(m):
+    types = {type(v) for row in m.rows for v in row.tolist()}
+    return CR if CR in types else Fraction if Fraction in types else int
+
+
+@given(exact_matrices())
+@settings(deadline=None, max_examples=150)
+def test_fraction_free_kernels_equal_independent_oracles(drawn):
+    # both kernels run on Gaussian integers; det_leibniz and chi still
+    # run on ComplexRational and Python scalars
+    m, _ = drawn
+    prefixes = det_prefixes(m)
+    assert prefixes[0] == 1
+    for k in range(1, m.order + 1):
+        assert prefixes[k] == det_leibniz(leading_submatrix(m, k))
+        assert type(prefixes[k]) is result_kind(m)
+    closed = det_closed_form(m)
+    assert closed == sum(chi(m, i) for i in range(sep_count(m.order)))
+    assert closed == prefixes[-1]
+    assert type(closed) is result_kind(m)
 
 
 @st.composite
