@@ -20,11 +20,12 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from random import Random
 from typing import Optional, Sequence
 
 from .closed_form import (DEFAULT_CLOSED_FORM_CAP, det_closed_form,
-                          expand_symbolic)
+                          expansion_lines)
 from .determinants import DEFAULT_ORACLE_CAP, det_leibniz, det_recurrence
 from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
                      InvalidParams, NonFiniteResult,
@@ -275,10 +276,10 @@ def cmd_det(args) -> int:
 
 
 def cmd_expand(args) -> int:
-    terms = expand_symbolic(args.order)
+    lines = expansion_lines(args.order)
     if args.limit is not None:
-        terms = terms[:args.limit]
-    _emit("\n".join(term.render() for term in terms), args.out)
+        lines = islice(lines, args.limit)
+    _emit("\n".join(lines), args.out)
     return 0
 
 

@@ -13,33 +13,46 @@ orders above a configurable cap are refused.
 
 Summation order is ascending m and therefore deterministic.  One
 kernel serves both realizations: the m-range is processed in fixed-size
-blocks, vectorized over the signed rows, and only the product step
-depends on the realization.  A float-backed matrix multiplies its
+blocks of 2^b consecutive m, and only the product step depends on the
+realization.  Row i's bit is digit n-1-i of m, so the terms of a block
+share their leading factors: the kernel walks the prefix tree of m,
+multiplying each shared row once, on one-element arrays, and then, for
+each of the b free rows, doubles every prefix into its superdiagonal
+child and its standard child (ascending m) with one gather and one
+array product per row.  Every term is still the left-to-right product
+1*c_1*...*c_n of its own factors, formed by numpy's array product, so a
+float term has the same bits as when the whole block decodes every row;
+shared tables of half products would change that association, and with
+it the last bits of the sum.  A float-backed matrix multiplies its
 stored complex128 rows, and its block sums are combined in ascending
 order with compensated accumulation.  An exact matrix is summed
 fraction-free: :func:`gaussian_rows` scales each signed row by the lcm
 of its denominators into object arrays of plain ``int`` real and
 imaginary parts, the products and sums stay Gaussian integers, and the
 total is divided once, by the product of the row scales.
+
+The symbolic expansion walks the same tree with
+:func:`sep_codec.fold_seps`: each term's text or factor tuple is its
+parent prefix's plus one factor, and nothing is decoded per term.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
                      multiply_parts, signed_rows)
-from .sep_codec import decode_columns, enumerate_seps, sep_count, tau
+from .sep_codec import decode_columns, fold_seps, sep_count, tau
 
 DEFAULT_CLOSED_FORM_CAP = 28
 EXPANSION_CAP = 16
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 16  # a power of two: a block's m share their high bits
 
 
 def chi(matrix: HessenbergMatrix, m: int):
@@ -58,27 +71,41 @@ def chi(matrix: HessenbergMatrix, m: int):
 
 
 def _sum_block(factors, zeros, n: int, start: int, stop: int) -> tuple:
-    # Inlined decode of every m in [start, stop), one factor row at a
-    # time.  factors[i-1] holds signed row i as (complex128 array,) or as
-    # Gaussian-integer (re,) or (re, im) parts; the block sum comes back
-    # in the same parts.
-    ms = np.arange(start, stop, dtype=np.int64)
-    zrun = np.zeros(len(ms), dtype=np.int64)
-    prod = (np.ones(len(ms), dtype=factors[0][0].dtype),)
-    dead = np.zeros(len(ms), dtype=bool)  # the terms with a zero factor
+    # The terms m in [start, stop), a power-of-two block whose m share
+    # every bit above the lowest `free`, built down the prefix tree one
+    # factor row at a time.  factors[i-1] holds signed row i as
+    # (complex128 array,) or as Gaussian-integer (re,) or (re, im)
+    # parts; the block sum comes back in the same parts.
+    free = (stop - start).bit_length() - 1
+    prod = (np.ones(1, dtype=factors[0][0].dtype),)
+    # 0-based column of each prefix's next standard factor: the row of
+    # its last standard factor, 0 when it has none
+    last = np.zeros(1, dtype=np.int64)
+    dead = np.zeros(1, dtype=bool)  # the prefixes with a zero factor
     # an overflowing product becomes inf or nan in the value, not a warning
     with np.errstate(all="ignore"):
         for i in range(1, n + 1):
-            if i < n:
-                bits = (ms >> (n - 1 - i)) & 1
-                cols = np.where(bits == 1, i - 1 - zrun, i)
-                zrun = np.where(bits == 1, 0, zrun + 1)
-            else:
-                cols = n - 1 - zrun
+            if i == n:
+                cols = last
+            elif i < n - free:  # a bit that the whole block shares
+                if (start >> (n - 1 - i)) & 1:
+                    cols, last = last, np.full(1, i)
+                else:
+                    cols = np.full(1, i)
+            else:  # every prefix doubles: superdiagonal child, then standard
+                cols = np.repeat(last, 2)
+                cols[0::2] = i
+                last = np.repeat(last, 2)
+                last[1::2] = i
+                prod = tuple(np.repeat(p, 2) for p in prod)
+                dead = np.repeat(dead, 2)
             picked = tuple(np.take(p, cols) for p in factors[i - 1])
+            # out of place: numpy's in-place product of one-element
+            # arrays rounds complex values differently from its product
+            # of longer ones, and the block sums must not depend on how
+            # many rows the block shares
             if len(picked) == 1:  # a plain factor scales every part
-                for p in prod:
-                    p *= picked[0]
+                prod = tuple(p * picked[0] for p in prod)
             else:
                 prod = multiply_parts(prod, picked)
             if zeros[i - 1] is not None:
@@ -146,14 +173,31 @@ class SymbolicTerm:
     __str__ = render
 
 
-def expand_symbolic(order: int) -> List[SymbolicTerm]:
-    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
+def _expansion(order: int, step, initial):
+    # the cap and the order are checked before any term is built
     if order > EXPANSION_CAP:
         raise OrderTooLargeForExpansion(
             f"order {order} exceeds the expansion cap {EXPANSION_CAP}")
-    terms = []
-    for _, factors in enumerate_seps(order):
-        pairs = tuple((i, col) for i, col in
-                      enumerate(factors.columns, start=1))
-        terms.append(SymbolicTerm(factors.sign, pairs))
-    return terms
+    sep_count(order)
+    return fold_seps(order, step, initial)
+
+
+def expand_symbolic(order: int) -> List[SymbolicTerm]:
+    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
+    return [SymbolicTerm(sign, pairs) for _, sign, pairs in
+            _expansion(order, _add_pair, ())]
+
+
+def expansion_lines(order: int) -> Iterator[str]:
+    """The rendered terms of :func:`expand_symbolic`, lazily; each
+    line's text is its parent prefix's text plus one factor."""
+    return (("+" if sign > 0 else "-") + text for _, sign, text in
+            _expansion(order, _add_label, ""))
+
+
+def _add_pair(pairs: tuple, i: int, col: int) -> tuple:
+    return pairs + ((i, col),)
+
+
+def _add_label(text: str, i: int, col: int) -> str:
+    return f"{text}h({i},{col})"

@@ -50,6 +50,7 @@ Two routes live here:
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import reduce
 
@@ -143,8 +144,14 @@ def _gaussian_prefixes(rows: tuple) -> list:
 
 
 def det_recurrence(matrix: HessenbergMatrix):
-    """Determinant via the Hessenbergian recurrence, O(n^2)."""
-    return det_prefixes(matrix)[-1]
+    """Determinant via the Hessenbergian recurrence, O(n^2).
+
+    The last entry of :func:`det_prefixes`; on an exact matrix only that
+    entry is divided by its row scales."""
+    if matrix.is_float_backed:
+        return det_prefixes(matrix)[-1]
+    parts, scales, kind = gaussian_rows(matrix.rows)
+    return exact_value(_gaussian_prefixes(parts)[-1], math.prod(scales), kind)
 
 
 def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):

@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .closed_form import DEFAULT_CLOSED_FORM_CAP, det_closed_form
-from .determinants import det_prefixes
+from .determinants import det_prefixes, det_recurrence
 from .errors import (IndexOutOfRange, InvalidOrder, IrregularOrder,
                      LinearityViolation, OrderTooLargeForClosedForm,
                      WrongEntryCount, WrongInitLength)
@@ -214,9 +214,10 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
         dets = [det_closed_form(leading_submatrix(matrix, k),
                                 closed_form_cap=closed_form_cap)
                 for k in orders]
+    elif every:
+        dets = det_prefixes(matrix)[1:]
     else:
-        prefixes = det_prefixes(matrix)
-        dets = [prefixes[k] for k in orders]
+        dets = [det_recurrence(matrix)]
     # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd
     # k; 0 - det rather than -det keeps a +0.0 part of a float +0.0
     return [det if k % 2 else 0 - det for k, det in zip(orders, dets)]
@@ -236,8 +237,9 @@ def fundamental_solution(spec: LdevcSpec, n: int, i: int):
     """xi_{n,i}; the basis sequence value at row n for basis index i."""
     _check_row_index(spec, n)
     _check_basis_index(spec, i)
-    # (-1)^(n+1) = -(-1)^n
-    return -_solutions(spec, n, _coefficient_column(spec, i), every=False)[0]
+    # (-1)^(n+1) = -(-1)^n; 0 - v keeps a +0.0 part of a float +0.0
+    return 0 - _solutions(spec, n, _coefficient_column(spec, i),
+                          every=False)[0]
 
 
 def particular_solution(spec: LdevcSpec, n: int):
@@ -344,7 +346,8 @@ def solve_bundle(spec: LdevcSpec, init) -> SolutionBundle:
     init = _check_init(spec, init)
     h = spec.horizon
     fundamentals = tuple(
-        tuple(-v for v in _solutions(spec, h, _coefficient_column(spec, i)))
+        tuple(0 - v for v in
+              _solutions(spec, h, _coefficient_column(spec, i)))
         for i in range(spec.index_N))
     particulars = tuple(_solutions(spec, h, spec.forcing))
     generals = tuple(general_solutions(spec, init))

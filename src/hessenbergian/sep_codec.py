@@ -17,18 +17,28 @@ of zero bits immediately before position i:
 
 The SEP's permutation sign equals (-1)^(number of zero bits), which is
 why products over the signed-factor view need no separate sign.
+
+Since r_1 is m's most significant digit, the SEPs whose indices share
+their leading bits share their leading factors.  :func:`fold_seps`
+visits every SEP that way, down the prefix tree of m in ascending m,
+folding an accumulator over the rows so that each prefix is built once
+from its parent's; :func:`enumerate_seps` and the symbolic expansion
+are folds over it.  :func:`tau` and :func:`decode_columns` decode one
+index on its own, and stay the reference the walk is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple, Union
+from typing import Callable, Iterator, Sequence, Tuple, TypeVar, Union
 
 from .errors import (IndexOutOfRange, InvalidOrder, InvalidSep,
                      NotInRangeSet)
 
 # The m index of a SEP is a plain integer in [0, 2^(order-1)).
 SepIndex = int
+
+Acc = TypeVar("Acc")
 
 
 @dataclass(frozen=True)
@@ -136,11 +146,43 @@ def sep_index(r: Union[BitArray, Sequence[int]]) -> SepIndex:
     return m
 
 
+def fold_seps(order: int, step: Callable[[Acc, int, int], Acc],
+              initial: Acc) -> Iterator[Tuple[SepIndex, int, Acc]]:
+    """Yield (m, sign, acc) for every SEP, in ascending m, where acc is
+    step(...step(step(initial, 1, pi_1), 2, pi_2)..., n, pi_n).
+
+    The walk runs down the prefix tree of m: r_i is digit n-1-i of m, so
+    the SEPs that share m's leading bits share their leading factors,
+    and each prefix's accumulator is folded once, from its parent's.
+    The walk keeps an explicit stack, so any order works, and it is
+    lazy, so callers may stop early.
+    """
+    n = order
+    sep_count(n)  # refuses an invalid order
+    # (row i done, m prefix, sign, column of the next standard factor, acc)
+    stack = [(0, 0, 1, 1, initial)]
+    while stack:
+        i, m, sign, last, acc = stack.pop()
+        i += 1
+        if i == n:
+            yield m, sign, step(acc, n, last)
+            continue
+        # the standard child (r_i = 1) goes under the superdiagonal one
+        # (r_i = 0), so the smaller m comes out first
+        stack.append((i, 2 * m + 1, sign, i + 1, step(acc, i, last)))
+        stack.append((i, 2 * m, -sign, last, step(acc, i, i + 1)))
+
+
 def enumerate_seps(order: int) -> Iterator[Tuple[SepIndex, SepFactors]]:
     """Yield (m, decode_columns(tau(order, m))) for ascending m.
 
-    Exactly 2^(order-1) items; nothing is materialized, so callers may
-    stop early.
+    Exactly 2^(order-1) items, folded down the prefix tree by
+    :func:`fold_seps`; nothing is materialized, so callers may stop
+    early.
     """
-    for m in range(sep_count(order)):
-        yield m, decode_columns(tau(order, m))
+    for m, sign, columns in fold_seps(order, _add_column, ()):
+        yield m, SepFactors(order, columns, sign)
+
+
+def _add_column(columns: Tuple[int, ...], i: int, col: int):
+    return columns + (col,)

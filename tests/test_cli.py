@@ -11,7 +11,7 @@ import pytest
 import hessenbergian
 from conftest import default_digit_limit, random_float_spec
 from hessenbergian import (ComplexRational, FormatError, IntegerTooLargeForJson,
-                           LdevcSpec, solve_forward)
+                           LdevcSpec, expand_symbolic, solve_forward)
 from hessenbergian.cli import main, parse_scalar_token
 from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
 
@@ -253,6 +253,18 @@ def test_expand_limit(capsys):
     assert code == 0
     assert out.splitlines() == ["-h(1,2)h(2,3)h(3,4)h(4,1)",
                                 "+h(1,2)h(2,3)h(3,1)h(4,4)"]
+
+
+def test_expand_prints_the_rendered_terms(capsys):
+    for order in range(1, 9):
+        terms = [t.render() for t in expand_symbolic(order)]
+        for limit in (None, 1, 3, len(terms), len(terms) + 5):
+            argv = ["expand", "--order", str(order)]
+            if limit is not None:
+                argv += ["--limit", str(limit)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out == "\n".join(terms[:limit]) + "\n"
 
 
 def test_expand_cap_and_bad_order(capsys):

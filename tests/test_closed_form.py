@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,3 +129,55 @@ def test_multi_block_sum(monkeypatch, random_matrix):
 def test_closed_form_single_row():
     assert det_closed_form(make_matrix(1, [Fraction(5, 9)])) == Fraction(5, 9)
     assert det_closed_form(make_matrix(1, [2.5 + 0j])) == 2.5
+
+
+def _float_matrix_with_zeros(order, rng):
+    # unit-square entries, about one in five of them zero
+    return make_matrix(order, [
+        0j if rng.random() < 0.2 else complex(rng.random(), rng.random())
+        for _ in range(order * (order + 3) // 2 - 1)])
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 64])
+def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
+    # blocks that share every row (1), some rows (2, 4) or none (64 at
+    # order <= 7) all give the recurrence's value; exact ones the sum of chi
+    monkeypatch.setattr(closed_form, "_BLOCK", block)
+    rng = random.Random(block)
+    for order in range(1, 11):
+        for m in (random_float_matrix(order, rng),
+                  _float_matrix_with_zeros(order, rng)):
+            want = det_recurrence(m)
+            assert abs(det_closed_form(m) - want) <= 1e-12 * (1 + abs(want))
+    for order in range(1, 8):
+        m = random_exact_matrix(order, rng)
+        total = 0
+        for idx in range(sep_count(order)):
+            total = total + chi(m, idx)
+        assert det_closed_form(m) == total
+
+
+def test_expansion_lines_equal_rendered_terms():
+    for order in range(1, 13):
+        assert list(closed_form.expansion_lines(order)) == [
+            t.render() for t in expand_symbolic(order)]
+    with pytest.raises(OrderTooLargeForExpansion):
+        closed_form.expansion_lines(17)  # refused before any line
+    with pytest.raises(InvalidOrder):
+        closed_form.expansion_lines(0)
+
+
+def test_float_closed_form_budget_at_order_22():
+    m = random_float_matrix(22, random.Random(22))
+    start = time.perf_counter()
+    det_closed_form(m)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.4, f"order-22 float closed form took {elapsed:.2f}s"
+
+
+def test_expansion_text_budget_at_order_16():
+    start = time.perf_counter()
+    text = "\n".join(closed_form.expansion_lines(16))
+    elapsed = time.perf_counter() - start
+    assert text.count("\n") == sep_count(16) - 1
+    assert elapsed < 0.25, f"order-16 expansion text took {elapsed:.2f}s"

@@ -325,3 +325,21 @@ def test_recurrence_skipping_zero_terms_equals_oracles():
         got = det_recurrence(m)
         assert got == det_leibniz(m)
         assert got == det_closed_form(m)
+
+
+def test_recurrence_is_the_last_prefix_with_its_type():
+    # the exact path divides only the last prefix; value and type stay
+    # those of det_prefixes(m)[-1], and the float path is that entry
+    rng = random.Random(61)
+    matrices = [make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8]),
+                make_matrix(2, [Fraction(1, 2), 2, 3, 4]),
+                make_matrix(3, [0, 1, Fraction(2, 3), 0, 5, 0, 0, 1])]
+    for order in (1, 2, 7, 15):
+        matrices += [random_exact_matrix(order, rng),
+                     random_float_matrix(order, rng)]
+    for m in matrices:
+        want = det_prefixes(m)[-1]
+        got = det_recurrence(m)
+        assert got == want and type(got) is type(want)
+        if m.is_float_backed:
+            assert repr(got) == repr(want)

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -308,3 +309,31 @@ def test_float_spec_agreement():
     bundle = solve_bundle(spec, init)
     for a, b in zip(bundle.generals, forward):
         assert abs(a - b) <= 1e-9 * (1 + abs(b))
+
+
+def test_fundamentals_keep_the_sign_of_zero():
+    # y_n = 2 y_{n-1} as a float spec: every value is real, and the
+    # (-1) of xi_{n,i} must not turn a +0.0 imaginary part into -0.0
+    spec = first_order_spec(2 + 0j, 6)
+    spec = LdevcSpec(1, 6, [[complex(v) for v in row] for row in spec.coeffs],
+                     [0j] * 7)
+    bundle = solve_bundle(spec, [1.5 + 0j])
+    values = list(bundle.fundamentals[0])
+    values += [fundamental_solution(spec, n, 0) for n in range(7)]
+    assert values[:7] == [2.0 ** (n + 1) for n in range(7)]
+    for v in values:
+        assert math.copysign(1, v.real) == math.copysign(1, v.imag) == 1
+
+
+@pytest.mark.parametrize("make_spec", [random_exact_spec, random_float_spec],
+                         ids=["exact", "float"])
+def test_single_solution_equals_every_solution(make_spec):
+    # every=False takes det_recurrence of the horizon matrix; it must
+    # equal, with its type, the entry of the all-prefix pass
+    spec = make_spec(2, 12, random.Random(71))
+    column = ldevc._coefficient_column(spec, 1)
+    every = ldevc._solutions(spec, 12, column)
+    for n in range(13):
+        one = ldevc._solutions(spec, n, column, every=False)[0]
+        assert one == every[n] and type(one) is type(every[n])
+        assert repr(one) == repr(every[n])  # a float's sign of zero too

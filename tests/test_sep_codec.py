@@ -155,3 +155,18 @@ def test_any_terminated_bit_string_decodes(prefix):
     factors = decode_columns(bits)
     assert sorted(factors.columns) == list(range(1, len(bits) + 1))
     assert sep_index(bits) == int("".join(map(str, prefix)) or "0", 2)
+
+
+def test_enumeration_equals_per_index_decode():
+    for n in range(1, 13):
+        assert list(enumerate_seps(n)) == [
+            (m, decode_columns(tau(n, m))) for m in range(sep_count(n))]
+
+
+def test_enumeration_streams_at_any_order():
+    # the walk keeps an explicit stack, so its depth is not Python's
+    m, first = next(enumerate_seps(3000))
+    assert m == 0
+    assert first == decode_columns((0,) * 2999 + (1,))
+    with pytest.raises(InvalidOrder):
+        next(enumerate_seps(0))
