@@ -3,13 +3,15 @@
 Subcommands: ``det`` (determinant of a matrix file), ``expand``
 (symbolic term list), ``sep`` (bit-codec inspection), ``solve``
 (equation-spec solutions), ``gen`` (coefficient generators) and
-``bench`` (CSV timing harness).  Values are printed as JSON carrying a
+``bench`` (CSV timing harness).  Each subcommand returns its output
+and :func:`main` emits it.  Values are printed as JSON carrying a
 backend tag; benchmarks are CSV.  Every error path prints a single
-``error: ...`` line to stderr and exits 2 (parse or validation
-problems, or a float result that is infinite or NaN and so has no
-strict-JSON form) or 3 (a size cap was exceeded, including the int/str
-digit limit of an integer read or written; the message names the cap).
-Identical inputs and seed produce byte-identical output.
+``error: ...`` line to stderr, cut after _ERROR_CHARS characters, and
+exits 2 (usage, parse or validation problems, or a float result that is
+infinite or NaN and so has no strict-JSON form) or 3 (a size cap was
+exceeded, including the int/str digit limit of an integer read or
+written; the message names the cap).  Identical inputs and seed produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
                      InvalidParams, NonFiniteResult,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
                      OrderTooLargeForOracle)
-from .formats import (_digit_limit_error, dump_text, matrix_from_json,
+from .formats import (_digit_limit_error, _ratio, dump_text, matrix_from_json,
                       parse_text, scalar_to_json, spec_from_json, spec_to_json)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .matrix import HessenbergMatrix, row_length
@@ -41,14 +43,8 @@ from .sep_codec import decode_columns, tau
 BENCH_METHODS = ("recurrence", "closed")
 
 
-class _Parser(argparse.ArgumentParser):
-    # one-line machine-parsable messages instead of argparse's usage dump
-    def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 _ECHO_CHARS = 40
+_ERROR_CHARS = 160
 
 
 def _echo(text: str) -> str:
@@ -57,6 +53,21 @@ def _echo(text: str) -> str:
     if len(text) <= _ECHO_CHARS:
         return repr(text)
     return f"{text[:_ECHO_CHARS]!r}... (cut, {len(text)} characters)"
+
+
+def _fail(message) -> None:
+    # the one writer of error lines: one line, cut as _echo cuts a token
+    line = " ".join(str(message).split()) or "unknown error"
+    if len(line) > _ERROR_CHARS:
+        line = f"{line[:_ERROR_CHARS]}... (cut, {len(line)} characters)"
+    print(f"error: {line}", file=sys.stderr)
+
+
+class _Parser(argparse.ArgumentParser):
+    # one-line machine-parsable messages instead of argparse's usage dump
+    def error(self, message):
+        _fail(message)
+        raise SystemExit(2)
 
 
 def _positive_int(text: str) -> int:
@@ -124,12 +135,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _float_part(text: str) -> float:
-    # p/q is the correctly rounded double of the ratio, as a document's
-    # [p, q, 0, 1] read as float
+    # p/q rounds as a document's [p, q, 0, 1] read as float
     if "/" not in text:
         return float(text)
     ratio = _fraction(text)
-    return ratio.numerator / ratio.denominator
+    return _ratio(ratio.numerator, ratio.denominator)
 
 
 def parse_scalar_token(token: str, backend: str):
@@ -243,14 +253,6 @@ def _read(path: str) -> str:
             raise FormatError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def _emit(text: str, out: Optional[str]):
-    if out is None:
-        print(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
 def _result_to_json(value):
     """scalar_to_json for a computed result.  An infinite or NaN float
     result has no strict-JSON form, so it is refused (NonFiniteResult)."""
@@ -261,7 +263,7 @@ def _result_to_json(value):
     return scalar_to_json(value)
 
 
-def cmd_det(args) -> int:
+def cmd_det(args) -> str:
     matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
                                        args.backend)
     if args.method == "recurrence":
@@ -270,29 +272,25 @@ def cmd_det(args) -> int:
         value = det_closed_form(matrix, closed_form_cap=args.closed_form_cap)
     else:
         value = det_leibniz(matrix, oracle_cap=args.oracle_cap)
-    _emit(dump_text({"backend": backend, "value": _result_to_json(value)}),
-          args.out)
-    return 0
+    return dump_text({"backend": backend, "value": _result_to_json(value)})
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> str:
     lines = expansion_lines(args.order)
     if args.limit is not None:
         lines = islice(lines, args.limit)
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_sep(args) -> int:
+def cmd_sep(args) -> str:
     bits = tau(args.order, args.index)
     factors = decode_columns(bits)
-    _emit(dump_text({"bits": list(bits.bits),
-                     "columns": list(factors.columns),
-                     "sign": factors.sign}), args.out)
-    return 0
+    return dump_text({"bits": list(bits.bits),
+                      "columns": list(factors.columns),
+                      "sign": factors.sign})
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> str:
     spec, backend = spec_from_json(parse_text(_read(args.spec)), args.backend)
     init = parse_init(args.init, backend)
     if args.method == "forward":
@@ -300,17 +298,14 @@ def cmd_solve(args) -> int:
     else:
         values = general_solutions(spec, init, args.method,
                                    closed_form_cap=args.closed_form_cap)
-    _emit(dump_text({"backend": backend,
-                     "values": [_result_to_json(v) for v in values]}),
-          args.out)
-    return 0
+    return dump_text({"backend": backend,
+                      "values": [_result_to_json(v) for v in values]})
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> str:
     spec = generate_spec(args.family, args.params, args.N, args.horizon,
                          args.seed)
-    _emit(dump_text(spec_to_json(spec)), args.out)
-    return 0
+    return dump_text(spec_to_json(spec))
 
 
 def _timed_ns(matrix: HessenbergMatrix, method: str,
@@ -323,7 +318,7 @@ def _timed_ns(matrix: HessenbergMatrix, method: str,
     return time.perf_counter_ns() - start
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> str:
     rng = Random(args.seed)
     lines = ["order,method,median_ns"]
     for order in args.orders:
@@ -332,8 +327,7 @@ def cmd_bench(args) -> int:
             samples = [_timed_ns(matrix, method, args.closed_form_cap)
                        for _ in range(args.reps)]
             lines.append(f"{order},{method},{int(statistics.median(samples))}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
 
 
 # wiring --------------------------------------------------------------------
@@ -423,22 +417,18 @@ _CAP_ERRORS = (OrderTooLargeForOracle, OrderTooLargeForClosedForm,
                OrderTooLargeForExpansion, IntegerTooLargeForJson)
 
 
-def _fail(message) -> None:
-    line = " ".join(str(message).split()) or "unknown error"
-    print(f"error: {line}", file=sys.stderr)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # raised by --help (0) and _Parser.error (2)
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
-    try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+        text = args.func(args)
+        if args.out is None:
+            print(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        return 0
+    except SystemExit as exc:  # --help: 0; _Parser.error wrote its line: 2
+        return exc.code or 0
     except _CAP_ERRORS as exc:
         _fail(exc)
         return 3

@@ -104,10 +104,7 @@ def _sum_block(factors, zeros, n: int, start: int, stop: int) -> tuple:
             # arrays rounds complex values differently from its product
             # of longer ones, and the block sums must not depend on how
             # many rows the block shares
-            if len(picked) == 1:  # a plain factor scales every part
-                prod = tuple(p * picked[0] for p in prod)
-            else:
-                prod = multiply_parts(prod, picked)
+            prod = multiply_parts(prod, picked)
             if zeros[i - 1] is not None:
                 dead |= np.take(zeros[i - 1], cols)
         for p in prod:

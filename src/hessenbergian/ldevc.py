@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .closed_form import DEFAULT_CLOSED_FORM_CAP, det_closed_form
 from .determinants import det_prefixes, det_recurrence
@@ -68,6 +68,7 @@ GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
                    "reduced-recurrence", "reduced-closed")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LdevcSpec:
     """Validated, immutable equation system up to a finite horizon.
 
@@ -76,10 +77,14 @@ class LdevcSpec:
     (WrongEntryCount) and zero leading coefficients (IrregularOrder).
     """
 
-    __slots__ = ("index_N", "horizon", "coeffs", "forcing")
+    index_N: int
+    horizon: int
+    coeffs: Tuple[Tuple, ...]
+    forcing: Tuple
+    __hash__ = None  # equal by value, but unhashable
 
-    def __init__(self, index_N: int, horizon: int,
-                 coeffs: Sequence[Sequence], forcing: Sequence):
+    def __post_init__(self):
+        index_N, horizon, coeffs = self.index_N, self.horizon, self.coeffs
         if not isinstance(index_N, int) or isinstance(index_N, bool) or index_N < 0:
             raise InvalidOrder(f"index N must be a non-negative integer, got {index_N!r}")
         if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
@@ -87,9 +92,9 @@ class LdevcSpec:
         if len(coeffs) != horizon + 1:
             raise WrongEntryCount(
                 f"expected {horizon + 1} coefficient rows, got {len(coeffs)}")
-        if len(forcing) != horizon + 1:
+        if len(self.forcing) != horizon + 1:
             raise WrongEntryCount(
-                f"expected {horizon + 1} forcing values, got {len(forcing)}")
+                f"expected {horizon + 1} forcing values, got {len(self.forcing)}")
         frozen = []
         for n, row in enumerate(coeffs):
             want = index_N + n + 1
@@ -100,23 +105,12 @@ class LdevcSpec:
                 raise IrregularOrder(
                     f"leading coefficient a[{n},{index_N + n}] is zero")
             frozen.append(tuple(row))
-        object.__setattr__(self, "index_N", index_N)
-        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "coeffs", tuple(frozen))
-        object.__setattr__(self, "forcing", tuple(forcing))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LdevcSpec is immutable")
+        object.__setattr__(self, "forcing", tuple(self.forcing))
 
     def leading(self, n: int):
         """a_{n,N+n}, the coefficient of y_n in row n."""
         return self.coeffs[n][self.index_N + n]
-
-    def __eq__(self, other):
-        if not isinstance(other, LdevcSpec):
-            return NotImplemented
-        return (self.index_N == other.index_N and self.horizon == other.horizon
-                and self.coeffs == other.coeffs and self.forcing == other.forcing)
 
     def __repr__(self):
         return f"LdevcSpec(N={self.index_N}, horizon={self.horizon})"

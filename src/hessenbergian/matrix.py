@@ -203,8 +203,9 @@ def exact_value(parts: tuple, scale: int, kind):
 
 
 def multiply_parts(a: tuple, b: tuple) -> tuple:
-    """Product of two Gaussian integers held as ``(re,)`` or ``(re, im)``
-    int parts, ``b`` at least as wide as ``a``; elementwise on arrays."""
+    """Product of two values held as ``(re,)`` or ``(re, im)`` parts
+    (Gaussian-integer ints, or one complex128 part), ``b`` at least as
+    wide as ``a``; elementwise on arrays."""
     if len(a) == 1:
         return tuple(a[0] * c for c in b)
     (ar, ai), (br, bi) = a, b

@@ -11,8 +11,9 @@ import pytest
 import hessenbergian
 from conftest import default_digit_limit, random_float_spec
 from hessenbergian import (ComplexRational, FormatError, IntegerTooLargeForJson,
-                           LdevcSpec, expand_symbolic, solve_forward)
-from hessenbergian.cli import main, parse_scalar_token
+                           InvalidParams, LdevcSpec, expand_symbolic,
+                           solve_forward)
+from hessenbergian.cli import generate_spec, main, parse_scalar_token
 from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
 
 CR = ComplexRational
@@ -86,6 +87,22 @@ def test_det_out_file(capsys, tmp_path, matrix_file):
     code, out, _ = run_cli(capsys, "det", matrix_file, "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text() == '{"backend":"exact","value":[-2,1,0,1]}\n'
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "SPEC", "--init", "2/3", "--method", "ratio-closed"),
+    ("expand", "--order", "4"),
+    ("sep", "--order", "6", "--index", "11"),
+], ids=["solve", "expand", "sep"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, alpha_spec_file,
+                                         argv):
+    argv = [alpha_spec_file if a == "SPEC" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out.endswith("\n")
+    target = tmp_path / "result.txt"
+    code, out_with_file, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 0 and out_with_file == "" and err == ""
+    assert target.read_bytes() == out.encode()
 
 
 def test_det_missing_file(capsys):
@@ -360,6 +377,37 @@ def test_long_bad_token_is_echoed_cut(capsys, alpha_spec_file, argv):
     assert f"(cut, {len(argv[-1])} characters)" in err
 
 
+@pytest.mark.parametrize("argv, cut", [
+    (("sep", "--order", "3", "--index", "1", "--bogus\nsecond line"), False),
+    (("det", "MATRIX", "--method", "m" * 3000), True),
+    (("sep", "--order", "3", "--index", "9" * 5000), True),
+    (("gen", "--family", "constant", "--N", "9" * 5000, "--horizon", "2"),
+     True),
+    (("det", "LIST_SCALAR"), True),
+    (("det", "ZERO_DENOMINATOR"), True),
+], ids=["newline-token", "method", "index", "N", "list-scalar",
+        "zero-denominator"])
+def test_every_error_is_one_bounded_line(capsys, tmp_path, matrix_file,
+                                         argv, cut):
+    # usage errors go through the same writer as every other error: one
+    # line, and a message of thousands of characters is cut and marked
+    paths = {"MATRIX": matrix_file}
+    for name, text in (
+            ("LIST_SCALAR", '{"order":1,"rows":[[%s]]}' % list(range(20000))),
+            ("ZERO_DENOMINATOR",
+             '{"order":1,"rows":[[[%s,0,0,1]]]}' % ("7" * 4000))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    argv = [str(paths.get(a, a)) for a in argv]
+    with default_digit_limit():
+        code, out, err = run_cli(capsys, *argv)
+    assert_refused(code, out, err, 2)
+    assert len(err.encode()) < 200
+    assert ("... (cut, " in err) == cut
+    if not cut:
+        assert "--bogus second line" in err
+
+
 def test_solve_sign_of_zero_matches_forward(capsys, tmp_path):
     # (-1)^n applied to a real float prefix keeps its +0.0 imaginary part,
     # so every Hessenbergian route prints the bytes forward prints
@@ -486,6 +534,9 @@ def test_gen_invalid_params(capsys):
     code, _, err = run_cli(capsys, "gen", "--family", "constant", "--N", "2",
                            "--horizon", "3", "--params", "1,,2")
     assert code == 2 and err.startswith("error: ")
+    # the CLI's choices never reach this; a direct caller does
+    with pytest.raises(InvalidParams, match="unknown family 'bogus'"):
+        generate_spec("bogus", "", 1, 3, 0)
 
 
 # bench ------------------------------------------------------------------------
@@ -517,6 +568,9 @@ def test_bench_bad_flags(capsys):
     code, _, err = run_cli(capsys, "bench", "--orders", "4",
                            "--methods", "quantum")
     assert code == 2 and err.startswith("error: ")
+    code, out, err = run_cli(capsys, "bench", "--orders", "3", "--reps", "x")
+    assert_refused(code, out, err, 2)
+    assert "expected an integer, got 'x'" in err
 
 
 # plumbing ---------------------------------------------------------------------

@@ -91,6 +91,14 @@ def test_spec_documents():
         spec_from_json({"N": 1, "horizon": 0, "coeffs": [[1, 1]]})
     with pytest.raises(IrregularOrder):
         spec_from_json({"N": 0, "horizon": 0, "coeffs": [[0]], "forcing": [1]})
+    small = {"N": 1, "horizon": 0, "coeffs": [[0, 1]], "forcing": [0]}
+    for field, value, message in (
+            ("N", 1.0, "N and horizon must be integers"),
+            ("N", True, "N and horizon must be integers"),
+            ("horizon", "0", "N and horizon must be integers"),
+            ("forcing", 1, "forcing must be a list")):
+        with pytest.raises(FormatError, match=message):
+            spec_from_json({**small, field: value})
 
 
 def test_scalar_to_json_goldens():

@@ -65,6 +65,8 @@ def test_spec_is_immutable():
     spec = first_order_spec(F(2), 3)
     with pytest.raises(AttributeError):
         spec.horizon = 9
+    with pytest.raises(AttributeError):
+        del spec.horizon
     assert spec.leading(2) == 1
 
 

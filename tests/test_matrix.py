@@ -48,6 +48,8 @@ def test_make_matrix_wrong_flat_count():
 def test_invalid_order_rejected(order):
     with pytest.raises(InvalidOrder):
         HessenbergMatrix(order, [])
+    with pytest.raises(InvalidOrder):
+        make_matrix(order, [])
 
 
 def test_wrong_entry_count_rejected():

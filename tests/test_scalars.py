@@ -83,6 +83,8 @@ def test_equality_and_hash_across_types():
     assert CR(1, 2) != CR(1, 3)
     assert CR(0) == 0 and not CR(0)
     assert CR(0, Fraction(1, 3)) != 0
+    for other in (float("inf"), float("nan"), complex(1, float("inf"))):
+        assert (CR(1) == other) is False and CR(1) != other
 
 
 def test_str_forms():

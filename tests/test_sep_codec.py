@@ -54,6 +54,8 @@ def test_decode_rejects_range_set_violation():
         decode_columns((0, 1, 0))
     with pytest.raises(NotInRangeSet):
         decode_columns(BitArray(2, (1, 0)))
+    with pytest.raises(NotInRangeSet):
+        sep_index([1, 0])
 
 
 def test_bit_array_validation():
@@ -65,6 +67,8 @@ def test_bit_array_validation():
         BitArray(0, ())
     with pytest.raises(InvalidOrder):
         BitArray(True, (1,))  # a bool is not an order
+    with pytest.raises(InvalidOrder):
+        decode_columns([])
 
 
 def test_encode_goldens():
@@ -74,7 +78,7 @@ def test_encode_goldens():
 
 
 def test_encode_rejects_invalid_seps():
-    for bad in ((1, 1, 3), (3, 1, 2), (2, 3), (0, 1), (1, 4, 2, 3)):
+    for bad in ((1, 1, 3), (3, 1, 2), (2, 3), (0, 1), (1, 4, 2, 3), ()):
         with pytest.raises(InvalidSep):
             encode_sep(bad)
 
