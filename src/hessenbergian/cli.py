@@ -33,8 +33,9 @@ from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
                      InvalidParams, NonFiniteResult,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
                      OrderTooLargeForOracle)
-from .formats import (_digit_limit_error, _ratio, dump_text, matrix_from_json,
-                      parse_text, scalar_to_json, spec_from_json, spec_to_json)
+from .formats import (_cut, _digit_limit_error, _ratio, dump_text,
+                      matrix_from_json, parse_text, scalar_to_json,
+                      spec_from_json, spec_to_json)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .matrix import HessenbergMatrix, row_length
 from .scalars import EXACT, FLOAT, ComplexRational, is_exact
@@ -43,24 +44,18 @@ from .sep_codec import decode_columns, tau
 BENCH_METHODS = ("recurrence", "closed")
 
 
-_ECHO_CHARS = 40
 _ERROR_CHARS = 160
 
 
 def _echo(text: str) -> str:
-    """repr(text) for an error message; a longer text is cut to its first
-    _ECHO_CHARS characters and marked, so the error line stays short."""
-    if len(text) <= _ECHO_CHARS:
-        return repr(text)
-    return f"{text[:_ECHO_CHARS]!r}... (cut, {len(text)} characters)"
+    # repr(text) for an error message, cut short and marked
+    return _cut(text, show=repr)
 
 
 def _fail(message) -> None:
     # the one writer of error lines: one line, cut as _echo cuts a token
     line = " ".join(str(message).split()) or "unknown error"
-    if len(line) > _ERROR_CHARS:
-        line = f"{line[:_ERROR_CHARS]}... (cut, {len(line)} characters)"
-    print(f"error: {line}", file=sys.stderr)
+    print(f"error: {_cut(line, _ERROR_CHARS)}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -15,7 +15,11 @@ There is one conversion rule: the loaders decode every scalar once,
 straight into their ``backend`` argument (default: the document's own
 realization, "exact" unless something float-only appeared), and return
 it with the object.  Float values go through ``complex`` first, even when
-read as exact; :func:`convert_spec` reuses the rule.
+read as exact; :func:`convert_spec` reuses the rule.  A float matrix
+read as float is decoded a row at a time: a row of finite ``[re, im]``
+pairs becomes one complex128 array, the matrix's own layout, bit for
+bit as the scalar rule reads it; any other row takes the scalar rule,
+which alone words the decode errors.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -25,8 +29,10 @@ canonical (sorted shapes, compact separators) so equal objects dump to
 identical bytes.
 
 Text is strict JSON both ways: the tokens NaN and Infinity are refused.
-A value beyond the double range read as float, and a non-finite float
-read as exact, are FormatErrors.
+A value beyond the double range read as float (an integer, a ratio, or
+a literal such as 1e400, which json reads as inf), and a non-finite
+float read as exact, are FormatErrors.  An error echoes an offending
+scalar cut to _ECHO_CHARS characters.
 An integer with more decimal digits than Python converts between int
 and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
 parse and on dump; the limit itself is left as it is.
@@ -34,16 +40,31 @@ parse and on dump; the limit itself is left as it is.
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from fractions import Fraction
 from itertools import chain
 from numbers import Rational
 
+import numpy as np
+
 from .errors import FormatError, IntegerTooLargeForJson
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
 from .scalars import EXACT, FLOAT, ComplexRational
+
+
+_ECHO_CHARS = 40
+
+
+def _cut(text: str, limit: int = _ECHO_CHARS, show=str) -> str:
+    """``show(text)`` for an error message; a text longer than ``limit``
+    is cut to its first ``limit`` characters and marked, so the error
+    line stays short."""
+    if len(text) <= limit:
+        return show(text)
+    return f"{show(text[:limit])}... (cut, {len(text)} characters)"
 
 
 def _is_int(value) -> bool:
@@ -63,8 +84,8 @@ def _shape(obj):
     elif _is_int(obj):
         return None
     raise FormatError(
-        f"invalid scalar {obj!r}; expected [re_num,re_den,im_num,im_den], "
-        f"[re,im], or a bare integer")
+        f"invalid scalar {_cut(repr(obj))}; expected "
+        f"[re_num,re_den,im_num,im_den], [re,im], or a bare integer")
 
 
 def _ratio(num: int, den: int) -> float:
@@ -83,7 +104,7 @@ def scalar_from_json(obj, mode: str, backend: str):
     if shape == EXACT:
         re_num, re_den, im_num, im_den = obj
         if re_den == 0 or im_den == 0:
-            raise FormatError(f"zero denominator in scalar {obj!r}")
+            raise FormatError(f"zero denominator in scalar {_cut(repr(obj))}")
         if backend == EXACT:
             return ComplexRational(Fraction(re_num, re_den),
                                    Fraction(im_num, im_den))
@@ -97,6 +118,8 @@ def scalar_from_json(obj, mode: str, backend: str):
     except OverflowError:  # an integer or ratio beyond the double range
         raise FormatError("a scalar is beyond the double range") from None
     if backend == FLOAT:
+        if not cmath.isfinite(z):  # a literal such as 1e400 reads as inf
+            raise FormatError("a scalar is beyond the double range")
         return z
     try:
         return ComplexRational.from_complex(z)
@@ -149,13 +172,37 @@ def matrix_from_json(obj, backend=None):
     rows = obj["rows"]
     _require_rows(rows, "matrix rows")
     mode, backend = _realizations(chain.from_iterable(rows), backend)
-    rows = [[scalar_from_json(v, mode, backend) for v in row] for row in rows]
+    if mode == backend == FLOAT:
+        rows = [_float_row(row) for row in rows]
+    else:
+        rows = [[scalar_from_json(v, mode, backend) for v in row]
+                for row in rows]
     return HessenbergMatrix(obj["order"], rows), backend
+
+
+def _float_row(row):
+    """One row of a float document read as float: a row of finite
+    ``[re, im]`` pairs of floats and ints becomes one complex128 array,
+    bit for bit as :func:`scalar_from_json` reads each pair; any other
+    row goes through :func:`scalar_from_json`, which decodes it or
+    refuses it with its own message."""
+    try:
+        pairs = np.array(row, np.float64)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int
+        pass                                        # beyond the doubles
+    else:
+        if (pairs.shape == (len(row), 2)
+                and set(map(type, chain.from_iterable(row))) <= {float, int}
+                and np.isfinite(pairs).all()):
+            return pairs.view(np.complex128).reshape(-1)
+    return [scalar_from_json(v, FLOAT, FLOAT) for v in row]
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
     return {"order": matrix.order,
-            "rows": [[scalar_to_json(v) for v in row.tolist()]
+            "rows": [row.view(np.float64).reshape(-1, 2).tolist()
+                     if row.dtype == np.complex128
+                     else [scalar_to_json(v) for v in row.tolist()]
                      for row in matrix.rows]}
 
 

@@ -68,7 +68,7 @@ GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
                    "reduced-recurrence", "reduced-closed")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, repr=False)
 class LdevcSpec:
     """Validated, immutable equation system up to a finite horizon.
 
@@ -77,6 +77,9 @@ class LdevcSpec:
     (WrongEntryCount) and zero leading coefficients (IrregularOrder).
     """
 
+    # written out: dataclass(slots=True) rebuilds the class, and its
+    # frozen __setattr__ then raises TypeError, not AttributeError
+    __slots__ = ("index_N", "horizon", "coeffs", "forcing")
     index_N: int
     horizon: int
     coeffs: Tuple[Tuple, ...]

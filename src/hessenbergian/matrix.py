@@ -6,7 +6,9 @@ min(i+1, n) scalars, the entries h_{i,1} .. h_{i,min(i+1,n)}, so a
 matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
 interface are 1-based.  Values and realization are fixed at
 construction: each row is stored as a read-only numpy array, complex128
-when every entry is a float or complex and object otherwise.
+when every entry is a float or complex and object otherwise.  A row
+given as a complex128 array is taken on its dtype and copied, never
+scanned entry by entry.
 
 The exact kernels read object rows through :func:`gaussian_rows`, which
 scales each row by the lcm of its entries' denominators so that every
@@ -35,6 +37,12 @@ def entry_count(order: int) -> int:
     return sum(row_length(order, i) for i in range(1, order + 1))
 
 
+def _is_float_row(row) -> bool:
+    if isinstance(row, np.ndarray) and row.dtype == np.complex128:
+        return True
+    return all(isinstance(x, (float, complex)) for x in row)
+
+
 class HessenbergMatrix:
     """Immutable lower Hessenberg matrix of a given order.
 
@@ -55,8 +63,7 @@ class HessenbergMatrix:
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-        floats = all(isinstance(x, (float, complex))
-                     for row in rows for x in row)
+        floats = all(_is_float_row(row) for row in rows)
         # np.array copies, so a caller's array is never frozen in place
         frozen = tuple(np.array(row, dtype=np.complex128 if floats else object)
                        for row in rows)

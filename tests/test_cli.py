@@ -187,6 +187,22 @@ def test_solve_exact_backend_refuses_non_finite_input(capsys, tmp_path):
     assert_refused(code, out, err, 2)
 
 
+@pytest.mark.parametrize("backend", [(), ("--backend", "float")],
+                         ids=["default", "float"])
+def test_overflowing_float_literal_is_refused(capsys, tmp_path, backend):
+    # json reads 1e400 as inf; it is refused as input, not carried into a
+    # non-finite result
+    det = tmp_path / "inf.json"
+    det.write_text('{"order":1,"rows":[[[1e400,0]]]}')
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"N":0,"horizon":0,"coeffs":[[[1.0,0.0]]],'
+                    '"forcing":[[-1e400,0.0]]}')
+    for argv in (("det", str(det)), ("solve", str(spec))):
+        code, out, err = run_cli(capsys, *argv, *backend)
+        assert_refused(code, out, err, 2)
+        assert err == "error: a scalar is beyond the double range\n"
+
+
 def test_det_refuses_non_utf8_input(capsys, tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"order":1,"rows":[[1]]}\xff')

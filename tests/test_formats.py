@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (default_digit_limit, random_exact_matrix,
-                      random_exact_spec)
+                      random_exact_spec, random_float_matrix)
 from hessenbergian import (ComplexRational, FormatError,
                            IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
-                           WrongEntryCount)
+                           WrongEntryCount, row_length)
 from hessenbergian.formats import (convert_spec, dump_text, matrix_from_json,
-                                   matrix_to_json, parse_text, scalar_to_json,
+                                   matrix_to_json, parse_text,
+                                   scalar_from_json, scalar_to_json,
                                    spec_from_json, spec_to_json)
 
 CR = ComplexRational
@@ -233,3 +235,120 @@ def test_digit_limit_in_both_directions(digits, negative):
                 parse_text(text)
         with pytest.raises(ValueError):  # NaN stays a plain ValueError
             dump_text([float("nan")])
+
+
+_leaves = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]),
+    st.integers(-10 ** 308, 10 ** 308),
+    st.integers(-2 ** 60, 2 ** 60))
+_pairs = st.lists(_leaves, min_size=2, max_size=2)
+# mostly [re, im] pairs; a bare int or float sends its row down the
+# scalar path
+_float_scalars = st.one_of(_pairs, _pairs, _pairs, _pairs,
+                           st.integers(-9, 9), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _float_documents(draw):
+    order = draw(st.integers(1, 6))
+    rows = [draw(st.lists(_float_scalars, min_size=row_length(order, i),
+                          max_size=row_length(order, i)))
+            for i in range(1, order + 1)]
+    rows[0][0] = draw(_pairs)  # a pair first, so the document reads as float
+    return {"order": order, "rows": rows}
+
+
+def _bits(values) -> tuple:
+    parts = np.asarray(values, np.complex128).view(np.float64)
+    return parts.tolist(), np.signbit(parts).tolist()
+
+
+@given(_float_documents())
+@example({"order": 1, "rows": [[[-0.0, 5e-324]]]})
+@example({"order": 2, "rows": [[[10 ** 308, -10 ** 308], [0, -0.0]],
+                               [[2 ** 53 + 1, 1], [-5e-324, 2 ** 60 + 1]]]})
+@settings(max_examples=200)
+def test_float_rows_decode_as_their_scalars(doc):
+    # one numpy call per row gives, bit for bit, what the scalar path
+    # gives for each of the row's scalars, zero signs included
+    matrix, backend = matrix_from_json(doc)
+    assert backend == "float" and matrix.is_float_backed
+    for row, stored in zip(doc["rows"], matrix.rows):
+        want = [scalar_from_json(v, "float", "float") for v in row]
+        assert _bits(stored) == _bits(want)
+
+
+_EXPECTED = ("; expected [re_num,re_den,im_num,im_den], [re,im], "
+             "or a bare integer")
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+@pytest.mark.parametrize("row, message", [
+    ([[2.0, 0.0], [True, 0.0]], "invalid scalar [True, 0.0]" + _EXPECTED),
+    ([[2.0, 0.0], ["1.0", 0.0]], "invalid scalar ['1.0', 0.0]" + _EXPECTED),
+    ([[2.0, 0.0], None], "invalid scalar None" + _EXPECTED),
+    ([[2.0, 0.0], [None, 1.0]], "invalid scalar [None, 1.0]" + _EXPECTED),
+    ([[2.0, 0.0], [1.0, 2.0, 3.0]],
+     "invalid scalar [1.0, 2.0, 3.0]" + _EXPECTED),
+    ([[2.0, 0.0], [1, 2, 0, 1]],
+     "document mixes exact and float scalars; use one realization"),
+    (7, "matrix rows must be a list of lists"),
+    ([[2.0, 0.0], {"re": 1.0}], "invalid scalar {'re': 1.0}" + _EXPECTED),
+    ([[2.0, 0.0], [10 ** 400, 0]], "a scalar is beyond the double range"),
+], ids=["bool", "string", "none", "none-leaf", "three-numbers", "quad",
+        "bare-int-row", "dict", "huge-int"])
+def test_invalid_float_rows_keep_their_errors(row, message, backend):
+    # row 1 decodes as one array; row 2 falls back to the scalar path,
+    # which alone words the error
+    doc = {"order": 2, "rows": [[[0.5, -1.5], [1, 0]], row]}
+    with pytest.raises(FormatError) as info:
+        matrix_from_json(doc, backend)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("backend", [None, "float"])
+def test_overflowing_float_literal_is_refused(backend):
+    # json reads 1e400 as inf; read as float it is a decode error, not a
+    # value for the kernels to carry
+    for text, load in (
+            ('{"order":1,"rows":[[[1e400,0]]]}', matrix_from_json),
+            ('{"order":2,"rows":[[[1.0,0.0],[2.0,0.0]],[-1e400,[3.0,0.0]]]}',
+             matrix_from_json),
+            ('{"N":0,"horizon":0,"coeffs":[[[1.0,1e400]]],"forcing":[1.0]}',
+             spec_from_json)):
+        with pytest.raises(FormatError,
+                           match="^a scalar is beyond the double range$"):
+            load(parse_text(text), backend)
+
+
+def test_decode_errors_are_short():
+    # the offending scalar is echoed cut, however large it is
+    for scalar in (list(range(20000)), [int("7" * 4000), 0, 0, 1]):
+        with pytest.raises(FormatError) as info:
+            matrix_from_json({"order": 1, "rows": [[scalar]]})
+        message = str(info.value)
+        assert len(message) < 200
+        assert f"(cut, {len(repr(scalar))} characters)" in message
+
+
+def test_float_encode_matches_scalar_encode():
+    # a complex128 row is written through its float64 view, to the same
+    # bytes as scalar_to_json writes entry by entry, zero signs included
+    signed, _ = matrix_from_json({"order": 2, "rows": [
+        [[-0.0, 1.0], [2.0, -0.0]], [[5e-324, 0.0], [1e308, -1.5]]]})
+    for matrix in (signed, random_float_matrix(9, random.Random(5))):
+        by_scalar = {"order": matrix.order,
+                     "rows": [[scalar_to_json(v) for v in row.tolist()]
+                              for row in matrix.rows]}
+        assert dump_text(matrix_to_json(matrix)) == dump_text(by_scalar)
+
+
+def test_float_decode_speed_at_order_700():
+    obj = parse_text(dump_text(matrix_to_json(
+        random_float_matrix(700, random.Random(700)))))
+    start = time.perf_counter()
+    matrix, _ = matrix_from_json(obj)
+    elapsed = time.perf_counter() - start
+    assert matrix.is_float_backed
+    assert elapsed < 0.3, f"order-700 float decode took {elapsed:.2f}s"

@@ -67,6 +67,8 @@ def test_spec_is_immutable():
         spec.horizon = 9
     with pytest.raises(AttributeError):
         del spec.horizon
+    with pytest.raises(AttributeError):
+        spec.foo = 1  # not a field: no slot, and frozen all the same
     assert spec.leading(2) == 1
 
 

@@ -106,6 +106,13 @@ def test_stored_rows_are_read_only_copies():
             row[0] = 9
     given[0] = 5.0  # the caller's array is copied, not frozen in place
     assert m.rows[0].tolist() == [1.0, 2.0]
+    # a complex128 row is taken on its dtype, and copied all the same
+    given = np.array([1 + 2j, -0.0])
+    m = HessenbergMatrix(2, [given, np.array([3j, 4.0])])
+    assert m.is_float_backed and m.rows[0] is not given
+    given[0] = 5.0
+    assert given.flags.writeable and m.rows[0].tolist() == [1 + 2j, 0j]
+    assert leading_submatrix(m, 1).rows[0].tolist() == [1 + 2j]
     exact = make_matrix(2, [1, 2, 3, 4])
     with pytest.raises(ValueError):
         exact.rows[1][0] = 9
