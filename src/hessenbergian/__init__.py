@@ -11,7 +11,8 @@ from .errors import (FormatError, HessenbergianError, IndexOutOfRange,
                      InvalidSep, IrregularOrder, LinearityViolation,
                      NonFiniteResult, NotInRangeSet,
                      OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
-                     OrderTooLargeForOracle, WrongEntryCount, WrongInitLength)
+                     OrderTooLargeForOracle, SizeCapExceeded, WrongEntryCount,
+                     WrongInitLength)
 from .ldevc import (AscendingOrder, EquationClass, LdevcSpec, NOrder,
                     SolutionBundle, UnboundedOrder, classify,
                     fundamental_solution, general_solution, general_solutions,
@@ -33,8 +34,8 @@ __all__ = [
     "LinearityViolation", "NOrder",
     "NonFiniteResult", "NotInRangeSet", "OrderTooLargeForClosedForm",
     "OrderTooLargeForExpansion", "OrderTooLargeForOracle", "Scalar",
-    "SepFactors", "SepIndex", "SolutionBundle", "SymbolicTerm",
-    "UnboundedOrder", "WrongEntryCount", "WrongInitLength",
+    "SepFactors", "SepIndex", "SizeCapExceeded", "SolutionBundle",
+    "SymbolicTerm", "UnboundedOrder", "WrongEntryCount", "WrongInitLength",
     "chi", "classify", "decode_columns", "det_closed_form",
     "det_leibniz", "det_prefixes", "det_recurrence", "encode_sep",
     "entry_count", "enumerate_seps", "expand_symbolic",

@@ -22,6 +22,7 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from random import Random
 from typing import Optional, Sequence
@@ -29,10 +30,8 @@ from typing import Optional, Sequence
 from .closed_form import (DEFAULT_CLOSED_FORM_CAP, det_closed_form,
                           expansion_lines)
 from .determinants import DEFAULT_ORACLE_CAP, det_leibniz, det_recurrence
-from .errors import (FormatError, HessenbergianError, IntegerTooLargeForJson,
-                     InvalidParams, NonFiniteResult,
-                     OrderTooLargeForClosedForm, OrderTooLargeForExpansion,
-                     OrderTooLargeForOracle)
+from .errors import (FormatError, HessenbergianError, InvalidParams,
+                     NonFiniteResult, SizeCapExceeded)
 from .formats import (_cut, _digit_limit_error, _ratio, dump_text,
                       matrix_from_json, parse_text, scalar_to_json,
                       spec_from_json, spec_to_json)
@@ -258,15 +257,19 @@ def _result_to_json(value):
     return scalar_to_json(value)
 
 
+def _det_kernel(method: str, args):
+    """The routine a ``det`` method name runs, with its cap from ``args``."""
+    if method == "recurrence":
+        return det_recurrence
+    if method == "closed":
+        return partial(det_closed_form, closed_form_cap=args.closed_form_cap)
+    return partial(det_leibniz, oracle_cap=args.oracle_cap)
+
+
 def cmd_det(args) -> str:
     matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
                                        args.backend)
-    if args.method == "recurrence":
-        value = det_recurrence(matrix)
-    elif args.method == "closed":
-        value = det_closed_form(matrix, closed_form_cap=args.closed_form_cap)
-    else:
-        value = det_leibniz(matrix, oracle_cap=args.oracle_cap)
+    value = _det_kernel(args.method, args)(matrix)
     return dump_text({"backend": backend, "value": _result_to_json(value)})
 
 
@@ -303,13 +306,9 @@ def cmd_gen(args) -> str:
     return dump_text(spec_to_json(spec))
 
 
-def _timed_ns(matrix: HessenbergMatrix, method: str,
-              closed_form_cap: int) -> int:
+def _timed_ns(matrix: HessenbergMatrix, kernel) -> int:
     start = time.perf_counter_ns()
-    if method == "recurrence":
-        det_recurrence(matrix)
-    else:
-        det_closed_form(matrix, closed_form_cap=closed_form_cap)
+    kernel(matrix)
     return time.perf_counter_ns() - start
 
 
@@ -319,8 +318,8 @@ def cmd_bench(args) -> str:
     for order in args.orders:
         matrix = random_float_matrix(order, rng)
         for method in args.methods:
-            samples = [_timed_ns(matrix, method, args.closed_form_cap)
-                       for _ in range(args.reps)]
+            kernel = _det_kernel(method, args)
+            samples = [_timed_ns(matrix, kernel) for _ in range(args.reps)]
             lines.append(f"{order},{method},{int(statistics.median(samples))}")
     return "\n".join(lines)
 
@@ -408,10 +407,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-_CAP_ERRORS = (OrderTooLargeForOracle, OrderTooLargeForClosedForm,
-               OrderTooLargeForExpansion, IntegerTooLargeForJson)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -424,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except SystemExit as exc:  # --help: 0; _Parser.error wrote its line: 2
         return exc.code or 0
-    except _CAP_ERRORS as exc:
+    except SizeCapExceeded as exc:
         _fail(exc)
         return 3
     except (HessenbergianError, OSError) as exc:

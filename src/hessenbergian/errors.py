@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Every domain error is a distinct class so callers (and the CLI exit-code
-mapping) can dispatch on type rather than parse messages.
+Every domain error is a distinct class so callers can dispatch on type
+rather than parse messages.  The CLI exits 3 on a :class:`SizeCapExceeded`
+and 2 on any other :class:`HessenbergianError`.
 """
 
 
@@ -29,19 +30,23 @@ class InvalidSep(HessenbergianError):
     """Column indices do not form a permutation with pi_i <= i+1."""
 
 
-class OrderTooLargeForOracle(HessenbergianError):
+class SizeCapExceeded(HessenbergianError):
+    """An input is larger than a cap allows; the message names the cap."""
+
+
+class OrderTooLargeForOracle(SizeCapExceeded):
     """Order exceeds the brute-force Leibniz cap (factorial cost)."""
 
 
-class OrderTooLargeForClosedForm(HessenbergianError):
+class OrderTooLargeForClosedForm(SizeCapExceeded):
     """Order exceeds the closed-form summation cap (2^(n-1) terms)."""
 
 
-class OrderTooLargeForExpansion(HessenbergianError):
+class OrderTooLargeForExpansion(SizeCapExceeded):
     """Order exceeds the symbolic expansion cap (2^(n-1) emitted terms)."""
 
 
-class IntegerTooLargeForJson(HessenbergianError):
+class IntegerTooLargeForJson(SizeCapExceeded):
     """An integer has more decimal digits than Python converts between
     int and str (sys.get_int_max_str_digits()), so it can be neither read
     from nor written to JSON."""

@@ -45,14 +45,13 @@ import json
 import sys
 from fractions import Fraction
 from itertools import chain
-from numbers import Rational
 
 import numpy as np
 
 from .errors import FormatError, IntegerTooLargeForJson
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
-from .scalars import EXACT, FLOAT, ComplexRational
+from .scalars import EXACT, FLOAT, ComplexRational, exact_parts, is_exact
 
 
 _ECHO_CHARS = 40
@@ -128,12 +127,8 @@ def scalar_from_json(obj, mode: str, backend: str):
 
 
 def scalar_to_json(value):
-    if isinstance(value, ComplexRational):
-        return [value.re.numerator, value.re.denominator,
-                value.im.numerator, value.im.denominator]
-    if isinstance(value, Rational):
-        f = Fraction(value)
-        return [f.numerator, f.denominator, 0, 1]
+    if is_exact(value):
+        return list(exact_parts(value))
     z = complex(value)
     return [z.real, z.imag]
 

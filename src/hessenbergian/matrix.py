@@ -6,9 +6,10 @@ min(i+1, n) scalars, the entries h_{i,1} .. h_{i,min(i+1,n)}, so a
 matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
 interface are 1-based.  Values and realization are fixed at
 construction: each row is stored as a read-only numpy array, complex128
-when every entry is a float or complex and object otherwise.  A row
-given as a complex128 array is taken on its dtype and copied, never
-scanned entry by entry.
+when every entry is an int, float or complex and at least one is a
+float or complex (bare ints are neutral, as in documents), and object
+otherwise.  A row given as a complex128 array is taken on its dtype and
+copied, never scanned entry by entry.
 
 The exact kernels read object rows through :func:`gaussian_rows`, which
 scales each row by the lcm of its entries' denominators so that every
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidOrder, WrongEntryCount
-from .scalars import ComplexRational
+from .scalars import ComplexRational, exact_parts
 
 
 def row_length(order: int, i: int) -> int:
@@ -40,7 +41,7 @@ def entry_count(order: int) -> int:
 def _is_float_row(row) -> bool:
     if isinstance(row, np.ndarray) and row.dtype == np.complex128:
         return True
-    return all(isinstance(x, (float, complex)) for x in row)
+    return all(isinstance(x, (int, float, complex)) for x in row)
 
 
 class HessenbergMatrix:
@@ -63,7 +64,9 @@ class HessenbergMatrix:
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-        floats = all(_is_float_row(row) for row in rows)
+        # a bare int is neutral beside a float; ints alone are exact
+        floats = (all(map(_is_float_row, rows))
+                  and not all(isinstance(x, int) for row in rows for x in row))
         # np.array copies, so a caller's array is never frozen in place
         frozen = tuple(np.array(row, dtype=np.complex128 if floats else object)
                        for row in rows)
@@ -140,17 +143,6 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     return signed
 
 
-def _exact_parts(x) -> tuple:
-    # (re numerator, re denominator, im numerator, im denominator)
-    if isinstance(x, ComplexRational):
-        return (x.re.numerator, x.re.denominator,
-                x.im.numerator, x.im.denominator)
-    if isinstance(x, Fraction):
-        return x.numerator, x.denominator, 0, 1
-    raise TypeError(f"exact kernels take int, Fraction and ComplexRational "
-                    f"entries, got {type(x).__name__}")
-
-
 def gaussian_rows(rows) -> tuple:
     """Exact object rows as Gaussian integers: ``(parts, scales, kind)``.
 
@@ -183,7 +175,7 @@ def gaussian_rows(rows) -> tuple:
             kind = ComplexRational
         elif kind is int:
             kind = Fraction
-        quads = [(i, *_exact_parts(x)) for i, x in others]
+        quads = [(i, *exact_parts(x)) for i, x in others]
         d = math.lcm(*(q[2] for q in quads), *(q[4] for q in quads))
         re = [x * d if isinstance(x, int) else 0 for x in values]
         for i, a, b, c, e in quads:

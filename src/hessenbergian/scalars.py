@@ -100,7 +100,7 @@ class ComplexRational:
         return _from_fractions(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):
-        if isinstance(other, int):  # e.g. a +-1 superdiagonal entry
+        if isinstance(other, int):  # an int zero, or an ldevc coefficient
             return _from_fractions(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
@@ -211,3 +211,16 @@ FLOAT = "float"
 def is_exact(value) -> bool:
     """True for scalars belonging to the exact realization."""
     return isinstance(value, (ComplexRational, Rational))
+
+
+def exact_parts(value) -> tuple:
+    """(re num, re den, im num, im den) of an exact scalar, as plain
+    ints in lowest terms; anything else raises TypeError."""
+    if isinstance(value, ComplexRational):
+        return (value.re.numerator, value.re.denominator,
+                value.im.numerator, value.im.denominator)
+    if isinstance(value, Rational):
+        f = Fraction(value)
+        return f.numerator, f.denominator, 0, 1
+    raise TypeError(f"exact kernels take int, Fraction and ComplexRational "
+                    f"entries, got {type(value).__name__}")

@@ -143,6 +143,15 @@ def test_det_cap_violations(capsys, tmp_path, matrix_file):
     assert code == 3 and "closed_form_cap=1" in err
 
 
+def test_cap_errors_share_one_base():
+    # main maps this base, and only it, to exit 3
+    caps = (hessenbergian.OrderTooLargeForOracle,
+            hessenbergian.OrderTooLargeForClosedForm,
+            hessenbergian.OrderTooLargeForExpansion, IntegerTooLargeForJson)
+    assert all(issubclass(cap, hessenbergian.SizeCapExceeded) for cap in caps)
+    assert not issubclass(FormatError, hessenbergian.SizeCapExceeded)
+
+
 @pytest.mark.filterwarnings("error")  # a leaked numpy warning fails
 @pytest.mark.parametrize("method", ["recurrence", "closed"])
 def test_det_non_finite_result_is_refused(capsys, tmp_path, method):

@@ -1,5 +1,7 @@
 import cmath
+import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -153,10 +155,17 @@ def test_exact_results_keep_python_scalar_types():
 
 def test_exact_kernels_refuse_float_entries():
     # an object-backed matrix holding a float has no exact value
-    mixed = make_matrix(2, [1, 2.0, 3.0, 4.0])
+    mixed = make_matrix(2, [Fraction(1, 2), 2.0, 3.0, 4.0])
     for det in (det_recurrence, det_closed_form):
         with pytest.raises(TypeError, match="got float"):
             det(mixed)
+
+
+def test_bare_ints_beside_floats_run_every_route():
+    m = make_matrix(2, [1.0, 0, 3.0, 4.0])
+    assert m.is_float_backed
+    for det in (det_recurrence, det_closed_form, det_leibniz):
+        assert det(m) == 4.0
 
 
 def test_exact_recurrence_budget_at_order_200():
@@ -181,6 +190,55 @@ def test_oracle_cap():
     with pytest.raises(OrderTooLargeForOracle):
         det_leibniz(m)
     assert det_leibniz(m, oracle_cap=11) == det_recurrence(m)
+
+
+def _lexicographic_leibniz(m):
+    # every permutation in lexicographic order, each product taken left
+    # to right from 1 and signed by its inversion count
+    rows = [row.tolist() for row in m.rows]
+    total = 0
+    for perm in itertools.permutations(range(m.order)):
+        if any(c >= len(row) for row, c in zip(rows, perm)):
+            continue
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        prod = 1
+        for row, c in zip(rows, perm):
+            prod = prod * row[c]
+        total = total + (-1 if inversions & 1 else 1) * prod
+    return total
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_oracle_sums_in_lexicographic_order(scale):
+    # the float sum depends on the order of its terms: bit for bit
+    rng = random.Random(9)
+    for n in range(1, 8):
+        m = make_matrix(n, [scale * complex(rng.uniform(-1, 1),
+                                            rng.uniform(-1, 1))
+                            for _ in range(entry_count(n))])
+        assert repr(det_leibniz(m)) == repr(_lexicographic_leibniz(m))
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_oracle_depth_is_not_bound_by_order():
+    # the walk keeps its own stack: an order-14 matrix needs no more
+    # Python frames than an order-1 one
+    m = make_matrix(14, [random.Random(14).randint(-3, 3)
+                         for _ in range(entry_count(14))])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 12)
+    try:
+        value = det_leibniz(m, oracle_cap=14)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == det_recurrence(m)
 
 
 @st.composite

@@ -315,6 +315,22 @@ def test_float_spec_agreement():
         assert abs(a - b) <= 1e-9 * (1 + abs(b))
 
 
+@pytest.mark.parametrize("lead", [1.0, 1], ids=["float-leads", "int-leads"])
+def test_float_spec_with_bare_int_entries(lead):
+    # bare ints are neutral beside floats, in a spec as in a document:
+    # int zeros (and int unit leads) do not make the matrices exact
+    spec = LdevcSpec(1, 3, [[0, lead], [0, -0.5, lead], [0, 0, -0.5, lead],
+                            [0, 0, 0, -0.5, 2.0]], [0, 1.0, 0, 0])
+    init = (0.0,)
+    forward = solve_forward(spec, init)
+    assert forward == [0.0, 1.0, 0.5, 0.125]
+    for method in GENERAL_METHODS:
+        assert general_solutions(spec, init, method) == forward
+    bundle = solve_bundle(spec, init)
+    assert list(bundle.generals) == list(bundle.particulars) == forward
+    assert [fundamental_solution(spec, n, 0) for n in range(4)] == [0] * 4
+
+
 def test_fundamentals_keep_the_sign_of_zero():
     # y_n = 2 y_{n-1} as a float spec: every value is real, and the
     # (-1) of xi_{n,i} must not turn a +0.0 imaginary part into -0.0

@@ -81,14 +81,17 @@ def test_is_float_backed():
     assert make_matrix(2, [1.0, 2j, 0.5, 4.0]).is_float_backed
     assert not make_matrix(2, [1, 2, 3, 4]).is_float_backed
     assert not make_matrix(1, [ComplexRational(1)]).is_float_backed
-    assert not make_matrix(2, [1, 2.0, 3.0, 4.0]).is_float_backed  # mixed
+    # a bare int is neutral beside a float; an exact value is not
+    assert make_matrix(2, [1, 2.0, 3.0, 4.0]).is_float_backed
+    assert not make_matrix(2, [Fraction(1, 2), 2.0, 3.0, 4.0]).is_float_backed
 
 
 def test_stored_rows_dtype_follows_realization():
-    floats = make_matrix(2, [1.0, 2j, 0.5, 4.0])
-    assert [a.dtype for a in floats.rows] == [np.complex128, np.complex128]
-    assert [a.tolist() for a in floats.rows] == [[1.0, 2j], [0.5, 4.0]]
-    for entries in ([1, 2, 3, 4], [1, 2.0, 3.0, 4.0],
+    for entries in ([1.0, 2j, 0.5, 4.0], [1, 2j, 0.5, 4]):
+        floats = make_matrix(2, entries)
+        assert [a.dtype for a in floats.rows] == [np.complex128, np.complex128]
+        assert [a.tolist() for a in floats.rows] == [[1.0, 2j], [0.5, 4.0]]
+    for entries in ([1, 2, 3, 4], [Fraction(1, 2), 2.0, 3.0, 4.0],
                     [ComplexRational(1, 2)] * 4):
         m = make_matrix(2, entries)
         assert all(a.dtype == object for a in m.rows)
