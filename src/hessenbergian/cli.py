@@ -12,6 +12,12 @@ infinite or NaN and so has no strict-JSON form) or 3 (a size cap was
 exceeded, including the int/str digit limit of an integer read or
 written; the message names the cap).  Identical inputs and seed produce
 byte-identical output.
+
+The module imports nothing numeric at load time: the parser's defaults
+come from :mod:`errors` and :mod:`ldevc`, and ``expand`` runs on
+:mod:`sep_codec` alone, so it never loads numpy.  Each subcommand that
+reads or writes documents, or evaluates a matrix, imports the
+numpy-backed modules it runs in its own body.
 """
 
 from __future__ import annotations
@@ -25,20 +31,18 @@ from fractions import Fraction
 from functools import partial
 from itertools import islice
 from random import Random
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .closed_form import (DEFAULT_CLOSED_FORM_CAP, det_closed_form,
-                          expansion_lines)
-from .determinants import DEFAULT_ORACLE_CAP, det_leibniz, det_recurrence
-from .errors import (FormatError, HessenbergianError, InvalidParams,
-                     NonFiniteResult, SizeCapExceeded)
-from .formats import (_cut, _digit_limit_error, _ratio, dump_text,
-                      matrix_from_json, parse_text, scalar_to_json,
-                      spec_from_json, spec_to_json)
+from .errors import (DEFAULT_CLOSED_FORM_CAP, DEFAULT_ORACLE_CAP,
+                     FormatError, HessenbergianError, InvalidParams,
+                     NonFiniteResult, SizeCapExceeded, _cut,
+                     _digit_limit_error)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
-from .matrix import HessenbergMatrix, row_length
 from .scalars import EXACT, FLOAT, ComplexRational, is_exact
-from .sep_codec import decode_columns, tau
+from .sep_codec import decode_columns, expansion_lines, tau
+
+if TYPE_CHECKING:
+    from .matrix import HessenbergMatrix
 
 BENCH_METHODS = ("recurrence", "closed")
 
@@ -132,6 +136,8 @@ def _float_part(text: str) -> float:
     # p/q rounds as a document's [p, q, 0, 1] read as float
     if "/" not in text:
         return float(text)
+    from .formats import _ratio
+
     ratio = _fraction(text)
     return _ratio(ratio.numerator, ratio.denominator)
 
@@ -231,6 +237,8 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
 
 def random_float_matrix(order: int, rng: Random) -> HessenbergMatrix:
     """Entries drawn uniformly from the complex unit square."""
+    from .matrix import HessenbergMatrix, row_length
+
     return HessenbergMatrix(
         order,
         [[complex(rng.random(), rng.random())
@@ -250,6 +258,8 @@ def _read(path: str) -> str:
 def _result_to_json(value):
     """scalar_to_json for a computed result.  An infinite or NaN float
     result has no strict-JSON form, so it is refused (NonFiniteResult)."""
+    from .formats import scalar_to_json
+
     if not is_exact(value) and not cmath.isfinite(value):
         raise NonFiniteResult(
             f"float result {complex(value)!r} is not finite; it has no "
@@ -259,6 +269,9 @@ def _result_to_json(value):
 
 def _det_kernel(method: str, args):
     """The routine a ``det`` method name runs, with its cap from ``args``."""
+    from .closed_form import det_closed_form
+    from .determinants import det_leibniz, det_recurrence
+
     if method == "recurrence":
         return det_recurrence
     if method == "closed":
@@ -267,6 +280,8 @@ def _det_kernel(method: str, args):
 
 
 def cmd_det(args) -> str:
+    from .formats import dump_text, matrix_from_json, parse_text
+
     matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
                                        args.backend)
     value = _det_kernel(args.method, args)(matrix)
@@ -281,6 +296,8 @@ def cmd_expand(args) -> str:
 
 
 def cmd_sep(args) -> str:
+    from .formats import dump_text
+
     bits = tau(args.order, args.index)
     factors = decode_columns(bits)
     return dump_text({"bits": list(bits.bits),
@@ -289,6 +306,8 @@ def cmd_sep(args) -> str:
 
 
 def cmd_solve(args) -> str:
+    from .formats import dump_text, parse_text, spec_from_json
+
     spec, backend = spec_from_json(parse_text(_read(args.spec)), args.backend)
     init = parse_init(args.init, backend)
     if args.method == "forward":
@@ -301,6 +320,8 @@ def cmd_solve(args) -> str:
 
 
 def cmd_gen(args) -> str:
+    from .formats import dump_text, spec_to_json
+
     spec = generate_spec(args.family, args.params, args.N, args.horizon,
                          args.seed)
     return dump_text(spec_to_json(spec))

@@ -31,26 +31,20 @@ of its denominators into object arrays of plain ``int`` real and
 imaginary parts, the products and sums stay Gaussian integers, and the
 total is divided once, by the product of the row scales.
 
-The symbolic expansion walks the same tree with
-:func:`sep_codec.fold_seps`: each term's text or factor tuple is its
-parent prefix's plus one factor, and nothing is decoded per term.
+The symbolic expansion, which touches no matrix, lives in
+:mod:`sep_codec`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
 
 import numpy as np
 
-from .errors import OrderTooLargeForClosedForm, OrderTooLargeForExpansion
+from .errors import DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
                      multiply_parts, signed_rows)
-from .sep_codec import decode_columns, fold_seps, sep_count, tau
-
-DEFAULT_CLOSED_FORM_CAP = 28
-EXPANSION_CAP = 16
+from .sep_codec import decode_columns, sep_count, tau
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
 
@@ -153,48 +147,3 @@ def _kahan_sum(parts):
         carry = (t - total) - y
         total = t
     return total
-
-
-@dataclass(frozen=True)
-class SymbolicTerm:
-    """One signed term of the symbolic expansion: sign and the (row,
-    column) pair of the factor taken in each row."""
-
-    sign: int
-    factors: Tuple[Tuple[int, int], ...]
-
-    def render(self) -> str:
-        head = "+" if self.sign > 0 else "-"
-        return head + "".join(f"h({i},{j})" for i, j in self.factors)
-
-    __str__ = render
-
-
-def _expansion(order: int, step, initial):
-    # the cap and the order are checked before any term is built
-    if order > EXPANSION_CAP:
-        raise OrderTooLargeForExpansion(
-            f"order {order} exceeds the expansion cap {EXPANSION_CAP}")
-    sep_count(order)
-    return fold_seps(order, step, initial)
-
-
-def expand_symbolic(order: int) -> List[SymbolicTerm]:
-    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
-    return [SymbolicTerm(sign, pairs) for _, sign, pairs in
-            _expansion(order, _add_pair, ())]
-
-
-def expansion_lines(order: int) -> Iterator[str]:
-    """The rendered terms of :func:`expand_symbolic`, lazily; each
-    line's text is its parent prefix's text plus one factor."""
-    return (("+" if sign > 0 else "-") + text for _, sign, text in
-            _expansion(order, _add_label, ""))
-
-
-def _add_pair(pairs: tuple, i: int, col: int) -> tuple:
-    return pairs + ((i, col),)
-
-
-def _add_label(text: str, i: int, col: int) -> str:
-    return f"{text}h({i},{col})"

@@ -57,11 +57,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import OrderTooLargeForOracle
+from .errors import DEFAULT_ORACLE_CAP, OrderTooLargeForOracle
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
                      multiply_parts)
-
-DEFAULT_ORACLE_CAP = 10
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:

@@ -3,7 +3,29 @@
 Every domain error is a distinct class so callers can dispatch on type
 rather than parse messages.  The CLI exits 3 on a :class:`SizeCapExceeded`
 and 2 on any other :class:`HessenbergianError`.
+
+The module also holds the default order caps of the closed form and the
+Leibniz oracle, next to their cap errors, and the helpers that error
+messages share: :func:`_cut`, which bounds an echoed token, and the
+digit-limit message.  It imports nothing numeric, so the CLI's argument
+parser reads the caps without loading numpy.
 """
+
+import sys
+
+DEFAULT_CLOSED_FORM_CAP = 28
+DEFAULT_ORACLE_CAP = 10
+
+_ECHO_CHARS = 40
+
+
+def _cut(text: str, limit: int = _ECHO_CHARS, show=str) -> str:
+    """``show(text)`` for an error message; a text longer than ``limit``
+    is cut to its first ``limit`` characters and marked, so the error
+    line stays short."""
+    if len(text) <= limit:
+        return show(text)
+    return f"{show(text[:limit])}... (cut, {len(text)} characters)"
 
 
 class HessenbergianError(Exception):
@@ -50,6 +72,13 @@ class IntegerTooLargeForJson(SizeCapExceeded):
     """An integer has more decimal digits than Python converts between
     int and str (sys.get_int_max_str_digits()), so it can be neither read
     from nor written to JSON."""
+
+
+def _digit_limit_error(where: str) -> IntegerTooLargeForJson:
+    return IntegerTooLargeForJson(
+        f"an integer in the {where} has more than "
+        f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()} "
+        f"decimal digits")
 
 
 class IrregularOrder(HessenbergianError):

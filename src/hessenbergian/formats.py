@@ -32,7 +32,7 @@ Text is strict JSON both ways: the tokens NaN and Infinity are refused.
 A value beyond the double range read as float (an integer, a ratio, or
 a literal such as 1e400, which json reads as inf), and a non-finite
 float read as exact, are FormatErrors.  An error echoes an offending
-scalar cut to _ECHO_CHARS characters.
+scalar cut by :func:`errors._cut`.
 An integer with more decimal digits than Python converts between int
 and str (sys.get_int_max_str_digits()) raises IntegerTooLargeForJson on
 parse and on dump; the limit itself is left as it is.
@@ -42,28 +42,15 @@ from __future__ import annotations
 
 import cmath
 import json
-import sys
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, IntegerTooLargeForJson
+from .errors import FormatError, _cut, _digit_limit_error
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
 from .scalars import EXACT, FLOAT, ComplexRational, exact_parts, is_exact
-
-
-_ECHO_CHARS = 40
-
-
-def _cut(text: str, limit: int = _ECHO_CHARS, show=str) -> str:
-    """``show(text)`` for an error message; a text longer than ``limit``
-    is cut to its first ``limit`` characters and marked, so the error
-    line stays short."""
-    if len(text) <= limit:
-        return show(text)
-    return f"{show(text[:limit])}... (cut, {len(text)} characters)"
 
 
 def _is_int(value) -> bool:
@@ -235,13 +222,6 @@ def convert_spec(spec: LdevcSpec, backend: str) -> LdevcSpec:
 def _over_digit_limit(exc: ValueError) -> bool:
     # CPython's message for an int/str conversion above the digit limit
     return "integer string conversion" in str(exc)
-
-
-def _digit_limit_error(where: str) -> IntegerTooLargeForJson:
-    return IntegerTooLargeForJson(
-        f"an integer in the {where} has more than "
-        f"sys.get_int_max_str_digits()={sys.get_int_max_str_digits()} "
-        f"decimal digits")
 
 
 def _refuse_constant(token: str):

@@ -48,21 +48,33 @@ ratio-* methods and run the same computation: dividing the rows after
 the first by -a_{r,N+r} instead would only move the sign (-1)^n into
 the rows, and negation is exact in both realizations (in floating point
 only the sign of a zero part can differ).
+
+The monic matrix is divided in the realization of its values: once any
+coefficient or first-column value is a float or complex, every row
+divides as a float, so an int lead never turns an int coefficient into
+a ``Fraction`` beside floats.
+
+The spec type, the method names and :func:`solve_forward` need no
+numpy; the matrix and determinant modules are imported by the functions
+that build and evaluate the monic matrix, so the CLI's argument parser
+can read :data:`GENERAL_METHODS` without loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Tuple
 
-from .closed_form import DEFAULT_CLOSED_FORM_CAP, det_closed_form
-from .determinants import det_prefixes, det_recurrence
-from .errors import (IndexOutOfRange, InvalidOrder, IrregularOrder,
-                     LinearityViolation, OrderTooLargeForClosedForm,
-                     WrongEntryCount, WrongInitLength)
-from .matrix import HessenbergMatrix, leading_submatrix
+from .errors import (DEFAULT_CLOSED_FORM_CAP, IndexOutOfRange, InvalidOrder,
+                     IrregularOrder, LinearityViolation,
+                     OrderTooLargeForClosedForm, WrongEntryCount,
+                     WrongInitLength)
 from .scalars import is_exact
+
+if TYPE_CHECKING:
+    from .matrix import HessenbergMatrix
 
 GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
                    "reduced-recurrence", "reduced-closed")
@@ -180,11 +192,17 @@ def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
     Matrix row r+1 holds first_column[r] and a_{r,N..N+r-1}, then, for
     r < n, the superdiagonal a_{r,N+r} / a_{r,N+r}, which is exactly 1.
     """
+    from .matrix import HessenbergMatrix
+
     N = spec.index_N
+    # one float value sends every row to floats: an int lead must not
+    # leave a Fraction beside them, an object matrix the kernels refuse
+    values = chain(first_column[:n + 1], *spec.coeffs[:n + 1])
+    one = 1 if all(map(is_exact, values)) else 1.0
     rows = []
     for r in range(n + 1):
         lead = spec.leading(r)
-        inv = _divide(1, lead)  # one division per row, then products
+        inv = _divide(one, lead)  # one division per row, then products
         row = [first_column[r], *spec.coeffs[r][N:N + r]]
         if inv != 1:  # a monic row stays as it is
             # a zero stays a zero the recurrence skips
@@ -202,6 +220,10 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     """(-1)^k det(X_k) / D_k for k = 0..n, or for k = n alone when not
     ``every``; X_k is the order-(k+1) solution matrix whose first column
     is ``first_column``."""
+    from .closed_form import det_closed_form
+    from .determinants import det_prefixes, det_recurrence
+    from .matrix import leading_submatrix
+
     matrix = _monic_matrix(spec, n, first_column)
     orders = range(1, n + 2) if every else (n + 1,)
     if method.endswith("closed"):

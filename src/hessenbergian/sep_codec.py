@@ -23,20 +23,27 @@ their leading bits share their leading factors.  :func:`fold_seps`
 visits every SEP that way, down the prefix tree of m in ascending m,
 folding an accumulator over the rows so that each prefix is built once
 from its parent's; :func:`enumerate_seps` and the symbolic expansion
-are folds over it.  :func:`tau` and :func:`decode_columns` decode one
-index on its own, and stay the reference the walk is checked against.
+(:func:`expand_symbolic`, :func:`expansion_lines`) are folds over it, so
+each term's factor tuple or text is its parent prefix's plus one factor
+and nothing is decoded per term.  :func:`tau` and :func:`decode_columns`
+decode one index on its own, and stay the reference the walk is checked
+against.  The module imports nothing numeric: ``expand`` runs on it
+without loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Tuple, TypeVar, Union
+from typing import (Callable, Iterator, List, Sequence, Tuple, TypeVar,
+                    Union)
 
 from .errors import (IndexOutOfRange, InvalidOrder, InvalidSep,
-                     NotInRangeSet)
+                     NotInRangeSet, OrderTooLargeForExpansion)
 
 # The m index of a SEP is a plain integer in [0, 2^(order-1)).
 SepIndex = int
+
+EXPANSION_CAP = 16
 
 Acc = TypeVar("Acc")
 
@@ -186,3 +193,48 @@ def enumerate_seps(order: int) -> Iterator[Tuple[SepIndex, SepFactors]]:
 
 def _add_column(columns: Tuple[int, ...], i: int, col: int):
     return columns + (col,)
+
+
+@dataclass(frozen=True)
+class SymbolicTerm:
+    """One signed term of the symbolic expansion: sign and the (row,
+    column) pair of the factor taken in each row."""
+
+    sign: int
+    factors: Tuple[Tuple[int, int], ...]
+
+    def render(self) -> str:
+        head = "+" if self.sign > 0 else "-"
+        return head + "".join(f"h({i},{j})" for i, j in self.factors)
+
+    __str__ = render
+
+
+def _expansion(order: int, step, initial):
+    # the cap and the order are checked before any term is built
+    if order > EXPANSION_CAP:
+        raise OrderTooLargeForExpansion(
+            f"order {order} exceeds the expansion cap {EXPANSION_CAP}")
+    sep_count(order)
+    return fold_seps(order, step, initial)
+
+
+def expand_symbolic(order: int) -> List[SymbolicTerm]:
+    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
+    return [SymbolicTerm(sign, pairs) for _, sign, pairs in
+            _expansion(order, _add_pair, ())]
+
+
+def expansion_lines(order: int) -> Iterator[str]:
+    """The rendered terms of :func:`expand_symbolic`, lazily; each
+    line's text is its parent prefix's text plus one factor."""
+    return (("+" if sign > 0 else "-") + text for _, sign, text in
+            _expansion(order, _add_label, ""))
+
+
+def _add_pair(pairs: tuple, i: int, col: int) -> tuple:
+    return pairs + ((i, col),)
+
+
+def _add_label(text: str, i: int, col: int) -> str:
+    return f"{text}h({i},{col})"

@@ -658,6 +658,33 @@ def test_module_entry_point(matrix_file):
     assert proc.stderr.startswith("error: ")
 
 
+
+def _imported_modules(stderr: str) -> list:
+    # the module column of each "import time:" line of -X importtime
+    return [line.rsplit("|", 1)[-1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")]
+
+
+def test_expand_loads_no_numpy(matrix_file):
+    env = child_env()
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hessenbergian", "expand",
+         "--order", "3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == ("+h(1,2)h(2,3)h(3,1)\n-h(1,2)h(2,1)h(3,3)\n"
+                           "-h(1,1)h(2,3)h(3,2)\n+h(1,1)h(2,2)h(3,3)\n")
+    modules = _imported_modules(proc.stderr)
+    assert "hessenbergian.sep_codec" in modules
+    assert not [m for m in modules if "numpy" in m]
+    # a subcommand that evaluates a matrix still loads it, and its output
+    # is unchanged
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hessenbergian", "det",
+         matrix_file], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert proc.stdout == '{"backend":"exact","value":[-2,1,0,1]}\n'
+    assert "numpy" in _imported_modules(proc.stderr)
+
 # scalar literals ----------------------------------------------------------------
 
 @pytest.mark.parametrize("text,expected", [

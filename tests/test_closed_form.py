@@ -157,27 +157,9 @@ def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
         assert det_closed_form(m) == total
 
 
-def test_expansion_lines_equal_rendered_terms():
-    for order in range(1, 13):
-        assert list(closed_form.expansion_lines(order)) == [
-            t.render() for t in expand_symbolic(order)]
-    with pytest.raises(OrderTooLargeForExpansion):
-        closed_form.expansion_lines(17)  # refused before any line
-    with pytest.raises(InvalidOrder):
-        closed_form.expansion_lines(0)
-
-
 def test_float_closed_form_budget_at_order_22():
     m = random_float_matrix(22, random.Random(22))
     start = time.perf_counter()
     det_closed_form(m)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.4, f"order-22 float closed form took {elapsed:.2f}s"
-
-
-def test_expansion_text_budget_at_order_16():
-    start = time.perf_counter()
-    text = "\n".join(closed_form.expansion_lines(16))
-    elapsed = time.perf_counter() - start
-    assert text.count("\n") == sep_count(16) - 1
-    assert elapsed < 0.25, f"order-16 expansion text took {elapsed:.2f}s"

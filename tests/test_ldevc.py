@@ -331,6 +331,31 @@ def test_float_spec_with_bare_int_entries(lead):
     assert [fundamental_solution(spec, n, 0) for n in range(4)] == [0] * 4
 
 
+@pytest.mark.parametrize("coeffs,forcing,init", [
+    ([[0, 1.0], [0, 3, 2]], [1.0, 0], (0.0,)),
+    ([[1, 2], [0, 3, 2]], [1, 0], (0.5,)),
+], ids=["float-spec", "float-init"])
+def test_int_lead_other_than_one_beside_floats(coeffs, forcing, init):
+    # an int lead of 2 beside a float value divides as a float; it must
+    # not turn the int 3 into a Fraction beside floats
+    spec = LdevcSpec(1, 1, coeffs, forcing)
+    homogeneous = LdevcSpec(1, 1, coeffs, [0, 0])
+
+    def agree(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert abs(complex(a) - complex(b)) <= 1e-12 * (1 + abs(b))
+
+    forward = solve_forward(spec, init)
+    for method in GENERAL_METHODS:
+        agree(general_solutions(spec, init, method), forward)
+    bundle = solve_bundle(spec, init)
+    agree(bundle.generals, forward)
+    xi = solve_forward(homogeneous, (1,))
+    agree(bundle.fundamentals[0], xi)
+    agree([fundamental_solution(spec, n, 0) for n in range(2)], xi)
+
+
 def test_fundamentals_keep_the_sign_of_zero():
     # y_n = 2 y_{n-1} as a float spec: every value is real, and the
     # (-1) of xi_{n,i} must not turn a +0.0 imaginary part into -0.0

@@ -1,13 +1,15 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessenbergian import (BitArray, IndexOutOfRange, InvalidOrder,
-                           InvalidSep, NotInRangeSet, decode_columns,
-                           encode_sep, enumerate_seps, sep_count, sep_index,
-                           tau)
+                           InvalidSep, NotInRangeSet,
+                           OrderTooLargeForExpansion, decode_columns,
+                           encode_sep, enumerate_seps, expand_symbolic,
+                           sep_codec, sep_count, sep_index, tau)
 
 
 def test_tau_goldens():
@@ -174,3 +176,21 @@ def test_enumeration_streams_at_any_order():
     assert first == decode_columns((0,) * 2999 + (1,))
     with pytest.raises(InvalidOrder):
         next(enumerate_seps(0))
+
+
+def test_expansion_lines_equal_rendered_terms():
+    for order in range(1, 13):
+        assert list(sep_codec.expansion_lines(order)) == [
+            t.render() for t in expand_symbolic(order)]
+    with pytest.raises(OrderTooLargeForExpansion):
+        sep_codec.expansion_lines(17)  # refused before any line
+    with pytest.raises(InvalidOrder):
+        sep_codec.expansion_lines(0)
+
+
+def test_expansion_text_budget_at_order_16():
+    start = time.perf_counter()
+    text = "\n".join(sep_codec.expansion_lines(16))
+    elapsed = time.perf_counter() - start
+    assert text.count("\n") == sep_count(16) - 1
+    assert elapsed < 0.25, f"order-16 expansion text took {elapsed:.2f}s"
