@@ -38,7 +38,7 @@ from .errors import (DEFAULT_CLOSED_FORM_CAP, DEFAULT_ORACLE_CAP,
                      NonFiniteResult, SizeCapExceeded, _cut,
                      _digit_limit_error)
 from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
-from .scalars import EXACT, FLOAT, ComplexRational, is_exact
+from .scalars import EXACT, FLOAT, ComplexRational, _ratio, is_exact
 from .sep_codec import decode_columns, expansion_lines, tau
 
 if TYPE_CHECKING:
@@ -136,8 +136,6 @@ def _float_part(text: str) -> float:
     # p/q rounds as a document's [p, q, 0, 1] read as float
     if "/" not in text:
         return float(text)
-    from .formats import _ratio
-
     ratio = _fraction(text)
     return _ratio(ratio.numerator, ratio.denominator)
 

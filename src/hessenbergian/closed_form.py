@@ -41,7 +41,8 @@ import math
 
 import numpy as np
 
-from .errors import DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm
+from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
+                     _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
                      multiply_parts, signed_rows)
 from .sep_codec import decode_columns, sep_count, tau
@@ -118,9 +119,8 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     no zero entry skip that bookkeeping.
     """
     n = matrix.order
-    if n > closed_form_cap:
-        raise OrderTooLargeForClosedForm(
-            f"order {n} exceeds closed_form_cap={closed_form_cap}")
+    _check_order_cap(n, closed_form_cap, OrderTooLargeForClosedForm,
+                     "closed_form_cap")
     crows = signed_rows(matrix)
     if matrix.is_float_backed:
         factors = tuple((row,) for row in crows)

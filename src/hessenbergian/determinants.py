@@ -57,7 +57,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DEFAULT_ORACLE_CAP, OrderTooLargeForOracle
+from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
+                     _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
                      multiply_parts)
 
@@ -121,7 +122,7 @@ def _gaussian_prefixes(rows: tuple) -> list:
     prods = tuple(np.zeros(n, dtype=object) for _ in range(width))
     for j in range(2, n + 1):
         s = tuple(p[j - 1] for p in rows[j - 2])  # h_{j-1,j}
-        if s != one:  # the solution matrices have a unit superdiagonal
+        if s != one:  # 1 only in int-monic rows; row scaling makes it d_r
             grown = multiply_parts(tuple(p[1:j - 1] for p in prods), s)
             for p, g in zip(prods, grown):
                 p[1:j - 1] = g
@@ -156,9 +157,7 @@ def det_recurrence(matrix: HessenbergMatrix):
 def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):
     """Full Leibniz-sum determinant; oracle for orders up to the cap."""
     n = matrix.order
-    if n > oracle_cap:
-        raise OrderTooLargeForOracle(
-            f"order {n} exceeds oracle_cap={oracle_cap}")
+    _check_order_cap(n, oracle_cap, OrderTooLargeForOracle, "oracle_cap")
     rows = [row.tolist() for row in matrix.rows]  # Python scalars
     total = 0
     # (rows chosen, used columns as bits, sign, product); children are

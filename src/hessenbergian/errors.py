@@ -4,11 +4,13 @@ Every domain error is a distinct class so callers can dispatch on type
 rather than parse messages.  The CLI exits 3 on a :class:`SizeCapExceeded`
 and 2 on any other :class:`HessenbergianError`.
 
-The module also holds the default order caps of the closed form and the
-Leibniz oracle, next to their cap errors, and the helpers that error
-messages share: :func:`_cut`, which bounds an echoed token, and the
-digit-limit message.  It imports nothing numeric, so the CLI's argument
-parser reads the caps without loading numpy.
+The module also owns the argument rules every module checks through:
+:func:`_is_int`, :func:`_check_int` (an int, not a bool, in range) and
+:func:`_check_order_cap`; the default order caps of the closed form and
+the Leibniz oracle; and the helpers that error messages share:
+:func:`_cut`, which bounds an echoed token, and the digit-limit message.
+It imports nothing numeric, so the CLI's argument parser and the
+numpy-free modules use it without loading numpy.
 """
 
 import sys
@@ -33,7 +35,7 @@ class HessenbergianError(Exception):
 
 
 class InvalidOrder(HessenbergianError):
-    """Matrix or enumeration order is not a positive integer."""
+    """An order, N or horizon is out of range, or a bit array is malformed."""
 
 
 class WrongEntryCount(HessenbergianError):
@@ -42,6 +44,23 @@ class WrongEntryCount(HessenbergianError):
 
 class IndexOutOfRange(HessenbergianError):
     """An index (SEP index m, solution row n, basis index) is outside its range."""
+
+
+def _is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, what: str, lo: int, hi: int | None = None) -> None:
+    """Refuse ``value`` unless it is an int, not a bool, in [lo, hi]:
+    InvalidOrder when there is no upper bound (``lo`` is then 1 or 0),
+    IndexOutOfRange otherwise."""
+    if _is_int(value) and lo <= value and (hi is None or value <= hi):
+        return
+    if hi is None:
+        sign = "positive" if lo else "non-negative"
+        raise InvalidOrder(f"{what} must be a {sign} integer, got {value!r}")
+    raise IndexOutOfRange(f"{what} {value!r} outside [{lo}, {hi}]")
 
 
 class NotInRangeSet(HessenbergianError):
@@ -66,6 +85,12 @@ class OrderTooLargeForClosedForm(SizeCapExceeded):
 
 class OrderTooLargeForExpansion(SizeCapExceeded):
     """Order exceeds the symbolic expansion cap (2^(n-1) emitted terms)."""
+
+
+def _check_order_cap(order: int, cap: int, error: type, name: str) -> None:
+    """Refuse (``error``) an order above ``cap``, which is named ``name``."""
+    if order > cap:
+        raise error(f"order {order} exceeds {name}={cap}")
 
 
 class IntegerTooLargeForJson(SizeCapExceeded):

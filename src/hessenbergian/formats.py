@@ -47,14 +47,11 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, _cut, _digit_limit_error
+from .errors import FormatError, _cut, _digit_limit_error, _is_int
 from .ldevc import LdevcSpec
 from .matrix import HessenbergMatrix
-from .scalars import EXACT, FLOAT, ComplexRational, exact_parts, is_exact
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+from .scalars import (EXACT, FLOAT, ComplexRational, _ratio, exact_parts,
+                      is_exact)
 
 
 def _shape(obj):
@@ -72,12 +69,6 @@ def _shape(obj):
     raise FormatError(
         f"invalid scalar {_cut(repr(obj))}; expected "
         f"[re_num,re_den,im_num,im_den], [re,im], or a bare integer")
-
-
-def _ratio(num: int, den: int) -> float:
-    # num/den rounded once, bit for bit as float(Fraction(num, den)): the
-    # sign moves to the numerator, so 0/-1 gives 0.0 rather than -0.0
-    return -num / -den if den < 0 else num / den
 
 
 def scalar_from_json(obj, mode: str, backend: str):

@@ -67,10 +67,9 @@ from fractions import Fraction
 from itertools import chain
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import (DEFAULT_CLOSED_FORM_CAP, IndexOutOfRange, InvalidOrder,
-                     IrregularOrder, LinearityViolation,
-                     OrderTooLargeForClosedForm, WrongEntryCount,
-                     WrongInitLength)
+from .errors import (DEFAULT_CLOSED_FORM_CAP, IrregularOrder,
+                     LinearityViolation, WrongEntryCount, WrongInitLength,
+                     _check_int)
 from .scalars import is_exact
 
 if TYPE_CHECKING:
@@ -100,10 +99,8 @@ class LdevcSpec:
 
     def __post_init__(self):
         index_N, horizon, coeffs = self.index_N, self.horizon, self.coeffs
-        if not isinstance(index_N, int) or isinstance(index_N, bool) or index_N < 0:
-            raise InvalidOrder(f"index N must be a non-negative integer, got {index_N!r}")
-        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-            raise InvalidOrder(f"horizon must be a non-negative integer, got {horizon!r}")
+        _check_int(index_N, "index N", 0)
+        _check_int(horizon, "horizon", 0)
         if len(coeffs) != horizon + 1:
             raise WrongEntryCount(
                 f"expected {horizon + 1} coefficient rows, got {len(coeffs)}")
@@ -175,12 +172,6 @@ def _divide(num, den):
     return num / den
 
 
-def _check_row_index(spec: LdevcSpec, n: int):
-    if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= spec.horizon:
-        raise IndexOutOfRange(
-            f"row {n!r} outside [0, {spec.horizon}]")
-
-
 def _check_method(method: str):
     if method not in GENERAL_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {GENERAL_METHODS}")
@@ -227,12 +218,10 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     matrix = _monic_matrix(spec, n, first_column)
     orders = range(1, n + 2) if every else (n + 1,)
     if method.endswith("closed"):
-        if n + 1 > closed_form_cap:
-            raise OrderTooLargeForClosedForm(
-                f"order {n + 1} exceeds closed_form_cap={closed_form_cap}")
+        # largest first: its cap refuses before any term is summed
         dets = [det_closed_form(leading_submatrix(matrix, k),
                                 closed_form_cap=closed_form_cap)
-                for k in orders]
+                for k in reversed(orders)][::-1]
     elif every:
         dets = det_prefixes(matrix)[1:]
     else:
@@ -242,20 +231,14 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     return [det if k % 2 else 0 - det for k, det in zip(orders, dets)]
 
 
-def _check_basis_index(spec: LdevcSpec, i: int):
-    if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= spec.index_N - 1:
-        raise IndexOutOfRange(
-            f"basis index {i!r} outside [0, {spec.index_N - 1}]")
-
-
 def _coefficient_column(spec: LdevcSpec, i: int) -> list:
     return [row[i] for row in spec.coeffs]
 
 
 def fundamental_solution(spec: LdevcSpec, n: int, i: int):
     """xi_{n,i}; the basis sequence value at row n for basis index i."""
-    _check_row_index(spec, n)
-    _check_basis_index(spec, i)
+    _check_int(n, "row", 0, spec.horizon)
+    _check_int(i, "basis index", 0, spec.index_N - 1)
     # (-1)^(n+1) = -(-1)^n; 0 - v keeps a +0.0 part of a float +0.0
     return 0 - _solutions(spec, n, _coefficient_column(spec, i),
                           every=False)[0]
@@ -263,7 +246,7 @@ def fundamental_solution(spec: LdevcSpec, n: int, i: int):
 
 def particular_solution(spec: LdevcSpec, n: int):
     """p_n; the forced response under zero initial conditions."""
-    _check_row_index(spec, n)
+    _check_int(n, "row", 0, spec.horizon)
     return _solutions(spec, n, spec.forcing, every=False)[0]
 
 
@@ -299,7 +282,7 @@ def general_solution(spec: LdevcSpec, n: int, init,
     n = h.
     """
     init = _check_init(spec, init)
-    _check_row_index(spec, n)
+    _check_int(n, "row", 0, spec.horizon)
     _check_method(method)
     return _solutions(spec, n, _general_first_column(spec, n, init), method,
                       closed_form_cap=closed_form_cap, every=False)[0]

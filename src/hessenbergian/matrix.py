@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidOrder, WrongEntryCount
+from .errors import WrongEntryCount, _check_int
 from .scalars import ComplexRational, exact_parts
 
 
@@ -54,8 +54,7 @@ class HessenbergMatrix:
     __slots__ = ("order", "rows")
 
     def __init__(self, order: int, rows: Sequence[Sequence]):
-        if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-            raise InvalidOrder(f"order must be a positive integer, got {order!r}")
+        _check_int(order, "order", 1)
         if len(rows) != order:
             raise WrongEntryCount(
                 f"expected {order} rows, got {len(rows)}")
@@ -99,8 +98,7 @@ class HessenbergMatrix:
 def leading_submatrix(matrix: HessenbergMatrix, k: int) -> HessenbergMatrix:
     """The leading principal k x k submatrix H_k, for 1 <= k <= order."""
     n = matrix.order
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
-        raise IndexOutOfRange(f"submatrix order {k!r} outside [1, {n}]")
+    _check_int(k, "submatrix order", 1, n)
     if k == n:
         return matrix
     rows = matrix.rows[:k]
@@ -113,8 +111,7 @@ def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
     The list length must equal sum_i min(i+1, n); anything else raises
     WrongEntryCount.  Orders below 1 raise InvalidOrder.
     """
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {order!r}")
+    _check_int(order, "order", 1)
     want = entry_count(order)
     if len(entries) != want:
         raise WrongEntryCount(

@@ -213,6 +213,12 @@ def is_exact(value) -> bool:
     return isinstance(value, (ComplexRational, Rational))
 
 
+def _ratio(num: int, den: int) -> float:
+    # num/den rounded once, bit for bit as float(Fraction(num, den)): the
+    # sign moves to the numerator, so 0/-1 gives 0.0 rather than -0.0
+    return -num / -den if den < 0 else num / den
+
+
 def exact_parts(value) -> tuple:
     """(re num, re den, im num, im den) of an exact scalar, as plain
     ints in lowest terms; anything else raises TypeError."""

@@ -27,8 +27,11 @@ from its parent's; :func:`enumerate_seps` and the symbolic expansion
 each term's factor tuple or text is its parent prefix's plus one factor
 and nothing is decoded per term.  :func:`tau` and :func:`decode_columns`
 decode one index on its own, and stay the reference the walk is checked
-against.  The module imports nothing numeric: ``expand`` runs on it
-without loading numpy.
+against.  :class:`BitArray` is the one validator of a 0/1 sequence:
+:func:`decode_columns` and :func:`sep_index` pass a raw sequence through
+it and share one last-bit check; integer arguments and the expansion
+cap go through the rules in :mod:`errors`.  The module imports nothing
+numeric: ``expand`` runs on it without loading numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Sequence, Tuple, TypeVar,
                     Union)
 
-from .errors import (IndexOutOfRange, InvalidOrder, InvalidSep,
-                     NotInRangeSet, OrderTooLargeForExpansion)
+from .errors import (InvalidOrder, InvalidSep, NotInRangeSet,
+                     OrderTooLargeForExpansion, _check_int, _check_order_cap)
 
 # The m index of a SEP is a plain integer in [0, 2^(order-1)).
 SepIndex = int
@@ -52,15 +55,13 @@ Acc = TypeVar("Acc")
 class BitArray:
     """Bits r_1..r_n, one per matrix row.  Values produced by this
     module always end in r_n = 1; arbitrary 0/1 content is accepted at
-    construction so that decode_columns can reject it explicitly."""
+    construction so that the decoders can reject it explicitly."""
 
     order: int
     bits: Tuple[int, ...]
 
     def __post_init__(self):
-        if (not isinstance(self.order, int) or isinstance(self.order, bool)
-                or self.order < 1):
-            raise InvalidOrder(f"order must be positive, got {self.order!r}")
+        _check_int(self.order, "order", 1)
         if len(self.bits) != self.order:
             raise InvalidOrder(
                 f"expected {self.order} bits, got {len(self.bits)}")
@@ -79,33 +80,32 @@ class SepFactors:
 
 def sep_count(order: int) -> int:
     """Number of non-trivial SEPs of an order-n Hessenberg matrix."""
-    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-        raise InvalidOrder(f"order must be a positive integer, got {order!r}")
+    _check_int(order, "order", 1)
     return 1 << (order - 1)
 
 
 def tau(order: int, m: SepIndex) -> BitArray:
     """m-th bit array: the n-1 binary digits of m (most significant
     first), then the fixed final 1."""
-    count = sep_count(order)
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m < count:
-        raise IndexOutOfRange(
-            f"index {m!r} outside [0, {count}) for order {order}")
+    _check_int(m, f"order-{order} index", 0, sep_count(order) - 1)
     bits = tuple((m >> (order - 1 - i)) & 1 for i in range(1, order)) + (1,)
     return BitArray(order, bits)
 
 
+def _in_range_set(r: Union[BitArray, Sequence[int]]) -> BitArray:
+    # a raw sequence is validated as a BitArray; either must end in 1
+    if not isinstance(r, BitArray):
+        bits = tuple(r)
+        r = BitArray(len(bits), bits)
+    if r.bits[-1] != 1:
+        raise NotInRangeSet(f"last bit must be 1, got {r.bits!r}")
+    return r
+
+
 def decode_columns(r: Union[BitArray, Sequence[int]]) -> SepFactors:
     """Bit array -> SEP columns and sign, one left-to-right pass."""
-    if isinstance(r, BitArray):
-        order, bits = r.order, r.bits
-    else:
-        bits = tuple(r)
-        order = len(bits)
-        if order < 1 or any(b not in (0, 1) for b in bits):
-            raise InvalidOrder("bits must be a non-empty 0/1 sequence")
-    if bits[-1] != 1:
-        raise NotInRangeSet(f"last bit must be 1, got {bits!r}")
+    r = _in_range_set(r)
+    order, bits = r.order, r.bits
     columns = []
     zrun = 0
     zeros = 0
@@ -144,9 +144,7 @@ def encode_sep(p: Union[SepFactors, Sequence[int]]) -> BitArray:
 
 def sep_index(r: Union[BitArray, Sequence[int]]) -> SepIndex:
     """The m index of a bit array: r_1..r_{n-1} read as binary."""
-    bits = r.bits if isinstance(r, BitArray) else tuple(r)
-    if not bits or bits[-1] != 1:
-        raise NotInRangeSet(f"last bit must be 1, got {bits!r}")
+    bits = _in_range_set(r).bits
     m = 0
     for b in bits[:-1]:
         m = (m << 1) | b
@@ -212,9 +210,8 @@ class SymbolicTerm:
 
 def _expansion(order: int, step, initial):
     # the cap and the order are checked before any term is built
-    if order > EXPANSION_CAP:
-        raise OrderTooLargeForExpansion(
-            f"order {order} exceeds the expansion cap {EXPANSION_CAP}")
+    _check_order_cap(order, EXPANSION_CAP, OrderTooLargeForExpansion,
+                     "EXPANSION_CAP")
     sep_count(order)
     return fold_seps(order, step, initial)
 

@@ -59,6 +59,10 @@ def test_spec_validation():
         LdevcSpec(-1, 0, [], [])
     with pytest.raises(InvalidOrder):
         LdevcSpec(1, -1, [], [])
+    with pytest.raises(InvalidOrder):
+        LdevcSpec(True, 0, [[0, 1]], [0])            # a bool is not an N
+    with pytest.raises(InvalidOrder):
+        LdevcSpec(0, True, [[1], [0, 1]], [0, 0])    # nor a horizon
 
 
 def test_spec_is_immutable():
@@ -116,6 +120,10 @@ def test_index_out_of_range():
         fundamental_solution(spec, 4, 0)
     with pytest.raises(IndexOutOfRange):
         particular_solution(spec, -1)
+    with pytest.raises(IndexOutOfRange):
+        fundamental_solution(spec, 1, True)  # a bool is not an index
+    with pytest.raises(IndexOutOfRange):
+        general_solution(spec, True, (F(1),))
     spec0 = LdevcSpec(0, 1, [[1], [0, 1]], [1, 1])
     with pytest.raises(IndexOutOfRange):
         fundamental_solution(spec0, 0, 0)  # no basis sequences when N=0

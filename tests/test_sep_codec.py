@@ -71,6 +71,9 @@ def test_bit_array_validation():
         BitArray(True, (1,))  # a bool is not an order
     with pytest.raises(InvalidOrder):
         decode_columns([])
+    for bad in ([3, 1], [1, 2, 1], [0.5, 1]):  # only 0 and 1 are digits
+        with pytest.raises(InvalidOrder):
+            sep_index(bad)
 
 
 def test_encode_goldens():
@@ -87,7 +90,7 @@ def test_encode_rejects_invalid_seps():
 
 def test_sep_count():
     assert [sep_count(n) for n in (1, 2, 3, 10)] == [1, 2, 4, 512]
-    for bad in (0, -2, 1.5):
+    for bad in (0, -2, 1.5, True):
         with pytest.raises(InvalidOrder):
             sep_count(bad)
 
