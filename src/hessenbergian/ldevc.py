@@ -49,10 +49,9 @@ the first by -a_{r,N+r} instead would only move the sign (-1)^n into
 the rows, and negation is exact in both realizations (in floating point
 only the sign of a zero part can differ).
 
-The monic matrix is divided in the realization of its values: once any
-coefficient or first-column value is a float or complex, every row
-divides as a float, so an int lead never turns an int coefficient into
-a ``Fraction`` beside floats.
+Each row is divided by its own lead, and the matrix constructor alone
+picks the realization: one float or complex value makes the whole
+matrix float, each exact entry rounded once.
 
 The spec type, the method names and :func:`solve_forward` need no
 numpy; the matrix and determinant modules are imported by the functions
@@ -64,7 +63,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import (DEFAULT_CLOSED_FORM_CAP, IrregularOrder,
@@ -186,20 +184,16 @@ def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
     from .matrix import HessenbergMatrix
 
     N = spec.index_N
-    # one float value sends every row to floats: an int lead must not
-    # leave a Fraction beside them, an object matrix the kernels refuse
-    values = chain(first_column[:n + 1], *spec.coeffs[:n + 1])
-    one = 1 if all(map(is_exact, values)) else 1.0
     rows = []
     for r in range(n + 1):
         lead = spec.leading(r)
-        inv = _divide(one, lead)  # one division per row, then products
+        inv = _divide(1, lead)  # one division per row, then products
         row = [first_column[r], *spec.coeffs[r][N:N + r]]
         if inv != 1:  # a monic row stays as it is
             # a zero stays a zero the recurrence skips
             row = [v * inv if v else v for v in row]
         if r < n:
-            row.append(1 if is_exact(lead) else complex(1))
+            row.append(1)
         rows.append(row)
     return HessenbergMatrix(n + 1, rows)
 

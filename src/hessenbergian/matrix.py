@@ -4,12 +4,12 @@ An order-n lower Hessenberg matrix has h_{i,j} = 0 whenever j - i > 1.
 Those trivial entries are never stored: row i keeps exactly
 min(i+1, n) scalars, the entries h_{i,1} .. h_{i,min(i+1,n)}, so a
 matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
-interface are 1-based.  Values and realization are fixed at
-construction: each row is stored as a read-only numpy array, complex128
-when every entry is an int, float or complex and at least one is a
-float or complex (bare ints are neutral, as in documents), and object
-otherwise.  A row given as a complex128 array is taken on its dtype and
-copied, never scanned entry by entry.
+interface are 1-based.  The constructor alone fixes values and
+realization: an entry is exact (a ``numbers.Rational`` or ComplexRational),
+a float or a complex, else TypeError.  One float or complex entry makes
+every row a read-only complex128 array, exact entries rounded once as by
+``complex(x)``; otherwise rows are read-only object arrays of the entries.
+A complex128 array row is taken on its dtype and copied, never scanned.
 
 The exact kernels read object rows through :func:`gaussian_rows`, which
 scales each row by the lcm of its entries' denominators so that every
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +39,6 @@ def entry_count(order: int) -> int:
     return sum(row_length(order, i) for i in range(1, order + 1))
 
 
-def _is_float_row(row) -> bool:
-    if isinstance(row, np.ndarray) and row.dtype == np.complex128:
-        return True
-    return all(isinstance(x, (int, float, complex)) for x in row)
-
-
 class HessenbergMatrix:
     """Immutable lower Hessenberg matrix of a given order.
 
@@ -58,14 +53,23 @@ class HessenbergMatrix:
         if len(rows) != order:
             raise WrongEntryCount(
                 f"expected {order} rows, got {len(rows)}")
+        kinds = set()  # the distinct entry types, checked once each
         for i, row in enumerate(rows, start=1):
             want = row_length(order, i)
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-        # a bare int is neutral beside a float; ints alone are exact
-        floats = (all(map(_is_float_row, rows))
-                  and not all(isinstance(x, int) for row in rows for x in row))
+            if isinstance(row, np.ndarray) and row.dtype == np.complex128:
+                kinds.add(complex)  # taken on its dtype, never scanned
+            else:
+                kinds.update(map(type, row))
+        floats = False
+        for kind in kinds:
+            if issubclass(kind, (float, complex)):
+                floats = True
+            elif not issubclass(kind, (Rational, ComplexRational)):
+                raise TypeError(f"matrix entries must be exact, float or "
+                                f"complex scalars, got {kind.__name__}")
         # np.array copies, so a caller's array is never frozen in place
         frozen = tuple(np.array(row, dtype=np.complex128 if floats else object)
                        for row in rows)

@@ -221,12 +221,9 @@ def _ratio(num: int, den: int) -> float:
 
 def exact_parts(value) -> tuple:
     """(re num, re den, im num, im den) of an exact scalar, as plain
-    ints in lowest terms; anything else raises TypeError."""
+    ints in lowest terms."""
     if isinstance(value, ComplexRational):
         return (value.re.numerator, value.re.denominator,
                 value.im.numerator, value.im.denominator)
-    if isinstance(value, Rational):
-        f = Fraction(value)
-        return f.numerator, f.denominator, 0, 1
-    raise TypeError(f"exact kernels take int, Fraction and ComplexRational "
-                    f"entries, got {type(value).__name__}")
+    f = Fraction(value)
+    return f.numerator, f.denominator, 0, 1

@@ -41,7 +41,8 @@ from typing import (Callable, Iterator, List, Sequence, Tuple, TypeVar,
                     Union)
 
 from .errors import (InvalidOrder, InvalidSep, NotInRangeSet,
-                     OrderTooLargeForExpansion, _check_int, _check_order_cap)
+                     OrderTooLargeForExpansion, _check_int, _check_order_cap,
+                     _is_int)
 
 # The m index of a SEP is a plain integer in [0, 2^(order-1)).
 SepIndex = int
@@ -65,7 +66,7 @@ class BitArray:
         if len(self.bits) != self.order:
             raise InvalidOrder(
                 f"expected {self.order} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
+        if not all(_is_int(b) and b in (0, 1) for b in self.bits):
             raise InvalidOrder("bits must be 0 or 1")
 
 

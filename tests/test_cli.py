@@ -685,6 +685,27 @@ def test_expand_loads_no_numpy(matrix_file):
     assert proc.stdout == '{"backend":"exact","value":[-2,1,0,1]}\n'
     assert "numpy" in _imported_modules(proc.stderr)
 
+
+_WITHOUT_NUMPY = """
+import runpy, sys
+from fractions import Fraction
+sys.modules["numpy"] = None  # any import of numpy now fails
+import hessenbergian.errors, hessenbergian.ldevc, hessenbergian.sep_codec
+from hessenbergian.ldevc import LdevcSpec, solve_forward
+spec = LdevcSpec(1, 1, [[1, 2], [Fraction(1, 2), 3, 4]], [1, 0])
+assert solve_forward(spec, [Fraction(1)]) == [0, Fraction(-1, 8)]
+sys.argv = ["hessenbergian", "expand", "--order", "3"]
+runpy.run_module("hessenbergian", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_numpy_free_commands_run_without_numpy():
+    # the commands of the CI job for an interpreter with no numpy
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4
+
 # scalar literals ----------------------------------------------------------------
 
 @pytest.mark.parametrize("text,expected", [

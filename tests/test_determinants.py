@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (nonzero_rational_scalar, random_exact_matrix,
-                      random_float_matrix)
+                      random_float_matrix, random_fraction)
 from hessenbergian import (ComplexRational, HessenbergMatrix, LdevcSpec,
                            NOrder, OrderTooLargeForOracle, chi, classify,
                            det_closed_form, det_leibniz, det_prefixes,
@@ -154,11 +154,31 @@ def test_exact_results_keep_python_scalar_types():
 
 
 def test_exact_kernels_refuse_float_entries():
-    # an object-backed matrix holding a float has no exact value
+    # no exact matrix holds a float: one float entry makes the matrix
+    # float, its exact entries rounded once; exact arithmetic itself
+    # still refuses floats
     mixed = make_matrix(2, [Fraction(1, 2), 2.0, 3.0, 4.0])
-    for det in (det_recurrence, det_closed_form):
-        with pytest.raises(TypeError, match="got float"):
-            det(mixed)
+    assert mixed.is_float_backed
+    for det in (det_recurrence, det_closed_form, det_leibniz):
+        assert det(mixed) == -4.0
+    with pytest.raises(TypeError):
+        CR(1) * 2.0
+
+
+def test_mixed_exact_and_float_entries_agree_on_every_route():
+    rng = random.Random(31)
+    for order in range(1, 8):
+        entries = [rng.choice((random_fraction(rng), CR(random_fraction(rng),
+                                                        random_fraction(rng)),
+                               rng.uniform(-1, 1)))
+                   for _ in range(entry_count(order) - 1)]
+        m = make_matrix(order, entries + [rng.uniform(-1, 1)])
+        assert m.is_float_backed
+        want = det_recurrence(m)
+        got = [det_closed_form(m), det_leibniz(m),
+               sum(chi(m, k) for k in range(sep_count(order)))]
+        for d in got:
+            assert abs(d - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_bare_ints_beside_floats_run_every_route():

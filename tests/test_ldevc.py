@@ -344,11 +344,25 @@ def test_float_spec_with_bare_int_entries(lead):
     ([[1, 2], [0, 3, 2]], [1, 0], (0.5,)),
 ], ids=["float-spec", "float-init"])
 def test_int_lead_other_than_one_beside_floats(coeffs, forcing, init):
-    # an int lead of 2 beside a float value divides as a float; it must
-    # not turn the int 3 into a Fraction beside floats
-    spec = LdevcSpec(1, 1, coeffs, forcing)
-    homogeneous = LdevcSpec(1, 1, coeffs, [0, 0])
+    # an int lead of 2 divides the int 3 into Fraction(3, 2), which the
+    # matrix rounds once beside the float values
+    _assert_routes_agree(LdevcSpec(1, 1, coeffs, forcing),
+                         LdevcSpec(1, 1, coeffs, [0, 0]), init)
 
+
+def test_spec_mixing_exact_and_float_values():
+    # a monic matrix holding a float rounds its exact entries once; one
+    # holding none stays exact
+    coeffs = [[1.0, F(1)], [F(1, 2), F(3), F(1)]]
+    spec = LdevcSpec(1, 1, coeffs, [F(1, 2), F(1, 3)])
+    _assert_routes_agree(spec, LdevcSpec(1, 1, coeffs, [0, 0]), (F(0),))
+    p = particular_solution(spec, 1)
+    assert p == F(-7, 6) and type(p) is F
+
+
+def _assert_routes_agree(spec, homogeneous, init):
+    # every general route, the bundle and the fundamentals agree with
+    # forward substitution; homogeneous is spec with zero forcing
     def agree(got, want):
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -361,7 +375,8 @@ def test_int_lead_other_than_one_beside_floats(coeffs, forcing, init):
     agree(bundle.generals, forward)
     xi = solve_forward(homogeneous, (1,))
     agree(bundle.fundamentals[0], xi)
-    agree([fundamental_solution(spec, n, 0) for n in range(2)], xi)
+    n = spec.horizon + 1
+    agree([fundamental_solution(spec, k, 0) for k in range(n)], xi)
 
 
 def test_fundamentals_keep_the_sign_of_zero():

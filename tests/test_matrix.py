@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hessenbergian import (ComplexRational, HessenbergMatrix, IndexOutOfRange,
                            InvalidOrder, WrongEntryCount, entry_count,
                            leading_submatrix, make_matrix, row_length,
                            signed_rows)
+from hessenbergian.cli import random_float_matrix
 
 
 def test_row_length_goldens():
@@ -81,17 +83,22 @@ def test_is_float_backed():
     assert make_matrix(2, [1.0, 2j, 0.5, 4.0]).is_float_backed
     assert not make_matrix(2, [1, 2, 3, 4]).is_float_backed
     assert not make_matrix(1, [ComplexRational(1)]).is_float_backed
-    # a bare int is neutral beside a float; an exact value is not
+    # one float or complex entry makes the whole matrix float
     assert make_matrix(2, [1, 2.0, 3.0, 4.0]).is_float_backed
-    assert not make_matrix(2, [Fraction(1, 2), 2.0, 3.0, 4.0]).is_float_backed
+    assert make_matrix(2, [Fraction(1, 2), 2.0, 3.0, 4.0]).is_float_backed
+    assert make_matrix(2, [ComplexRational(1, 2), 2, 3, 4j]).is_float_backed
 
 
 def test_stored_rows_dtype_follows_realization():
-    for entries in ([1.0, 2j, 0.5, 4.0], [1, 2j, 0.5, 4]):
+    third = ComplexRational(Fraction(1, 3), Fraction(-2, 7))
+    for entries in ([1.0, 2j, 0.5, 4.0], [1, 2j, 0.5, 4],
+                    [Fraction(1, 3), third, 0.5, 10 ** 30 + 1]):
         floats = make_matrix(2, entries)
         assert [a.dtype for a in floats.rows] == [np.complex128, np.complex128]
-        assert [a.tolist() for a in floats.rows] == [[1.0, 2j], [0.5, 4.0]]
-    for entries in ([1, 2, 3, 4], [Fraction(1, 2), 2.0, 3.0, 4.0],
+        # each exact entry is rounded once, as complex(x) rounds it
+        assert [v for a in floats.rows for v in a.tolist()] == [
+            complex(x) for x in entries]
+    for entries in ([1, 2, 3, 4], [Fraction(1, 2), 2, 3, third],
                     [ComplexRational(1, 2)] * 4):
         m = make_matrix(2, entries)
         assert all(a.dtype == object for a in m.rows)
@@ -99,6 +106,31 @@ def test_stored_rows_dtype_follows_realization():
         values = [v for a in m.rows for v in a.tolist()]
         assert values == entries
         assert [type(v) for v in values] == [type(v) for v in entries]
+
+
+def test_entries_outside_the_fields_are_refused():
+    # unchecked, numpy would read None as NaN and "1.5" as 1.5
+    for bad in (None, "1.5", object()):
+        for entries in ([bad, 2, 3, 4], [bad, 2.0, 3, 4], [1.0, 2, 3, bad]):
+            with pytest.raises(TypeError, match="matrix entries"):
+                make_matrix(2, entries)
+        with pytest.raises(TypeError, match="matrix entries"):
+            HessenbergMatrix(2, [np.array([1j, 2j]), [bad, 3.0]])
+
+
+def test_float_construction_speed_at_order_700():
+    # the det-float benchmark builds its order-700 inputs this way, from
+    # lists of Python complex values
+    rows = [row.tolist() for row in
+            random_float_matrix(700, random.Random(700)).rows]
+    elapsed = min(_timed(HessenbergMatrix, 700, rows) for _ in range(3))
+    assert elapsed < 0.1, f"order-700 float construction took {elapsed:.3f}s"
+
+
+def _timed(f, *args) -> float:
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
 
 
 def test_stored_rows_are_read_only_copies():

@@ -71,9 +71,12 @@ def test_bit_array_validation():
         BitArray(True, (1,))  # a bool is not an order
     with pytest.raises(InvalidOrder):
         decode_columns([])
-    for bad in ([3, 1], [1, 2, 1], [0.5, 1]):  # only 0 and 1 are digits
+    # only the ints 0 and 1 are digits
+    for bad in ([3, 1], [1, 2, 1], [0.5, 1], [True, 1], [1.0, 1]):
         with pytest.raises(InvalidOrder):
             sep_index(bad)
+    with pytest.raises(InvalidOrder):
+        decode_columns([1.0, 1])
 
 
 def test_encode_goldens():
