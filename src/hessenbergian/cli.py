@@ -15,9 +15,12 @@ byte-identical output.
 
 The module imports nothing numeric at load time: the parser's defaults
 come from :mod:`errors` and :mod:`ldevc`, and ``expand`` runs on
-:mod:`sep_codec` alone, so it never loads numpy.  Each subcommand that
-reads or writes documents, or evaluates a matrix, imports the
-numpy-backed modules it runs in its own body.
+:mod:`sep_codec` alone.  Each subcommand that reads or writes
+documents, or evaluates a matrix, imports the modules it runs in its
+own body, and numpy loads only on a float path or for the closed form:
+``expand``, ``sep``, ``gen``, exact ``solve`` (every method but
+``*-closed``) and exact ``det --method recurrence|leibniz`` never load
+it.
 """
 
 from __future__ import annotations
@@ -267,12 +270,13 @@ def _result_to_json(value):
 
 def _det_kernel(method: str, args):
     """The routine a ``det`` method name runs, with its cap from ``args``."""
-    from .closed_form import det_closed_form
     from .determinants import det_leibniz, det_recurrence
 
     if method == "recurrence":
         return det_recurrence
     if method == "closed":
+        from .closed_form import det_closed_form
+
         return partial(det_closed_form, closed_form_cap=args.closed_form_cap)
     return partial(det_leibniz, oracle_cap=args.oracle_cap)
 

@@ -27,9 +27,10 @@ it the last bits of the sum.  A float-backed matrix multiplies its
 stored complex128 rows, and its block sums are combined in ascending
 order with compensated accumulation.  An exact matrix is summed
 fraction-free: :func:`gaussian_rows` scales each signed row by the lcm
-of its denominators into object arrays of plain ``int`` real and
-imaginary parts, the products and sums stay Gaussian integers, and the
-total is divided once, by the product of the row scales.
+of its denominators into lists of plain ``int`` real and imaginary
+parts, which this module holds as object arrays; the products and sums
+stay Gaussian integers, and the total is divided once, by the product
+of the row scales.
 
 The symbolic expansion, which touches no matrix, lives in
 :mod:`sep_codec`.
@@ -44,7 +45,7 @@ import numpy as np
 from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
                      _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
-                     multiply_parts, signed_rows)
+                     multiply_parts, scalar_rows, signed_rows)
 from .sep_codec import decode_columns, sep_count, tau
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
@@ -57,7 +58,7 @@ def chi(matrix: HessenbergMatrix, m: int):
     entries arrive negated and no separate permutation sign is needed.
     The signed rows and the decode are built per call; nothing is cached.
     """
-    crows = [row.tolist() for row in signed_rows(matrix)]  # Python scalars
+    crows = scalar_rows(signed_rows(matrix))
     factors = decode_columns(tau(matrix.order, m))
     value = 1
     for i, col in enumerate(factors.columns, start=1):
@@ -125,7 +126,9 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     if matrix.is_float_backed:
         factors = tuple((row,) for row in crows)
     else:
-        factors, scales, kind = gaussian_rows(crows)
+        parts, scales, kind = gaussian_rows(crows)
+        factors = tuple(tuple(np.array(p, dtype=object) for p in row)
+                        for row in parts)
     zeros = tuple(z if z.any() else None for z in (
         np.logical_and.reduce([p == 0 for p in parts]) for parts in factors))
     total = sep_count(n)

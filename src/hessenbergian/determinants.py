@@ -16,27 +16,30 @@ Two routes live here:
   with no recursion.  It returns every prefix determinant det(H_0), ...,
   det(H_n), and :func:`det_recurrence` is its last entry.
 
-  Each k-sum is one numpy dot product.  A float-backed matrix runs the
-  loop on its stored complex128 rows.  An exact matrix runs it
-  fraction-free, on Gaussian integers: :func:`gaussian_rows` scales
-  row i by the lcm d_i of its denominators and holds it as object
-  arrays of plain ``int`` real and imaginary parts, the recurrence then
-  needs only +, - and x on ints, and every prefix determinant is divided
-  once, by D_k = d_1...d_k, into an ``int``, ``Fraction`` or
-  ``ComplexRational`` as the entries are (see :func:`exact_value`).
-  Float overflow shows up as an inf or nan value that the caller can
-  refuse, never as a warning on stderr: numpy's floating-point warnings
-  are off.
+  A float-backed matrix runs the loop on its stored complex128 rows,
+  each k-sum one numpy dot product; numpy is imported for that loop
+  alone.  Float overflow shows up as an inf or nan value that the
+  caller can refuse, never as a warning on stderr: numpy's
+  floating-point warnings are off.  The terms whose h_{j,k} is zero are
+  dropped before the dot product, while the superdiagonal products
+  still advance, so a zero h_{j,k} times an infinite superdiagonal
+  product or prefix determinant never turns the sum into NaN via
+  0*inf; the mathematically correct term there is 0.
 
-  One zero rule holds on both realizations: the terms whose h_{j,k} is
-  zero are dropped before the dot product, while the superdiagonal
-  products still advance.  The mostly-zero solution matrices of
-  low-order difference equations then cost one superdiagonal product
-  per zero entry instead of a full round of exact arithmetic, and a
-  zero h_{j,k} times an infinite superdiagonal product or prefix
-  determinant never turns the sum into NaN via 0*inf; the
-  mathematically correct term there is 0.  Exact values are unchanged,
-  since a zero term adds exactly 0.
+  An exact matrix runs it fraction-free, on Gaussian integers in plain
+  ``int`` lists: :func:`gaussian_rows` scales row i by the lcm d_i of
+  its denominators, the recurrence then needs only +, - and x on ints,
+  and every prefix determinant is divided once, by D_k = d_1...d_k,
+  into an ``int``, ``Fraction`` or ``ComplexRational`` as the entries
+  are (see :func:`exact_value`).  This loop runs in q-form: it keeps
+  q[k] = prods[k] * alt[k], the k-th term without its h_{j,k}, as one
+  running value, so every product is an entry times a large value, and
+  it keeps q[k] only while column k is live, up to its last nonzero
+  h_{j,k}.  The mostly-zero solution matrices of low-order difference
+  equations then cost nothing for their zero columns; a zero entry
+  inside the live window adds exactly 0.  Its products associate
+  differently from the float loop's, which is why the two loops stay
+  apart: the float loop keeps its bits.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the Leibniz
   expansion on Python scalars, treating structural zeros as 0: column
@@ -53,14 +56,12 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
-
-import numpy as np
+from itertools import compress
 
 from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
                      _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
-                     multiply_parts)
+                     multiply_parts, scalar_rows)
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:
@@ -74,6 +75,8 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
             scale *= d
             values.append(exact_value(det, scale, kind))
         return values
+    import numpy as np
+
     n = matrix.order
     rows = matrix.rows
     dtype = rows[0].dtype
@@ -100,46 +103,67 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
     return dets.tolist()
 
 
-def _dot_parts(a: tuple, b: tuple) -> tuple:
-    if len(a) == 1:
-        return (np.dot(a[0], b[0]),)
-    (ar, ai), (br, bi) = a, b
-    return np.dot(ar, br) - np.dot(ai, bi), np.dot(ar, bi) + np.dot(ai, br)
+def _scale(q: tuple, s: tuple) -> tuple:
+    # the lists of parts q, each value times the one value s
+    if len(s) == 1 or not s[1]:
+        return tuple([x * s[0] for x in p] for p in q)
+    (qr, qi), (sr, si) = q, s
+    return ([a * sr - b * si for a, b in zip(qr, qi)],
+            [a * si + b * sr for a, b in zip(qr, qi)])
+
+
+def _sum_products(h: tuple, q: tuple) -> tuple:
+    # sum_k h[k] q[k] over lists of parts of one width
+    if len(h) == 1:
+        return (sum(map(operator.mul, h[0], q[0])),)
+    (hr, hi), (qr, qi) = h, q
+    return (sum(map(operator.mul, hr, qr)) - sum(map(operator.mul, hi, qi)),
+            sum(map(operator.mul, hr, qi)) + sum(map(operator.mul, hi, qr)))
 
 
 def _gaussian_prefixes(rows: tuple) -> list:
     """det(H_1), ..., det(H_n) of Gaussian-integer rows, as int parts.
 
-    The loop of :func:`det_prefixes` on rows of ``(re,)`` or
-    ``(re, im)`` object arrays of ints; every value is a tuple of the
-    same width."""
+    The recurrence of :func:`det_prefixes` on rows of ``(re,)`` or
+    ``(re, im)`` lists of ints; every value is a tuple of the same
+    width.  It runs in q-form: q[k] = prods[k] * alt[k] is one running
+    value, multiplied by each new superdiagonal entry, so that every
+    product is an entry times a large value, and the k-sum of row j is
+    sum_k h_{j,k} q[k].  q[k] is kept only while column k is live, from
+    its first row j = k+1 to its last nonzero h_{j,k}; on the solution
+    matrix of an N-order equation that is column 1 and a window of N
+    columns."""
     n = len(rows)
-    width = len(rows[0])
-    one = (1, 0)[:width]
+    one = (1, 0)[:len(rows[0])]
+    last = [-1] * n  # 0-based: the last row j > k with h_{j,k} != 0
+    for j in range(1, n):
+        for p in rows[j]:
+            for k in compress(range(j), p):
+                last[k] = j
+    ends = set(last)  # the rows after which some column stops being live
     dets = [one, tuple(p[0] for p in rows[0])]
-    alt = tuple(np.zeros(n + 1, dtype=object) for _ in range(width))
-    alt[0][1] = -1
-    prods = tuple(np.zeros(n, dtype=object) for _ in range(width))
-    for j in range(2, n + 1):
-        s = tuple(p[j - 1] for p in rows[j - 2])  # h_{j-1,j}
+    live = []  # the live columns, ascending; q holds their values
+    q = tuple([] for _ in one)
+    for j in range(1, n):  # 0-based row j gives det(H_{j+1})
+        s = tuple(p[j] for p in rows[j - 1])  # the superdiagonal h_{j-1,j}
         if s != one:  # 1 only in int-monic rows; row scaling makes it d_r
-            grown = multiply_parts(tuple(p[1:j - 1] for p in prods), s)
-            for p, g in zip(prods, grown):
-                p[1:j - 1] = g
-        for p, v in zip(prods, s):
-            p[j - 1] = v
-        row = rows[j - 1]
-        dets.append(multiply_parts(tuple(p[j - 1] for p in row), dets[j - 1]))
-        # k for every nonzero h_{j,k}, k < j; a zero one adds nothing
-        k = np.flatnonzero(reduce(operator.or_, (p[:j - 1] for p in row))) + 1
-        if len(k):
-            terms = multiply_parts(tuple(p[k - 1] for p in row),
-                                   tuple(p[k] for p in prods))
-            ksum = _dot_parts(terms, tuple(a[k] for a in alt))
-            sign = 1 if j % 2 == 0 else -1
-            dets[j] = tuple(x + sign * y for x, y in zip(dets[j], ksum))
-        for a, v in zip(alt, dets[j - 1]):
-            a[j] = v if j % 2 == 0 else -v
+            q = _scale(q, s)
+        if last[j - 1] >= j:  # alt[j-1] = (-1)^(j-1) det(H_{j-1})
+            live.append(j - 1)
+            alt = dets[j - 1] if j % 2 else tuple(-x for x in dets[j - 1])
+            for p, v in zip(q, multiply_parts(s, alt)):
+                p.append(v)
+        row = rows[j]
+        det = multiply_parts(tuple(p[j] for p in row), dets[j])
+        if live:
+            ksum = _sum_products(tuple([p[k] for k in live] for p in row), q)
+            det = tuple(map(operator.sub if j % 2 else operator.add,
+                            det, ksum))
+        dets.append(det)
+        if j in ends:
+            keep = [t for t, k in enumerate(live) if last[k] > j]
+            live = [live[t] for t in keep]
+            q = tuple([p[t] for t in keep] for p in q)
     return dets[1:]
 
 
@@ -158,7 +182,7 @@ def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):
     """Full Leibniz-sum determinant; oracle for orders up to the cap."""
     n = matrix.order
     _check_order_cap(n, oracle_cap, OrderTooLargeForOracle, "oracle_cap")
-    rows = [row.tolist() for row in matrix.rows]  # Python scalars
+    rows = scalar_rows(matrix.rows)
     total = 0
     # (rows chosen, used columns as bits, sign, product); children are
     # pushed in descending column order, so the leaves come off in

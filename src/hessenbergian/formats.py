@@ -19,7 +19,9 @@ read as exact; :func:`convert_spec` reuses the rule.  A float matrix
 read as float is decoded a row at a time: a row of finite ``[re, im]``
 pairs becomes one complex128 array, the matrix's own layout, bit for
 bit as the scalar rule reads it; any other row takes the scalar rule,
-which alone words the decode errors.
+which alone words the decode errors.  numpy is imported by that float
+row decoder alone, so exact documents, specs and scalars are read and
+written without it.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -44,8 +46,6 @@ import cmath
 import json
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
 
 from .errors import FormatError, _cut, _digit_limit_error, _is_int
 from .ldevc import LdevcSpec
@@ -159,6 +159,8 @@ def _float_row(row):
     bit for bit as :func:`scalar_from_json` reads each pair; any other
     row goes through :func:`scalar_from_json`, which decodes it or
     refuses it with its own message."""
+    import numpy as np
+
     try:
         pairs = np.array(row, np.float64)
     except (TypeError, ValueError, OverflowError):  # ragged, or an int
@@ -173,9 +175,9 @@ def _float_row(row):
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
     return {"order": matrix.order,
-            "rows": [row.view(np.float64).reshape(-1, 2).tolist()
-                     if row.dtype == np.complex128
-                     else [scalar_to_json(v) for v in row.tolist()]
+            "rows": [row.view("float64").reshape(-1, 2).tolist()
+                     if matrix.is_float_backed
+                     else [scalar_to_json(v) for v in row]
                      for row in matrix.rows]}
 
 

@@ -53,10 +53,12 @@ Each row is divided by its own lead, and the matrix constructor alone
 picks the realization: one float or complex value makes the whole
 matrix float, each exact entry rounded once.
 
-The spec type, the method names and :func:`solve_forward` need no
-numpy; the matrix and determinant modules are imported by the functions
-that build and evaluate the monic matrix, so the CLI's argument parser
-can read :data:`GENERAL_METHODS` without loading numpy.
+The spec type, the method names and :func:`solve_forward` need neither
+the matrix nor the determinant module; the functions that build and
+evaluate the monic matrix import them, so the CLI's argument parser can
+read :data:`GENERAL_METHODS` without them.  Only the closed form needs
+numpy, and :func:`_solutions` imports it for the *-closed methods
+alone: every other method solves an exact spec without loading numpy.
 """
 
 from __future__ import annotations
@@ -205,13 +207,14 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     """(-1)^k det(X_k) / D_k for k = 0..n, or for k = n alone when not
     ``every``; X_k is the order-(k+1) solution matrix whose first column
     is ``first_column``."""
-    from .closed_form import det_closed_form
     from .determinants import det_prefixes, det_recurrence
     from .matrix import leading_submatrix
 
     matrix = _monic_matrix(spec, n, first_column)
     orders = range(1, n + 2) if every else (n + 1,)
     if method.endswith("closed"):
+        from .closed_form import det_closed_form
+
         # largest first: its cap refuses before any term is summed
         dets = [det_closed_form(leading_submatrix(matrix, k),
                                 closed_form_cap=closed_form_cap)

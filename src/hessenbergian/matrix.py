@@ -8,10 +8,13 @@ interface are 1-based.  The constructor alone fixes values and
 realization: an entry is exact (a ``numbers.Rational`` or ComplexRational),
 a float or a complex, else TypeError.  One float or complex entry makes
 every row a read-only complex128 array, exact entries rounded once as by
-``complex(x)``; otherwise rows are read-only object arrays of the entries.
-A complex128 array row is taken on its dtype and copied, never scanned.
+``complex(x)``; otherwise every row is a tuple of the entries themselves,
+immutable by type.  A complex128 array row is taken on its dtype and
+copied, never scanned.  numpy is imported only to build float rows: an
+exact matrix never loads it, and an array row is recognised through the
+numpy a caller that passes one has already loaded.
 
-The exact kernels read object rows through :func:`gaussian_rows`, which
+The exact kernels read exact rows through :func:`gaussian_rows`, which
 scales each row by the lcm of its entries' denominators so that every
 entry is a Gaussian integer held in plain ``int`` parts.
 """
@@ -19,11 +22,10 @@ entry is a Gaussian integer held in plain ``int`` parts.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
-
-import numpy as np
 
 from .errors import WrongEntryCount, _check_int
 from .scalars import ComplexRational, exact_parts
@@ -53,13 +55,15 @@ class HessenbergMatrix:
         if len(rows) != order:
             raise WrongEntryCount(
                 f"expected {order} rows, got {len(rows)}")
+        np = sys.modules.get("numpy")  # loaded if a row is an array
         kinds = set()  # the distinct entry types, checked once each
         for i, row in enumerate(rows, start=1):
             want = row_length(order, i)
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-            if isinstance(row, np.ndarray) and row.dtype == np.complex128:
+            if (np and isinstance(row, np.ndarray)
+                    and row.dtype == np.complex128):
                 kinds.add(complex)  # taken on its dtype, never scanned
             else:
                 kinds.update(map(type, row))
@@ -70,11 +74,16 @@ class HessenbergMatrix:
             elif not issubclass(kind, (Rational, ComplexRational)):
                 raise TypeError(f"matrix entries must be exact, float or "
                                 f"complex scalars, got {kind.__name__}")
-        # np.array copies, so a caller's array is never frozen in place
-        frozen = tuple(np.array(row, dtype=np.complex128 if floats else object)
-                       for row in rows)
-        for row in frozen:
-            row.flags.writeable = False
+        if floats:
+            import numpy as np
+
+            # np.array copies, so a caller's array is never frozen in place
+            frozen = tuple(np.array(row, dtype=np.complex128) for row in rows)
+            for row in frozen:
+                row.flags.writeable = False
+        else:  # an array row's numpy scalars become Python scalars
+            frozen = tuple(tuple(row.tolist() if np and isinstance(
+                row, np.ndarray) else row) for row in rows)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "rows", frozen)
 
@@ -84,16 +93,16 @@ class HessenbergMatrix:
     @property
     def is_float_backed(self) -> bool:
         """True when the rows are stored as complex128 arrays."""
-        return self.rows[0].dtype == np.complex128
+        return not isinstance(self.rows[0], tuple)
 
     def __eq__(self, other):
         if not isinstance(other, HessenbergMatrix):
             return NotImplemented
-        return self.order == other.order and all(
-            map(np.array_equal, self.rows, other.rows))
+        return (self.order == other.order
+                and scalar_rows(self.rows) == scalar_rows(other.rows))
 
     def __hash__(self):
-        return hash((self.order, tuple(tuple(row.tolist()) for row in self.rows)))
+        return hash((self.order, scalar_rows(self.rows)))
 
     def __repr__(self):
         return f"HessenbergMatrix(order={self.order})"
@@ -129,8 +138,16 @@ def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
     return HessenbergMatrix(order, rows)
 
 
+def scalar_rows(rows) -> tuple:
+    """Stored or signed rows as tuples of Python scalars: an exact row as
+    it is, a complex128 row as its ``complex`` values."""
+    return tuple(row if isinstance(row, tuple) else tuple(row.tolist())
+                 for row in rows)
+
+
 def signed_rows(matrix: HessenbergMatrix) -> tuple:
-    """The stored rows as signed factors c_{i,j}, one array per row.
+    """The stored rows as signed factors c_{i,j}, one per row, in the
+    rows' own layout (a tuple, or a new complex128 array).
 
     The superdiagonal entry h_{i,i+1}, the last stored entry of every
     row except row n, is negated: c_{i,i+1} = -h_{i,i+1}.  Every other
@@ -138,18 +155,21 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     product of the matrix is a plain product of these factors, its
     permutation sign folded in.
     """
-    signed = tuple(row.copy() for row in matrix.rows)
+    rows = matrix.rows
+    if not matrix.is_float_backed:
+        return (*(row[:-1] + (-row[-1],) for row in rows[:-1]), rows[-1])
+    signed = tuple(row.copy() for row in rows)
     for row in signed[:-1]:
         row[-1] = -row[-1]
     return signed
 
 
 def gaussian_rows(rows) -> tuple:
-    """Exact object rows as Gaussian integers: ``(parts, scales, kind)``.
+    """Exact rows as Gaussian integers: ``(parts, scales, kind)``.
 
     Row i is multiplied by d_i = ``scales[i]``, the lcm of its entries'
     denominators, so every entry becomes a Gaussian integer.
-    ``parts[i]`` holds the scaled row as object arrays of plain ``int``:
+    ``parts[i]`` holds the scaled row as lists of plain ``int``:
     ``(re,)`` when no entry of any row has an imaginary part, ``(re, im)``
     otherwise.  A determinant is linear in each row, so the determinant
     of the leading k x k block of the scaled rows is d_1...d_k times the
@@ -162,14 +182,13 @@ def gaussian_rows(rows) -> tuple:
     kind = int
     scaled = []
     scales = []
-    for row in rows:
-        values = row.tolist()
+    for values in rows:
         # int entries never go through Fraction
         others = [(i, x) for i, x in enumerate(values)
                   if not isinstance(x, int)]
         im = [0] * len(values)
         if not others:
-            scaled.append((values, im))
+            scaled.append((list(values), im))
             scales.append(1)
             continue
         if any(isinstance(x, ComplexRational) for _, x in others):
@@ -185,9 +204,7 @@ def gaussian_rows(rows) -> tuple:
         scaled.append((re, im))
         scales.append(d)
     width = 2 if any(any(im) for _, im in scaled) else 1
-    parts = tuple(tuple(np.array(p, dtype=object) for p in pair[:width])
-                  for pair in scaled)
-    return parts, scales, kind
+    return tuple(pair[:width] for pair in scaled), scales, kind
 
 
 def exact_value(parts: tuple, scale: int, kind):

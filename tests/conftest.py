@@ -49,6 +49,18 @@ def random_exact_spec(index_N: int, horizon: int,
     return LdevcSpec(index_N, horizon, coeffs, forcing)
 
 
+def periodic_exact_spec(index_N: int, horizon: int, period: int,
+                        rng: random.Random) -> LdevcSpec:
+    """A banded N-order spec: row n holds the (N+1)-value band
+    a_{n,n..N+n} and the forcing value of row n mod period."""
+    band = [[random_rational_scalar(rng) for _ in range(index_N)]
+            + [nonzero_rational_scalar(rng)] for _ in range(period)]
+    pattern = [random_rational_scalar(rng) for _ in range(period)]
+    coeffs = [[0] * n + band[n % period] for n in range(horizon + 1)]
+    forcing = [pattern[n % period] for n in range(horizon + 1)]
+    return LdevcSpec(index_N, horizon, coeffs, forcing)
+
+
 def random_float_spec(index_N: int, horizon: int,
                       rng: random.Random) -> LdevcSpec:
     """random_exact_spec's distribution, drawn directly as complex

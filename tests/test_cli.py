@@ -676,35 +676,63 @@ def test_expand_loads_no_numpy(matrix_file):
     modules = _imported_modules(proc.stderr)
     assert "hessenbergian.sep_codec" in modules
     assert not [m for m in modules if "numpy" in m]
-    # a subcommand that evaluates a matrix still loads it, and its output
-    # is unchanged
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "hessenbergian", "det",
-         matrix_file], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout == '{"backend":"exact","value":[-2,1,0,1]}\n'
-    assert "numpy" in _imported_modules(proc.stderr)
+    # an exact det loads none either; a float det and the closed form
+    # still load it, and every output is unchanged
+    exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
+    for args, stdout, loads in (
+            ([], exact, False),
+            (["--method", "leibniz"], exact, False),
+            (["--method", "closed"], exact, True),
+            (["--backend", "float"], '{"backend":"float","value":[-2.0,0.0]}\n',
+             True)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hessenbergian", "det",
+             matrix_file, *args], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout == stdout
+        assert ("numpy" in _imported_modules(proc.stderr)) is loads, args
 
 
 _WITHOUT_NUMPY = """
-import runpy, sys
+import os, runpy, sys
 from fractions import Fraction
 sys.modules["numpy"] = None  # any import of numpy now fails
 import hessenbergian.errors, hessenbergian.ldevc, hessenbergian.sep_codec
+from hessenbergian.cli import main
 from hessenbergian.ldevc import LdevcSpec, solve_forward
 spec = LdevcSpec(1, 1, [[1, 2], [Fraction(1, 2), 3, 4]], [1, 0])
 assert solve_forward(spec, [Fraction(1)]) == [0, Fraction(-1, 8)]
+os.chdir(sys.argv[1])
+with open("m.json", "w") as fh:
+    fh.write('{"order":2,"rows":[[1,2],[3,4]]}')
+for name, *argv in (
+        ("spec", "gen", "--family", "random", "--N", "2", "--horizon", "8"),
+        ("ratio", "solve", "spec", "--init", "1,2/3-i",
+         "--method", "ratio-recurrence"),
+        ("forward", "solve", "spec", "--init", "1,2/3-i", "--method", "forward"),
+        ("recurrence", "det", "m.json", "--method", "recurrence"),
+        ("leibniz", "det", "m.json", "--method", "leibniz"),
+        ("sep", "sep", "--order", "8", "--index", "81")):
+    assert main([*argv, "--out", name]) == 0, name
 sys.argv = ["hessenbergian", "expand", "--order", "3"]
 runpy.run_module("hessenbergian", run_name="__main__", alter_sys=True)
 """
 
 
-def test_numpy_free_commands_run_without_numpy():
+def test_numpy_free_commands_run_without_numpy(tmp_path):
     # the commands of the CI job for an interpreter with no numpy
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY],
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4
+    out = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert len(json.loads(out["ratio"])["values"]) == 9
+    assert out["ratio"] == out["forward"]
+    exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
+    assert out["recurrence"] == out["leibniz"] == exact
+    assert out["sep"] == ('{"bits":[1,0,1,0,0,0,1,1],'
+                          '"columns":[1,3,2,5,6,7,4,8],"sign":1}\n')
+
 
 # scalar literals ----------------------------------------------------------------
 

@@ -196,6 +196,20 @@ def test_exact_recurrence_budget_at_order_200():
     assert elapsed < 1.0, f"order-200 exact recurrence took {elapsed:.2f}s"
 
 
+def test_exact_recurrence_budget_at_order_400():
+    # the entries of the benchmark's exact matrices; the q-form recurrence
+    # keeps every product an entry times a large value
+    m = random_exact_matrix(400, random.Random(400))
+    elapsed = min(_timed(det_recurrence, m) for _ in range(3))
+    assert elapsed < 0.75, f"order-400 exact recurrence took {elapsed:.2f}s"
+
+
+def _timed(f, *args) -> float:
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
 def test_exact_closed_form_budget_at_order_12():
     m = random_exact_matrix(12, random.Random(12))
     start = time.perf_counter()
@@ -312,7 +326,7 @@ def exact_matrices(draw, max_order=8):
 
 
 def result_kind(m):
-    types = {type(v) for row in m.rows for v in row.tolist()}
+    types = {type(v) for row in m.rows for v in row}
     return CR if CR in types else Fraction if Fraction in types else int
 
 

@@ -38,7 +38,7 @@ def test_scalar_forms():
 def test_bare_integers_are_neutral():
     m, backend = matrix_from_json({"order": 2, "rows": [[1, 2], [3, 4]]})
     assert backend == "exact"
-    assert [row.tolist() for row in m.rows] == [[1, 2], [3, 4]]
+    assert m.rows == ((1, 2), (3, 4))
     # the same bare ints inside a float document become complex doubles
     f, backend = matrix_from_json({"order": 2, "rows": [[1, 2.0], [3, 4]]})
     assert backend == "float"

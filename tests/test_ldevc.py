@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_exact_spec, random_float_spec, random_fraction
+from conftest import (periodic_exact_spec, random_exact_spec,
+                      random_float_spec, random_fraction,
+                      random_rational_scalar)
 from hessenbergian import (AscendingOrder, ComplexRational, IndexOutOfRange,
                            InvalidOrder, IrregularOrder, LdevcSpec,
                            LinearityViolation, NOrder,
@@ -93,9 +95,9 @@ def test_solution_matrix_structure():
     def rows(first_column):
         m = ldevc._monic_matrix(spec, 1, first_column)
         assert m.order == 2
-        superdiagonal = m.rows[0].tolist()[1]
+        superdiagonal = m.rows[0][1]
         assert type(superdiagonal) is int and superdiagonal == 1
-        return [row.tolist() for row in m.rows]
+        return [list(row) for row in m.rows]
     # row r is divided by its lead a_{r,N+r} (3, then 11), so the
     # superdiagonal is exactly 1; the last lead only divides
     xi_column = ldevc._coefficient_column(spec, 0)
@@ -275,6 +277,19 @@ def test_general_solutions_equal_forward(index_N):
         for method in GENERAL_METHODS:
             assert general_solutions(spec, init, method) == forward, method
             assert general_solutions(scaled, init, method) == forward, method
+
+
+@pytest.mark.parametrize("make_spec", [
+    # banded: columns leave the live window as it moves down the matrix
+    lambda rng: periodic_exact_spec(2, 300, 3, rng),
+    # dense: every column stays live from its first row on
+    lambda rng: random_exact_spec(3, 120, rng),
+], ids=["periodic-N2-h300", "random-N3-h120"])
+def test_general_solutions_equal_forward_at_scale(make_spec):
+    rng = random.Random(97)
+    spec = make_spec(rng)
+    init = tuple(random_rational_scalar(rng) for _ in range(spec.index_N))
+    assert general_solutions(spec, init) == solve_forward(spec, init)
 
 
 def test_general_solutions_checks_arguments():

@@ -26,15 +26,14 @@ def test_entry_count_matches_closed_formula():
 
 def test_make_matrix_flat_row_major():
     m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
-    assert [row.tolist() for row in m.rows] == [[1, 2], [3, 4, 5], [6, 7, 8]]
+    assert m.rows == ((1, 2), (3, 4, 5), (6, 7, 8))
     assert m.order == 3
 
 
 def test_leading_submatrix():
     m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
-    assert [row.tolist() for row in leading_submatrix(m, 1).rows] == [[1]]
-    assert [row.tolist() for row in leading_submatrix(m, 2).rows] == [
-        [1, 2], [3, 4]]
+    assert leading_submatrix(m, 1).rows == ((1,),)
+    assert leading_submatrix(m, 2).rows == ((1, 2), (3, 4))
     assert leading_submatrix(m, 3) is m
     for k in (0, 4, True):
         with pytest.raises(IndexOutOfRange):
@@ -101,9 +100,9 @@ def test_stored_rows_dtype_follows_realization():
     for entries in ([1, 2, 3, 4], [Fraction(1, 2), 2, 3, third],
                     [ComplexRational(1, 2)] * 4):
         m = make_matrix(2, entries)
-        assert all(a.dtype == object for a in m.rows)
-        # object rows hold the entries themselves, types included
-        values = [v for a in m.rows for v in a.tolist()]
+        assert all(type(a) is tuple for a in m.rows)
+        # exact rows hold the entries themselves, types included
+        values = [v for a in m.rows for v in a]
         assert values == entries
         assert [type(v) for v in values] == [type(v) for v in entries]
 
@@ -148,21 +147,33 @@ def test_stored_rows_are_read_only_copies():
     given[0] = 5.0
     assert given.flags.writeable and m.rows[0].tolist() == [1 + 2j, 0j]
     assert leading_submatrix(m, 1).rows[0].tolist() == [1 + 2j]
-    exact = make_matrix(2, [1, 2, 3, 4])
-    with pytest.raises(ValueError):
+    # an exact row is a tuple, a copy of the caller's entries
+    given = [3, 4]
+    exact = HessenbergMatrix(2, [[1, 2], given])
+    with pytest.raises(TypeError):
         exact.rows[1][0] = 9
-    assert exact.rows[1].tolist() == [3, 4]
+    given[0] = 9
+    assert exact.rows[1] == (3, 4)
+    # an exact array row holds Python scalars, as its tolist() does
+    exact = HessenbergMatrix(2, [np.array([1, 2]), np.array([3, 4])])
+    assert exact.rows == ((1, 2), (3, 4))
+    assert {type(v) for row in exact.rows for v in row} == {int}
 
 
 def test_signed_rows_negate_superdiagonal_only():
     m = make_matrix(3, [1, 2, 3, 4, 5, 6, 7, 8])
-    assert [row.tolist() for row in signed_rows(m)] == [
-        [1, -2], [3, 4, -5], [6, 7, 8]]
+    assert signed_rows(m) == ((1, -2), (3, 4, -5), (6, 7, 8))
     # stored rows untouched
-    assert [row.tolist() for row in m.rows] == [[1, 2], [3, 4, 5], [6, 7, 8]]
+    assert m.rows == ((1, 2), (3, 4, 5), (6, 7, 8))
     one = make_matrix(1, [ComplexRational(3, -1)])
     # order 1 has no superdiagonal
-    assert [row.tolist() for row in signed_rows(one)] == [one.rows[0].tolist()]
+    assert signed_rows(one) == one.rows
+    # a float matrix gets new complex128 rows; its stored rows stay
+    f = make_matrix(2, [1.0, 2.0, 3.0, 4.0])
+    signed = signed_rows(f)
+    assert [row.tolist() for row in signed] == [[1, -2], [3, 4]]
+    assert all(row.dtype == np.complex128 for row in signed)
+    assert [row.tolist() for row in f.rows] == [[1, 2], [3, 4]]
 
 
 def test_signed_rows_round_trip():
@@ -171,14 +182,13 @@ def test_signed_rows_round_trip():
     for order in (1, 2, 5, 8):
         m = random_exact_matrix(order, rng)
         twice = signed_rows(HessenbergMatrix(order, signed_rows(m)))
-        assert [row.tolist() for row in twice] == [
-            row.tolist() for row in m.rows]
+        assert twice == m.rows
 
 
 def test_signed_rows_keep_fractions():
     m = HessenbergMatrix(2, [[Fraction(1, 3), Fraction(-2, 7)],
                              [Fraction(5, 2), Fraction(0)]])
-    rows = [row.tolist() for row in signed_rows(m)]
-    assert rows == [[Fraction(1, 3), Fraction(2, 7)],
-                    [Fraction(5, 2), Fraction(0)]]
+    rows = signed_rows(m)
+    assert rows == ((Fraction(1, 3), Fraction(2, 7)),
+                    (Fraction(5, 2), Fraction(0)))
     assert type(rows[0][1]) is Fraction
