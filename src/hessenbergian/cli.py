@@ -11,7 +11,9 @@ exits 2 (usage, parse or validation problems, or a float result that is
 infinite or NaN and so has no strict-JSON form) or 3 (a size cap was
 exceeded, including the int/str digit limit of an integer read or
 written; the message names the cap).  Identical inputs and seed produce
-byte-identical output.
+byte-identical output.  A command runs with the cyclic garbage collector
+off, since the data it builds holds no cycles, and :func:`main` gives
+the caller's collector setting back however the command ends.
 
 The module imports nothing numeric at load time: the parser's defaults
 come from :mod:`errors` and :mod:`ldevc`, and ``expand`` runs on
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import gc
 import statistics
 import sys
 import time
@@ -431,6 +434,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # a command builds acyclic data (a parsed tree, rows, big ints) and
+    # exits, so the cyclic collector would only re-walk it; the caller's
+    # setting comes back on every way out, since tests call main in process
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(argv)
         text = args.func(args)
@@ -451,6 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - single-line contract
         _fail(f"internal: {exc!r}")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -119,7 +119,9 @@ class InvalidParams(HessenbergianError):
 
 
 class FormatError(HessenbergianError):
-    """A JSON file does not conform to the matrix or spec format."""
+    """A JSON file does not conform to the matrix or spec format, or a
+    value is beyond the double range of the float realization it is
+    read into."""
 
 
 class NonFiniteResult(HessenbergianError):

@@ -16,12 +16,13 @@ straight into their ``backend`` argument (default: the document's own
 realization, "exact" unless something float-only appeared), and return
 it with the object.  Float values go through ``complex`` first, even when
 read as exact; :func:`convert_spec` reuses the rule.  A float matrix
-read as float is decoded a row at a time: a row of finite ``[re, im]``
-pairs becomes one complex128 array, the matrix's own layout, bit for
-bit as the scalar rule reads it; any other row takes the scalar rule,
-which alone words the decode errors.  numpy is imported by that float
-row decoder alone, so exact documents, specs and scalars are read and
-written without it.
+read as float is decoded in one conversion: when every scalar is a
+finite ``[re, im]`` pair of floats and ints, all of them become one
+complex128 array, bit for bit as the scalar rule reads each pair, and
+the rows are slices of it.  Any other document (a bare number, or any
+invalid scalar) takes the scalar rule, which alone words the decode
+errors.  numpy is imported by that float decoder alone, so exact
+documents, specs and scalars are read and written without it.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -45,7 +46,7 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 from .errors import FormatError, _cut, _digit_limit_error, _is_int
 from .ldevc import LdevcSpec
@@ -145,32 +146,38 @@ def matrix_from_json(obj, backend=None):
     rows = obj["rows"]
     _require_rows(rows, "matrix rows")
     mode, backend = _realizations(chain.from_iterable(rows), backend)
-    if mode == backend == FLOAT:
-        rows = [_float_row(row) for row in rows]
-    else:
-        rows = [[scalar_from_json(v, mode, backend) for v in row]
-                for row in rows]
-    return HessenbergMatrix(obj["order"], rows), backend
+    decoded = _float_rows(rows) if mode == backend == FLOAT else None
+    if decoded is None:
+        decoded = [[scalar_from_json(v, mode, backend) for v in row]
+                   for row in rows]
+    return HessenbergMatrix(obj["order"], decoded), backend
 
 
-def _float_row(row):
-    """One row of a float document read as float: a row of finite
-    ``[re, im]`` pairs of floats and ints becomes one complex128 array,
-    bit for bit as :func:`scalar_from_json` reads each pair; any other
-    row goes through :func:`scalar_from_json`, which decodes it or
-    refuses it with its own message."""
+def _float_rows(rows):
+    """The rows of a float document read as float, as slices of one
+    complex128 array converted in one pass, bit for bit as
+    :func:`scalar_from_json` reads each ``[re, im]`` pair.  None unless
+    every scalar is such a pair of floats and ints with a finite value;
+    the scalar rule then decodes the document or words its error."""
     import numpy as np
 
+    def scalars():
+        return chain.from_iterable(rows)
+
+    if (not set(map(type, scalars())) <= {list}
+            or not set(map(len, scalars())) <= {2}
+            or not set(map(type, chain.from_iterable(scalars())))
+            <= {float, int}):
+        return None
     try:
-        pairs = np.array(row, np.float64)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an int
-        pass                                        # beyond the doubles
-    else:
-        if (pairs.shape == (len(row), 2)
-                and set(map(type, chain.from_iterable(row))) <= {float, int}
-                and np.isfinite(pairs).all()):
-            return pairs.view(np.complex128).reshape(-1)
-    return [scalar_from_json(v, FLOAT, FLOAT) for v in row]
+        parts = np.fromiter(chain.from_iterable(scalars()), np.float64,
+                            count=2 * sum(map(len, rows)))
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(parts).all():  # a literal such as 1e400 reads as inf
+        return None
+    return np.split(parts.view(np.complex128),
+                    list(accumulate(map(len, rows[:-1]))))
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:

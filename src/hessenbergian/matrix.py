@@ -8,11 +8,13 @@ interface are 1-based.  The constructor alone fixes values and
 realization: an entry is exact (a ``numbers.Rational`` or ComplexRational),
 a float or a complex, else TypeError.  One float or complex entry makes
 every row a read-only complex128 array, exact entries rounded once as by
-``complex(x)``; otherwise every row is a tuple of the entries themselves,
-immutable by type.  A complex128 array row is taken on its dtype and
-copied, never scanned.  numpy is imported only to build float rows: an
-exact matrix never loads it, and an array row is recognised through the
-numpy a caller that passes one has already loaded.
+``complex(x)``; an exact entry beyond the double range is then a
+FormatError, worded as the decoder words it.  Otherwise every row is a
+tuple of the entries themselves, immutable by type.  A complex128 array
+row is taken on its dtype and copied, never scanned.  numpy is imported
+only to build float rows: an exact matrix never loads it, and an array
+row is recognised through the numpy a caller that passes one has
+already loaded.
 
 The exact kernels read exact rows through :func:`gaussian_rows`, which
 scales each row by the lcm of its entries' denominators so that every
@@ -27,7 +29,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import WrongEntryCount, _check_int
+from .errors import FormatError, WrongEntryCount, _check_int
 from .scalars import ComplexRational, exact_parts
 
 
@@ -78,7 +80,12 @@ class HessenbergMatrix:
             import numpy as np
 
             # np.array copies, so a caller's array is never frozen in place
-            frozen = tuple(np.array(row, dtype=np.complex128) for row in rows)
+            try:
+                frozen = tuple(np.array(row, dtype=np.complex128)
+                               for row in rows)
+            except OverflowError:  # an exact entry beyond the doubles
+                raise FormatError(
+                    "a scalar is beyond the double range") from None
             for row in frozen:
                 row.flags.writeable = False
         else:  # an array row's numpy scalars become Python scalars

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -732,6 +733,66 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert out["recurrence"] == out["leibniz"] == exact
     assert out["sep"] == ('{"bits":[1,0,1,0,0,0,1,1],'
                           '"columns":[1,3,2,5,6,7,4,8],"sign":1}\n')
+
+
+@pytest.fixture
+def float_200_file(tmp_path):
+    from hessenbergian.cli import random_float_matrix
+    from hessenbergian.formats import matrix_to_json
+
+    path = tmp_path / "m200.json"
+    path.write_text(dump_text(matrix_to_json(
+        random_float_matrix(200, random.Random(200)))))
+    return str(path)
+
+
+@pytest.fixture
+def collector():
+    # gives back the cyclic collector setting a test changes
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_det_starts_no_collection(capsys, collector, float_200_file):
+    # json.loads builds ~20k pair lists here; with the collector on in
+    # the command, each young-generation threshold would start a pass
+    starts = []
+
+    def on_gc(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.enable()
+    gc.collect()  # the young generation starts empty, so no pass comes due
+    gc.callbacks.append(on_gc)
+    try:
+        code, out, err = run_cli(capsys, "det", float_200_file)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert code == 0 and err == "" and json.loads(out)["backend"] == "float"
+    assert starts == []
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["det", "FLOAT"], 0),
+    (["det", "BAD"], 2),
+    (["det", "FLOAT", "--method", "leibniz", "--oracle-cap", "5"], 3),
+    (["--help"], 0),
+], ids=["ok", "bad-scalar", "oracle-cap", "help"])
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["collecting", "disabled"])
+def test_main_gives_back_the_callers_collector_setting(
+        capsys, collector, tmp_path, float_200_file, argv, exit_code,
+        enabled):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"order":1,"rows":[[[true,0.0]]]}')
+    argv = [{"FLOAT": float_200_file, "BAD": str(bad)}.get(a, a)
+            for a in argv]
+    (gc.enable if enabled else gc.disable)()
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert gc.isenabled() is enabled
 
 
 # scalar literals ----------------------------------------------------------------

@@ -243,8 +243,8 @@ _leaves = st.one_of(
     st.integers(-10 ** 308, 10 ** 308),
     st.integers(-2 ** 60, 2 ** 60))
 _pairs = st.lists(_leaves, min_size=2, max_size=2)
-# mostly [re, im] pairs; a bare int or float sends its row down the
-# scalar path
+# mostly [re, im] pairs; a bare int or float sends its document down
+# the scalar path
 _float_scalars = st.one_of(_pairs, _pairs, _pairs, _pairs,
                            st.integers(-9, 9), st.floats(-1e3, 1e3))
 
@@ -270,13 +270,48 @@ def _bits(values) -> tuple:
                                [[2 ** 53 + 1, 1], [-5e-324, 2 ** 60 + 1]]]})
 @settings(max_examples=200)
 def test_float_rows_decode_as_their_scalars(doc):
-    # one numpy call per row gives, bit for bit, what the scalar path
-    # gives for each of the row's scalars, zero signs included
+    # the one conversion per document gives, bit for bit, what the
+    # scalar path gives for each scalar, zero signs included
     matrix, backend = matrix_from_json(doc)
     assert backend == "float" and matrix.is_float_backed
     for row, stored in zip(doc["rows"], matrix.rows):
         want = [scalar_from_json(v, "float", "float") for v in row]
         assert _bits(stored) == _bits(want)
+
+
+def test_numpy_conversions_the_float_decoder_relies_on():
+    # the numpy floor in pyproject.toml must keep these: np.fromiter with
+    # a count reads Python floats and ints as float(x) reads them, zero
+    # signs and subnormals included, and refuses an int beyond the
+    # doubles with OverflowError
+    values = [-0.0, 5e-324, 2 ** 53 + 1, -(2 ** 60) - 1, 10 ** 308, 3]
+    got = np.fromiter(iter(values), np.float64, count=len(values))
+    want = np.array([float(v) for v in values])
+    assert got.tolist() == want.tolist()
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+    with pytest.raises(OverflowError):
+        np.fromiter(iter([1.0, 10 ** 400]), np.float64, count=2)
+
+
+@pytest.fixture(scope="module")
+def order_700_rows():
+    return matrix_to_json(random_float_matrix(700, random.Random(700)))["rows"]
+
+
+def _with_last_scalar(rows, scalar) -> dict:
+    return {"order": 700, "rows": [*rows[:-1], [*rows[-1][:-1], scalar]]}
+
+
+@pytest.mark.parametrize("scalar", [7, [-0.0, 5e-324]],
+                         ids=["bare-int", "signed-zero-subnormal"])
+def test_order_700_last_scalar_decodes_as_the_scalar_rule(order_700_rows,
+                                                         scalar):
+    doc = _with_last_scalar(order_700_rows, scalar)
+    matrix, backend = matrix_from_json(doc)
+    assert backend == "float"
+    flat = [scalar_from_json(v, "float", "float")
+            for row in doc["rows"] for v in row]
+    assert _bits(np.concatenate(matrix.rows)) == _bits(flat)
 
 
 _EXPECTED = ("; expected [re_num,re_den,im_num,im_den], [re,im], "
@@ -299,11 +334,24 @@ _EXPECTED = ("; expected [re_num,re_den,im_num,im_den], [re,im], "
 ], ids=["bool", "string", "none", "none-leaf", "three-numbers", "quad",
         "bare-int-row", "dict", "huge-int"])
 def test_invalid_float_rows_keep_their_errors(row, message, backend):
-    # row 1 decodes as one array; row 2 falls back to the scalar path,
-    # which alone words the error
+    # the invalid scalar in row 2 sends the whole document to the
+    # scalar path, which alone words the error
     doc = {"order": 2, "rows": [[[0.5, -1.5], [1, 0]], row]}
     with pytest.raises(FormatError) as info:
         matrix_from_json(doc, backend)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scalar, message", [
+    ([True, 0.0], "invalid scalar [True, 0.0]" + _EXPECTED),
+    (["1.0", 0.0], "invalid scalar ['1.0', 0.0]" + _EXPECTED),
+    ([10 ** 400, 0], "a scalar is beyond the double range"),
+    (parse_text("[1e400,0.0]"), "a scalar is beyond the double range"),
+], ids=["bool", "string", "huge-int", "overflowing-literal"])
+def test_order_700_invalid_last_scalar_keeps_its_error(order_700_rows,
+                                                       scalar, message):
+    with pytest.raises(FormatError) as info:
+        matrix_from_json(_with_last_scalar(order_700_rows, scalar))
     assert str(info.value) == message
 
 

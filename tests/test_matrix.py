@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_exact_matrix
-from hessenbergian import (ComplexRational, HessenbergMatrix, IndexOutOfRange,
-                           InvalidOrder, WrongEntryCount, entry_count,
-                           leading_submatrix, make_matrix, row_length,
-                           signed_rows)
+from hessenbergian import (ComplexRational, FormatError, HessenbergMatrix,
+                           IndexOutOfRange, InvalidOrder, WrongEntryCount,
+                           entry_count, leading_submatrix, make_matrix,
+                           row_length, signed_rows)
 from hessenbergian.cli import random_float_matrix
 
 
@@ -115,6 +115,16 @@ def test_entries_outside_the_fields_are_refused():
                 make_matrix(2, entries)
         with pytest.raises(TypeError, match="matrix entries"):
             HessenbergMatrix(2, [np.array([1j, 2j]), [bad, 3.0]])
+
+
+@pytest.mark.parametrize("huge", [10 ** 400, Fraction(10 ** 400, 3)],
+                         ids=["int", "fraction"])
+def test_exact_entry_beyond_doubles_beside_a_float_is_refused(huge):
+    # the float realization rounds every exact entry; one it cannot round
+    # is refused as the decoder refuses it, not with numpy's OverflowError
+    with pytest.raises(FormatError,
+                       match="^a scalar is beyond the double range$"):
+        make_matrix(2, [huge, 1.0, 1, 1])
 
 
 def test_float_construction_speed_at_order_700():
