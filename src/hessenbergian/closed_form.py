@@ -7,15 +7,18 @@ are indexed by the integers m in [0, 2^(n-1)):
     det(H_n) = sum_m chi(H, m)
 
 where chi(H, m) multiplies the signed factors c_{i,pi_i} selected by
-decoding m's bit array.  The exponential term count makes this a
-verification and benchmarking route, not a production determinant path;
-orders above a configurable cap are refused.
+decoding m's bit array.  The recurrence of :mod:`determinants` sums
+over the same signed factors, grouped by the row-n entry of each
+product.  The exponential term count makes this a verification and
+benchmarking route, not a production determinant path; orders above a
+configurable cap are refused.
 
 Summation order is ascending m and therefore deterministic.  One
 kernel serves both realizations: the m-range is processed in fixed-size
-blocks of 2^b consecutive m, and only the product step depends on the
-realization.  Row i's bit is digit n-1-i of m, so the terms of a block
-share their leading factors: the kernel walks the prefix tree of m,
+blocks of 2^b consecutive m, and only the product step, on arrays of
+values held as real and imaginary parts, depends on the realization.
+Row i's bit is digit n-1-i of m, so the terms of a block share their
+leading factors: the kernel walks the prefix tree of m,
 multiplying each shared row once, on one-element arrays, and then, for
 each of the b free rows, doubles every prefix into its superdiagonal
 child and its standard child (ascending m) with one gather and one
@@ -45,7 +48,7 @@ import numpy as np
 from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
                      _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
-                     multiply_parts, scalar_rows, signed_rows)
+                     scalar_rows, signed_rows)
 from .sep_codec import decode_columns, sep_count, tau
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
@@ -64,6 +67,16 @@ def chi(matrix: HessenbergMatrix, m: int):
     for i, col in enumerate(factors.columns, start=1):
         value = value * crows[i - 1][col - 1]
     return value
+
+
+def _multiply_parts(a: tuple, b: tuple) -> tuple:
+    # elementwise product of arrays of values held as (re,) or (re, im)
+    # parts (one complex128 part, or Gaussian-integer object arrays), b
+    # at least as wide as a
+    if len(a) == 1:
+        return tuple(a[0] * c for c in b)
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _sum_block(factors, zeros, n: int, start: int, stop: int) -> tuple:
@@ -100,7 +113,7 @@ def _sum_block(factors, zeros, n: int, start: int, stop: int) -> tuple:
             # arrays rounds complex values differently from its product
             # of longer ones, and the block sums must not depend on how
             # many rows the block shares
-            prod = multiply_parts(prod, picked)
+            prod = _multiply_parts(prod, picked)
             if zeros[i - 1] is not None:
                 dead |= np.take(zeros[i - 1], cols)
         for p in prod:

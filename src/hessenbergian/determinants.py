@@ -3,43 +3,45 @@
 Two routes live here:
 
 * :func:`det_prefixes` and :func:`det_recurrence`, the production
-  path.  :func:`det_prefixes` evaluates
+  path.  :func:`det_prefixes` evaluates the recurrence on the signed
+  factors of :func:`signed_rows`, the c_{i,i+1} = -h_{i,i+1} that the
+  closed form multiplies:
 
-      det(H_n) = h_{n,n} det(H_{n-1})
-               + sum_{k=1}^{n-1} (-1)^{n-k} h_{n,k}
-                 (prod_{i=k}^{n-1} h_{i,i+1}) det(H_{k-1}),
+      det(H_j) = sum_{k=1}^{j} h_{j,k} q_k,
+      q_k = c_{k,k+1} c_{k+1,k+2} ... c_{j-1,j} det(H_{k-1}),
 
-  with det(H_0) = 1 and det(H_1) = h_{1,1}, in one bottom-up loop over
-  the leading principal prefixes.  Each step reads the prefix
-  determinants already computed and keeps the superdiagonal products as
-  running products, so the whole evaluation is O(n^2) scalar operations
-  with no recursion.  It returns every prefix determinant det(H_0), ...,
-  det(H_n), and :func:`det_recurrence` is its last entry.
+  with det(H_0) = 1, in one bottom-up loop over the leading principal
+  prefixes.  The term h_{j,k} q_k sums the signed elementary products of
+  H_j that take h_{j,k} from row j, their signs already in the c, so no
+  parity sign is needed and the diagonal term is the k = j term, with
+  q_j = det(H_{j-1}).  Row j multiplies every running
+  q_k by c_{j-1,j} and appends det(H_{j-1}) as the new column's q, so
+  the whole evaluation is O(n^2) scalar operations with no recursion.
+  It returns every prefix determinant det(H_0), ..., det(H_n), and
+  :func:`det_recurrence` is its last entry.
 
   A float-backed matrix runs the loop on its stored complex128 rows,
-  each k-sum one numpy dot product; numpy is imported for that loop
-  alone.  Float overflow shows up as an inf or nan value that the
-  caller can refuse, never as a warning on stderr: numpy's
-  floating-point warnings are off.  The terms whose h_{j,k} is zero are
-  dropped before the dot product, while the superdiagonal products
-  still advance, so a zero h_{j,k} times an infinite superdiagonal
-  product or prefix determinant never turns the sum into NaN via
-  0*inf; the mathematically correct term there is 0.
+  each k-sum one numpy dot product over the nonzero h_{j,k}; numpy is
+  imported for that loop alone.  Float overflow shows up as an inf or
+  nan value that the caller can refuse, never as a warning on stderr:
+  numpy's floating-point warnings are off.  A zero h_{j,k} is dropped
+  from the sum while its q_k still advances, so a zero entry times an
+  infinite q_k never turns the sum into NaN via 0*inf; the
+  mathematically correct term there is 0.  Every zero part of a float
+  prefix is +0.0, as in the closed form and the oracle.
 
-  An exact matrix runs it fraction-free, on Gaussian integers in plain
-  ``int`` lists: :func:`gaussian_rows` scales row i by the lcm d_i of
-  its denominators, the recurrence then needs only +, - and x on ints,
-  and every prefix determinant is divided once, by D_k = d_1...d_k,
-  into an ``int``, ``Fraction`` or ``ComplexRational`` as the entries
-  are (see :func:`exact_value`).  This loop runs in q-form: it keeps
-  q[k] = prods[k] * alt[k], the k-th term without its h_{j,k}, as one
-  running value, so every product is an entry times a large value, and
-  it keeps q[k] only while column k is live, up to its last nonzero
-  h_{j,k}.  The mostly-zero solution matrices of low-order difference
-  equations then cost nothing for their zero columns; a zero entry
-  inside the live window adds exactly 0.  Its products associate
-  differently from the float loop's, which is why the two loops stay
-  apart: the float loop keeps its bits.
+  An exact matrix runs the same loop fraction-free, on Gaussian integers
+  in plain ``int`` lists: :func:`gaussian_rows` scales row i by the lcm
+  d_i of its denominators, the recurrence then needs only +, - and x on
+  ints, and every prefix determinant is divided once, by
+  D_k = d_1...d_k, into an ``int``, ``Fraction`` or ``ComplexRational``
+  as the entries are (see :func:`exact_value`).  Every product is an
+  entry times a large q_k, and q_k is kept only while column k is live,
+  from its diagonal row to its last nonzero h_{j,k}, so the mostly-zero
+  solution matrices of low-order difference equations cost nothing for
+  their zero columns; a zero entry inside the live window adds exactly
+  0.  The two loops stay apart, numpy on complex128 and plain ints on
+  Gaussian integers, but share this one form.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the Leibniz
   expansion on Python scalars, treating structural zeros as 0: column
@@ -60,8 +62,7 @@ from itertools import compress
 
 from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
                      _check_order_cap)
-from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
-                     multiply_parts, scalar_rows)
+from .matrix import HessenbergMatrix, exact_value, gaussian_rows, scalar_rows
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:
@@ -79,28 +80,18 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
 
     n = matrix.order
     rows = matrix.rows
-    dtype = rows[0].dtype
-    dets = np.empty(n + 1, dtype=dtype)
+    dets = np.empty(n + 1, dtype=np.complex128)
     dets[0] = 1
-    dets[1] = rows[0][0]
-    # alt[k] = (-1)^k * dets[k-1]; lets the k-sum become one dot product
-    alt = np.empty(n + 1, dtype=dtype)
-    alt[1] = -1
-    # prods[k] = prod_{i=k}^{j-1} h_{i,i+1} while processing row j (1-based k)
-    prods = np.empty(n, dtype=dtype)
+    q = np.empty(n, dtype=np.complex128)  # q_{k+1} of column k, 0-based
     with np.errstate(all="ignore"):
-        for j in range(2, n + 1):
-            s = rows[j - 2][j - 1]  # h_{j-1,j}
-            prods[1:j - 1] *= s
-            prods[j - 1] = s
-            row = rows[j - 1]
-            # k - 1 for every nonzero h_{j,k}; a zero one adds nothing
-            nz = np.flatnonzero(row[:j - 1])
-            ksum = np.dot(row[nz] * prods[nz + 1], alt[nz + 1])
-            sign = 1 if j % 2 == 0 else -1
-            dets[j] = row[j - 1] * dets[j - 1] + sign * ksum
-            alt[j] = dets[j - 1] if j % 2 == 0 else -dets[j - 1]
-    return dets.tolist()
+        for j in range(n):  # 0-based row j gives det(H_{j+1})
+            if j:
+                q[:j] *= -rows[j - 1][j]  # the signed superdiagonal c
+            q[j] = dets[j]
+            row = rows[j][:j + 1]
+            nz = np.flatnonzero(row)  # a zero h_{j,k} adds nothing
+            dets[j + 1] = np.dot(row[nz], q[nz])
+    return (dets + 0).tolist()  # + 0 makes every -0.0 part +0.0
 
 
 def _scale(q: tuple, s: tuple) -> tuple:
@@ -126,40 +117,29 @@ def _gaussian_prefixes(rows: tuple) -> list:
 
     The recurrence of :func:`det_prefixes` on rows of ``(re,)`` or
     ``(re, im)`` lists of ints; every value is a tuple of the same
-    width.  It runs in q-form: q[k] = prods[k] * alt[k] is one running
-    value, multiplied by each new superdiagonal entry, so that every
-    product is an entry times a large value, and the k-sum of row j is
-    sum_k h_{j,k} q[k].  q[k] is kept only while column k is live, from
-    its first row j = k+1 to its last nonzero h_{j,k}; on the solution
-    matrix of an N-order equation that is column 1 and a window of N
-    columns."""
+    width.  q holds the running q_k of the live columns only, column k
+    being live from its diagonal row k to its last nonzero h_{j,k}; on
+    the solution matrix of an N-order equation that is column 1 and a
+    window of N columns."""
     n = len(rows)
-    one = (1, 0)[:len(rows[0])]
-    last = [-1] * n  # 0-based: the last row j > k with h_{j,k} != 0
-    for j in range(1, n):
+    last = [-1] * n  # 0-based: the last row j >= k with h_{j,k} != 0
+    for j in range(n):
         for p in rows[j]:
-            for k in compress(range(j), p):
+            for k in compress(range(j + 1), p):
                 last[k] = j
     ends = set(last)  # the rows after which some column stops being live
-    dets = [one, tuple(p[0] for p in rows[0])]
+    dets = [(1, 0)[:len(rows[0])]]
     live = []  # the live columns, ascending; q holds their values
-    q = tuple([] for _ in one)
-    for j in range(1, n):  # 0-based row j gives det(H_{j+1})
-        s = tuple(p[j] for p in rows[j - 1])  # the superdiagonal h_{j-1,j}
-        if s != one:  # 1 only in int-monic rows; row scaling makes it d_r
-            q = _scale(q, s)
-        if last[j - 1] >= j:  # alt[j-1] = (-1)^(j-1) det(H_{j-1})
-            live.append(j - 1)
-            alt = dets[j - 1] if j % 2 else tuple(-x for x in dets[j - 1])
-            for p, v in zip(q, multiply_parts(s, alt)):
+    q = tuple([] for _ in dets[0])
+    for j in range(n):  # 0-based row j gives det(H_{j+1})
+        if j:  # the signed superdiagonal c = -h_{j-1,j}
+            q = _scale(q, tuple(-p[j] for p in rows[j - 1]))
+        if last[j] >= j:
+            live.append(j)
+            for p, v in zip(q, dets[j]):
                 p.append(v)
-        row = rows[j]
-        det = multiply_parts(tuple(p[j] for p in row), dets[j])
-        if live:
-            ksum = _sum_products(tuple([p[k] for k in live] for p in row), q)
-            det = tuple(map(operator.sub if j % 2 else operator.add,
-                            det, ksum))
-        dets.append(det)
+        dets.append(_sum_products(
+            tuple([p[k] for k in live] for p in rows[j]), q))
         if j in ends:
             keep = [t for t, k in enumerate(live) if last[k] > j]
             live = [live[t] for t in keep]

@@ -17,12 +17,14 @@ realization, "exact" unless something float-only appeared), and return
 it with the object.  Float values go through ``complex`` first, even when
 read as exact; :func:`convert_spec` reuses the rule.  A float matrix
 read as float is decoded in one conversion: when every scalar is a
-finite ``[re, im]`` pair of floats and ints, all of them become one
-complex128 array, bit for bit as the scalar rule reads each pair, and
-the rows are slices of it.  Any other document (a bare number, or any
-invalid scalar) takes the scalar rule, which alone words the decode
-errors.  numpy is imported by that float decoder alone, so exact
-documents, specs and scalars are read and written without it.
+finite ``[re, im]`` pair of floats and ints, or a bare float or int v,
+read as the pair ``[v, 0]``, all of them become one complex128 array,
+bit for bit as the scalar rule reads each scalar, and the rows are
+slices of it.  Any other document (a bare bool, an int beyond the
+double range, or any invalid scalar) takes the scalar rule, which alone
+words the decode errors.  numpy is imported by that float decoder
+alone, so exact documents, specs and scalars are read and written
+without it.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -156,16 +158,22 @@ def matrix_from_json(obj, backend=None):
 def _float_rows(rows):
     """The rows of a float document read as float, as slices of one
     complex128 array converted in one pass, bit for bit as
-    :func:`scalar_from_json` reads each ``[re, im]`` pair.  None unless
-    every scalar is such a pair of floats and ints with a finite value;
-    the scalar rule then decodes the document or words its error."""
+    :func:`scalar_from_json` reads each scalar.  None unless every
+    scalar is an ``[re, im]`` pair of floats and ints or a bare float or
+    int, with a finite value; the scalar rule then decodes the document
+    or words its error."""
     import numpy as np
 
     def scalars():
         return chain.from_iterable(rows)
 
-    if (not set(map(type, scalars())) <= {list}
-            or not set(map(len, scalars())) <= {2}
+    kinds = set(map(type, scalars()))
+    if not kinds <= {list, float, int}:
+        return None
+    if not kinds <= {list}:  # a bare v reads as [v, 0], as complex(v) does
+        rows = [[v if isinstance(v, list) else [v, 0] for v in row]
+                for row in rows]
+    if (not set(map(len, scalars())) <= {2}
             or not set(map(type, chain.from_iterable(scalars())))
             <= {float, int}):
         return None

@@ -16,9 +16,10 @@ only to build float rows: an exact matrix never loads it, and an array
 row is recognised through the numpy a caller that passes one has
 already loaded.
 
-The exact kernels read exact rows through :func:`gaussian_rows`, which
-scales each row by the lcm of its entries' denominators so that every
-entry is a Gaussian integer held in plain ``int`` parts.
+Both exact kernels, the recurrence and the closed form, read exact rows
+through :func:`gaussian_rows`, which scales each row by the lcm of its
+entries' denominators so that every entry is a Gaussian integer held in
+plain ``int`` parts, and turn each result back with :func:`exact_value`.
 """
 
 from __future__ import annotations
@@ -225,12 +226,3 @@ def exact_value(parts: tuple, scale: int, kind):
     im = Fraction(parts[1], scale) if len(parts) == 2 else Fraction(0)
     return ComplexRational._from_fractions(re, im)
 
-
-def multiply_parts(a: tuple, b: tuple) -> tuple:
-    """Product of two values held as ``(re,)`` or ``(re, im)`` parts
-    (Gaussian-integer ints, or one complex128 part), ``b`` at least as
-    wide as ``a``; elementwise on arrays."""
-    if len(a) == 1:
-        return tuple(a[0] * c for c in b)
-    (ar, ai), (br, bi) = a, b
-    return ar * br - ai * bi, ar * bi + ai * br

@@ -451,6 +451,22 @@ def test_solve_sign_of_zero_matches_forward(capsys, tmp_path):
     assert outputs["reduced-closed"] == outputs["forward"]
 
 
+@pytest.mark.parametrize("rows, value", [
+    ([[[-0.0, 0.0]]], "[0.0,0.0]"),
+    ([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+      [[0.0, 0.0], [-1.0, 0.0], [-1.0, 0.0]]], "[1.0,0.0]"),
+], ids=["order-1", "order-3"])
+def test_det_zero_parts_print_alike_on_every_method(capsys, tmp_path, rows,
+                                                     value):
+    # a zero part of a float determinant prints as 0.0 on every route
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"order": len(rows), "rows": rows}))
+    for method in ("recurrence", "closed", "leibniz"):
+        code, out, err = run_cli(capsys, "det", str(path), "--method", method)
+        assert (code, err) == (0, ""), method
+        assert out == f'{{"backend":"float","value":{value}}}\n', method
+
+
 def test_solve_unbounded_spec_no_init(capsys, tmp_path):
     path = tmp_path / "n0.json"
     path.write_text(json.dumps(
@@ -706,6 +722,8 @@ assert solve_forward(spec, [Fraction(1)]) == [0, Fraction(-1, 8)]
 os.chdir(sys.argv[1])
 with open("m.json", "w") as fh:
     fh.write('{"order":2,"rows":[[1,2],[3,4]]}')
+with open("band.json", "w") as fh:
+    fh.write('{"order":4,"rows":[[0,1],[1,0,1],[0,2,0,1],[0,0,3,0]]}')
 for name, *argv in (
         ("spec", "gen", "--family", "random", "--N", "2", "--horizon", "8"),
         ("ratio", "solve", "spec", "--init", "1,2/3-i",
@@ -713,6 +731,8 @@ for name, *argv in (
         ("forward", "solve", "spec", "--init", "1,2/3-i", "--method", "forward"),
         ("recurrence", "det", "m.json", "--method", "recurrence"),
         ("leibniz", "det", "m.json", "--method", "leibniz"),
+        ("band-recurrence", "det", "band.json", "--method", "recurrence"),
+        ("band-leibniz", "det", "band.json", "--method", "leibniz"),
         ("sep", "sep", "--order", "8", "--index", "81")):
     assert main([*argv, "--out", name]) == 0, name
 sys.argv = ["hessenbergian", "expand", "--order", "3"]
@@ -731,6 +751,10 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert out["ratio"] == out["forward"]
     exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
     assert out["recurrence"] == out["leibniz"] == exact
+    # zero diagonal entries and a banded first column: the exact
+    # recurrence's live columns open and close inside the matrix
+    band = '{"backend":"exact","value":[3,1,0,1]}\n'
+    assert out["band-recurrence"] == out["band-leibniz"] == band
     assert out["sep"] == ('{"bits":[1,0,1,0,0,0,1,1],'
                           '"columns":[1,3,2,5,6,7,4,8],"sign":1}\n')
 

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import math
 import random
 import sys
 import time
@@ -366,6 +367,58 @@ def test_float_prefixes_match_exact_prefixes(m):
                          strict=True):
         assert isinstance(got, complex)
         assert abs(got - complex(want)) <= 1e-9 * (1 + abs(complex(want)))
+
+
+small_ints = st.integers(-9, 9)
+small_gaussians = small_ints | st.builds(CR, small_ints, small_ints)
+
+
+@st.composite
+def banded_matrices(draw, max_order=8):
+    """Gaussian-integer matrices zero more than 0..3 places below the
+    diagonal, with some zero diagonal entries and some all-zero columns."""
+    entries = draw(st.sampled_from([small_ints, small_gaussians]))
+    n = draw(st.integers(min_value=1, max_value=max_order))
+    band = draw(st.integers(0, 3))
+    zero_diagonal = draw(st.sets(st.integers(1, n), max_size=3))
+    zero_columns = draw(st.sets(st.integers(1, n), max_size=2))
+    rows = [[0 if i - j > band or j in zero_columns
+             or (i == j and i in zero_diagonal) else draw(entries)
+             for j in range(1, row_length(n, i) + 1)]
+            for i in range(1, n + 1)]
+    return HessenbergMatrix(n, rows)
+
+
+@given(banded_matrices())
+@settings(deadline=None, max_examples=150)
+def test_banded_prefixes_equal_oracle_on_both_realizations(m):
+    # the exact recurrence keeps column k from its diagonal row to its
+    # last nonzero entry; the same values read as complex stay close
+    prefixes = det_prefixes(m)
+    floats = det_prefixes(HessenbergMatrix(
+        m.order, [[complex(v) for v in row] for row in m.rows]))
+    assert prefixes[0] == 1 and floats[0] == 1
+    for k in range(1, m.order + 1):
+        want = det_leibniz(leading_submatrix(m, k))
+        assert prefixes[k] == want
+        want = complex(want)
+        assert abs(floats[k] - want) <= 1e-12 * (1 + abs(want))
+
+
+signed_zero_parts = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.builds(complex, signed_zero_parts, signed_zero_parts),
+    min_size=entry_count(n), max_size=entry_count(n)).map(
+        lambda entries: make_matrix(n, entries))))
+@settings(deadline=None, max_examples=150)
+def test_float_prefix_zero_parts_are_positive(m):
+    # a zero part of a float prefix is +0.0, as in the closed form and
+    # the oracle, whatever the signs of the zero entries
+    for value in det_prefixes(m):
+        for part in (value.real, value.imag):
+            assert part or math.copysign(1, part) == 1
 
 
 def undivided_solution_matrix(spec, n, first_column):

@@ -14,6 +14,7 @@ from conftest import (default_digit_limit, random_exact_matrix,
 from hessenbergian import (ComplexRational, FormatError,
                            IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
                            WrongEntryCount, row_length)
+import hessenbergian.formats as formats
 from hessenbergian.formats import (convert_spec, dump_text, matrix_from_json,
                                    matrix_to_json, parse_text,
                                    scalar_from_json, scalar_to_json,
@@ -243,8 +244,7 @@ _leaves = st.one_of(
     st.integers(-10 ** 308, 10 ** 308),
     st.integers(-2 ** 60, 2 ** 60))
 _pairs = st.lists(_leaves, min_size=2, max_size=2)
-# mostly [re, im] pairs; a bare int or float sends its document down
-# the scalar path
+# mostly [re, im] pairs; a bare int or float v reads as [v, 0]
 _float_scalars = st.one_of(_pairs, _pairs, _pairs, _pairs,
                            st.integers(-9, 9), st.floats(-1e3, 1e3))
 
@@ -302,15 +302,19 @@ def _with_last_scalar(rows, scalar) -> dict:
     return {"order": 700, "rows": [*rows[:-1], [*rows[-1][:-1], scalar]]}
 
 
-@pytest.mark.parametrize("scalar", [7, [-0.0, 5e-324]],
-                         ids=["bare-int", "signed-zero-subnormal"])
+@pytest.mark.parametrize("scalar", [7, -0.0, 2 ** 60 + 1, [-0.0, 5e-324]],
+                         ids=["bare-int", "bare-negative-zero", "bare-big-int",
+                              "signed-zero-subnormal"])
 def test_order_700_last_scalar_decodes_as_the_scalar_rule(order_700_rows,
-                                                         scalar):
+                                                         scalar, monkeypatch):
     doc = _with_last_scalar(order_700_rows, scalar)
-    matrix, backend = matrix_from_json(doc)
-    assert backend == "float"
     flat = [scalar_from_json(v, "float", "float")
             for row in doc["rows"] for v in row]
+    calls = []  # a valid float document never reaches the scalar rule
+    monkeypatch.setattr(formats, "scalar_from_json",
+                        lambda *args: calls.append(args))
+    matrix, backend = matrix_from_json(doc)
+    assert backend == "float" and calls == []
     assert _bits(np.concatenate(matrix.rows)) == _bits(flat)
 
 
@@ -347,7 +351,11 @@ def test_invalid_float_rows_keep_their_errors(row, message, backend):
     (["1.0", 0.0], "invalid scalar ['1.0', 0.0]" + _EXPECTED),
     ([10 ** 400, 0], "a scalar is beyond the double range"),
     (parse_text("[1e400,0.0]"), "a scalar is beyond the double range"),
-], ids=["bool", "string", "huge-int", "overflowing-literal"])
+    (True, "invalid scalar True" + _EXPECTED),
+    (10 ** 400, "a scalar is beyond the double range"),
+    (parse_text("1e400"), "a scalar is beyond the double range"),
+], ids=["bool", "string", "huge-int", "overflowing-literal", "bare-bool",
+        "bare-huge-int", "bare-overflowing-literal"])
 def test_order_700_invalid_last_scalar_keeps_its_error(order_700_rows,
                                                        scalar, message):
     with pytest.raises(FormatError) as info:
