@@ -3,9 +3,9 @@ expansion terms, and determinant-ratio solutions of linear difference
 equations with variable coefficients.
 
 The public names are loaded on first use (PEP 562): importing the
-package loads no submodule.  Only ``closed_form`` imports numpy at load
-time; the other modules import it in their float branches, so exact
-work other than the closed form never loads numpy.
+package loads no submodule.  No module imports numpy at load time;
+each imports it in its float branches, so exact work never loads
+numpy.
 """
 
 from importlib import import_module

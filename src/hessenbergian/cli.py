@@ -19,10 +19,8 @@ The module imports nothing numeric at load time: the parser's defaults
 come from :mod:`errors` and :mod:`ldevc`, and ``expand`` runs on
 :mod:`sep_codec` alone.  Each subcommand that reads or writes
 documents, or evaluates a matrix, imports the modules it runs in its
-own body, and numpy loads only on a float path or for the closed form:
-``expand``, ``sep``, ``gen``, exact ``solve`` (every method but
-``*-closed``) and exact ``det --method recurrence|leibniz`` never load
-it.
+own body, and numpy loads only on a float path: ``expand``, ``sep``,
+``gen``, and exact ``solve`` and ``det`` by every method never load it.
 """
 
 from __future__ import annotations
@@ -261,14 +259,18 @@ def _read(path: str) -> str:
 
 def _result_to_json(value):
     """scalar_to_json for a computed result.  An infinite or NaN float
-    result has no strict-JSON form, so it is refused (NonFiniteResult)."""
+    result has no strict-JSON form, so it is refused (NonFiniteResult).
+    Every zero part of a float result is written as +0.0, whichever
+    method computed it."""
     from .formats import scalar_to_json
 
     if not is_exact(value) and not cmath.isfinite(value):
         raise NonFiniteResult(
             f"float result {complex(value)!r} is not finite; it has no "
             f"JSON form")
-    return scalar_to_json(value)
+    # + 0j makes a -0.0 part +0.0; + 0 would not reach the imaginary
+    # part from Python 3.14, where an int adds to the real part alone
+    return scalar_to_json(value if is_exact(value) else value + 0j)
 
 
 def _det_kernel(method: str, args):

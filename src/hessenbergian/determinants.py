@@ -31,7 +31,8 @@ Two routes live here:
   prefix is +0.0, as in the closed form and the oracle.
 
   An exact matrix runs the same loop fraction-free, on Gaussian integers
-  in plain ``int`` lists: :func:`gaussian_rows` scales row i by the lcm
+  held as ``(re, im)`` lists of plain ``int`` (real entries too, their
+  imaginary parts zero): :func:`gaussian_rows` scales row i by the lcm
   d_i of its denominators, the recurrence then needs only +, - and x on
   ints, and every prefix determinant is divided once, by
   D_k = d_1...d_k, into an ``int``, ``Fraction`` or ``ComplexRational``
@@ -41,7 +42,8 @@ Two routes live here:
   solution matrices of low-order difference equations cost nothing for
   their zero columns; a zero entry inside the live window adds exactly
   0.  The two loops stay apart, numpy on complex128 and plain ints on
-  Gaussian integers, but share this one form.
+  Gaussian integers, but share this one form; the closed form splits
+  by realization the same way, so no exact determinant loads numpy.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the Leibniz
   expansion on Python scalars, treating structural zeros as 0: column
@@ -95,18 +97,16 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
 
 
 def _scale(q: tuple, s: tuple) -> tuple:
-    # the lists of parts q, each value times the one value s
-    if len(s) == 1 or not s[1]:
-        return tuple([x * s[0] for x in p] for p in q)
+    # the (re, im) lists q, each value times the one value s
     (qr, qi), (sr, si) = q, s
+    if not si:
+        return [a * sr for a in qr], [b * sr for b in qi]
     return ([a * sr - b * si for a, b in zip(qr, qi)],
             [a * si + b * sr for a, b in zip(qr, qi)])
 
 
 def _sum_products(h: tuple, q: tuple) -> tuple:
-    # sum_k h[k] q[k] over lists of parts of one width
-    if len(h) == 1:
-        return (sum(map(operator.mul, h[0], q[0])),)
+    # sum_k h[k] q[k] over (re, im) lists
     (hr, hi), (qr, qi) = h, q
     return (sum(map(operator.mul, hr, qr)) - sum(map(operator.mul, hi, qi)),
             sum(map(operator.mul, hr, qi)) + sum(map(operator.mul, hi, qr)))
@@ -115,12 +115,11 @@ def _sum_products(h: tuple, q: tuple) -> tuple:
 def _gaussian_prefixes(rows: tuple) -> list:
     """det(H_1), ..., det(H_n) of Gaussian-integer rows, as int parts.
 
-    The recurrence of :func:`det_prefixes` on rows of ``(re,)`` or
-    ``(re, im)`` lists of ints; every value is a tuple of the same
-    width.  q holds the running q_k of the live columns only, column k
-    being live from its diagonal row k to its last nonzero h_{j,k}; on
-    the solution matrix of an N-order equation that is column 1 and a
-    window of N columns."""
+    The recurrence of :func:`det_prefixes` on rows of ``(re, im)``
+    lists of ints; every value is an ``(re, im)`` tuple.  q holds the
+    running q_k of the live columns only, column k being live from its
+    diagonal row k to its last nonzero h_{j,k}; on the solution matrix
+    of an N-order equation that is column 1 and a window of N columns."""
     n = len(rows)
     last = [-1] * n  # 0-based: the last row j >= k with h_{j,k} != 0
     for j in range(n):
@@ -128,9 +127,9 @@ def _gaussian_prefixes(rows: tuple) -> list:
             for k in compress(range(j + 1), p):
                 last[k] = j
     ends = set(last)  # the rows after which some column stops being live
-    dets = [(1, 0)[:len(rows[0])]]
+    dets = [(1, 0)]
     live = []  # the live columns, ascending; q holds their values
-    q = tuple([] for _ in dets[0])
+    q = ([], [])
     for j in range(n):  # 0-based row j gives det(H_{j+1})
         if j:  # the signed superdiagonal c = -h_{j-1,j}
             q = _scale(q, tuple(-p[j] for p in rows[j - 1]))

@@ -56,9 +56,8 @@ matrix float, each exact entry rounded once.
 The spec type, the method names and :func:`solve_forward` need neither
 the matrix nor the determinant module; the functions that build and
 evaluate the monic matrix import them, so the CLI's argument parser can
-read :data:`GENERAL_METHODS` without them.  Only the closed form needs
-numpy, and :func:`_solutions` imports it for the *-closed methods
-alone: every other method solves an exact spec without loading numpy.
+read :data:`GENERAL_METHODS` without them.  numpy loads only for a
+float matrix, so every method solves an exact spec without it.
 """
 
 from __future__ import annotations

@@ -177,11 +177,11 @@ def gaussian_rows(rows) -> tuple:
 
     Row i is multiplied by d_i = ``scales[i]``, the lcm of its entries'
     denominators, so every entry becomes a Gaussian integer.
-    ``parts[i]`` holds the scaled row as lists of plain ``int``:
-    ``(re,)`` when no entry of any row has an imaginary part, ``(re, im)``
-    otherwise.  A determinant is linear in each row, so the determinant
-    of the leading k x k block of the scaled rows is d_1...d_k times the
-    original one, and :func:`exact_value` divides it back once.
+    ``parts[i]`` holds the scaled row as two lists of plain ``int``,
+    ``(re, im)``, the imaginary parts zero for real entries.  A
+    determinant is linear in each row, so the determinant of the leading
+    k x k block of the scaled rows is d_1...d_k times the original one,
+    and :func:`exact_value` divides it back once.
     ``kind`` is the type of the results: ``int`` for int entries,
     ``Fraction`` when int and Fraction entries mix, and
     ``ComplexRational`` when any entry is one.  Built per call; nothing
@@ -211,18 +211,17 @@ def gaussian_rows(rows) -> tuple:
             im[i] = c * (d // e)
         scaled.append((re, im))
         scales.append(d)
-    width = 2 if any(any(im) for _, im in scaled) else 1
-    return tuple(pair[:width] for pair in scaled), scales, kind
+    return tuple(scaled), scales, kind
 
 
 def exact_value(parts: tuple, scale: int, kind):
-    """The ``kind`` scalar (re + i im) / scale, from ``(re,)`` or
-    ``(re, im)`` int parts; the one division of an exact result."""
+    """The ``kind`` scalar (re + i im) / scale, from ``(re, im)`` int
+    parts; the one division of an exact result."""
+    re, im = parts
     if kind is int:
-        return parts[0]  # every scale is 1
-    re = Fraction(parts[0], scale)
+        return re  # every scale is 1
     if kind is Fraction:
-        return re
-    im = Fraction(parts[1], scale) if len(parts) == 2 else Fraction(0)
-    return ComplexRational._from_fractions(re, im)
+        return Fraction(re, scale)
+    return ComplexRational._from_fractions(Fraction(re, scale),
+                                           Fraction(im, scale))
 

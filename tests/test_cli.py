@@ -16,6 +16,7 @@ from hessenbergian import (ComplexRational, FormatError, IntegerTooLargeForJson,
                            solve_forward)
 from hessenbergian.cli import generate_spec, main, parse_scalar_token
 from hessenbergian.formats import dump_text, parse_text, spec_from_json, spec_to_json
+from hessenbergian.ldevc import GENERAL_METHODS
 
 CR = ComplexRational
 
@@ -451,6 +452,25 @@ def test_solve_sign_of_zero_matches_forward(capsys, tmp_path):
     assert outputs["reduced-closed"] == outputs["forward"]
 
 
+def test_solve_zero_parts_print_alike_on_every_method(capsys, tmp_path):
+    # forward substitution keeps the sign of a zero part that the
+    # Hessenbergian routes do not; every written zero part is +0.0
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps(
+        {"N": 0, "horizon": 2,
+         "coeffs": [[[2.0, 0.0]], [[-0.0, 0.0], [1.0, 0.0]],
+                    [[1.0, 0.0], [-0.0, -0.0], [-4.0, 0.0]]],
+         "forcing": [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]]}))
+    outputs = set()
+    for method in ("forward", *GENERAL_METHODS):
+        code, out, err = run_cli(capsys, "solve", str(path), "--method",
+                                 method)
+        assert (code, err) == (0, ""), method
+        outputs.add(out)
+    assert outputs == {
+        '{"backend":"float","values":[[0.0,0.0],[0.0,0.0],[0.0,0.0]]}\n'}
+
+
 @pytest.mark.parametrize("rows, value", [
     ([[[-0.0, 0.0]]], "[0.0,0.0]"),
     ([[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -693,15 +713,16 @@ def test_expand_loads_no_numpy(matrix_file):
     modules = _imported_modules(proc.stderr)
     assert "hessenbergian.sep_codec" in modules
     assert not [m for m in modules if "numpy" in m]
-    # an exact det loads none either; a float det and the closed form
-    # still load it, and every output is unchanged
+    # an exact det loads none either, by any method; a float det and the
+    # float closed form still load it, and every output is unchanged
     exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
+    floats = '{"backend":"float","value":[-2.0,0.0]}\n'
     for args, stdout, loads in (
             ([], exact, False),
             (["--method", "leibniz"], exact, False),
-            (["--method", "closed"], exact, True),
-            (["--backend", "float"], '{"backend":"float","value":[-2.0,0.0]}\n',
-             True)):
+            (["--method", "closed"], exact, False),
+            (["--backend", "float"], floats, True),
+            (["--backend", "float", "--method", "closed"], floats, True)):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "hessenbergian", "det",
              matrix_file, *args], capture_output=True, text=True, env=env)
@@ -733,6 +754,10 @@ for name, *argv in (
         ("leibniz", "det", "m.json", "--method", "leibniz"),
         ("band-recurrence", "det", "band.json", "--method", "recurrence"),
         ("band-leibniz", "det", "band.json", "--method", "leibniz"),
+        ("closed", "det", "m.json", "--method", "closed"),
+        ("band-closed", "det", "band.json", "--method", "closed"),
+        ("ratio-closed", "solve", "spec", "--init", "1,2/3-i",
+         "--method", "ratio-closed"),
         ("sep", "sep", "--order", "8", "--index", "81")):
     assert main([*argv, "--out", name]) == 0, name
 sys.argv = ["hessenbergian", "expand", "--order", "3"]
@@ -748,13 +773,15 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert len(proc.stdout.splitlines()) == 4
     out = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert len(json.loads(out["ratio"])["values"]) == 9
-    assert out["ratio"] == out["forward"]
+    assert out["ratio"] == out["forward"] == out["ratio-closed"]
     exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
-    assert out["recurrence"] == out["leibniz"] == exact
+    assert out["recurrence"] == out["leibniz"] == out["closed"] == exact
     # zero diagonal entries and a banded first column: the exact
-    # recurrence's live columns open and close inside the matrix
+    # recurrence's live columns open and close inside the matrix, and
+    # the closed form's walk skips the terms under a zero factor
     band = '{"backend":"exact","value":[3,1,0,1]}\n'
-    assert out["band-recurrence"] == out["band-leibniz"] == band
+    assert (out["band-recurrence"] == out["band-leibniz"]
+            == out["band-closed"] == band)
     assert out["sep"] == ('{"bits":[1,0,1,0,0,0,1,1],'
                           '"columns":[1,3,2,5,6,7,4,8],"sign":1}\n')
 

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -5,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_exact_matrix, random_float_matrix
-from hessenbergian import (IndexOutOfRange, InvalidOrder,
+from hessenbergian import (HessenbergMatrix, IndexOutOfRange, InvalidOrder,
                            OrderTooLargeForClosedForm,
                            OrderTooLargeForExpansion, chi, closed_form,
                            det_closed_form, det_leibniz, det_recurrence,
-                           expand_symbolic, make_matrix, sep_count)
+                           expand_symbolic, make_matrix, row_length,
+                           sep_count)
+from hessenbergian.cli import main
 
 
 def test_chi_goldens_order_two():
@@ -112,8 +116,9 @@ def test_closed_form_cap():
                          ids=["float", "exact"])
 def test_multi_block_sum(monkeypatch, random_matrix):
     # 64-term blocks give order 13 (4096 terms) 64 blocks, so the
-    # compensated combination of several blocks is covered below the
-    # default block size's order 18; exact block sums combine exactly
+    # compensated combination of several float blocks is covered below
+    # the default block size's order 18; the exact walk has no blocks,
+    # so its case is a plain value check
     monkeypatch.setattr(closed_form, "_BLOCK", 64)
     rng = random.Random(53)
     m = random_matrix(13, rng)
@@ -140,8 +145,9 @@ def _float_matrix_with_zeros(order, rng):
 
 @pytest.mark.parametrize("block", [1, 2, 4, 64])
 def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
-    # blocks that share every row (1), some rows (2, 4) or none (64 at
-    # order <= 7) all give the recurrence's value; exact ones the sum of chi
+    # float blocks that share every row (1), some rows (2, 4) or none
+    # (64 at order <= 7) all give the recurrence's value; the exact walk
+    # has no blocks, and its value is checked against the sum of chi
     monkeypatch.setattr(closed_form, "_BLOCK", block)
     rng = random.Random(block)
     for order in range(1, 11):
@@ -155,6 +161,28 @@ def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
         for idx in range(sep_count(order)):
             total = total + chi(m, idx)
         assert det_closed_form(m) == total
+
+
+def test_exact_walk_skips_zero_subtrees_at_any_depth(capsys, tmp_path):
+    # a zero superdiagonal leaves one nonzero term of 2^1099, the
+    # diagonal product; the walk must neither recurse nor enter the
+    # zero subtrees
+    rng = random.Random(1100)
+    rows = [[rng.choice((-2, -1, 1, 2)) if j == i else
+             0 if j > i else rng.randint(-9, 9)
+             for j in range(1, row_length(1100, i) + 1)]
+            for i in range(1, 1101)]
+    want = math.prod(row[i] for i, row in enumerate(rows))
+    m = HessenbergMatrix(1100, rows)
+    assert det_closed_form(m, closed_form_cap=2000) == want
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"order": 1100, "rows": rows}))
+    assert main(["det", str(path), "--method", "closed",
+                 "--closed-form-cap", "2000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"backend": "exact",
+                                        "value": [want, 1, 0, 1]}
 
 
 def test_float_closed_form_budget_at_order_22():

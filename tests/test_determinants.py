@@ -393,7 +393,8 @@ def banded_matrices(draw, max_order=8):
 @settings(deadline=None, max_examples=150)
 def test_banded_prefixes_equal_oracle_on_both_realizations(m):
     # the exact recurrence keeps column k from its diagonal row to its
-    # last nonzero entry; the same values read as complex stay close
+    # last nonzero entry, and the exact closed form skips every term
+    # with a zero factor; the same values read as complex stay close
     prefixes = det_prefixes(m)
     floats = det_prefixes(HessenbergMatrix(
         m.order, [[complex(v) for v in row] for row in m.rows]))
@@ -401,6 +402,7 @@ def test_banded_prefixes_equal_oracle_on_both_realizations(m):
     for k in range(1, m.order + 1):
         want = det_leibniz(leading_submatrix(m, k))
         assert prefixes[k] == want
+        assert det_closed_form(leading_submatrix(m, k)) == want
         want = complex(want)
         assert abs(floats[k] - want) <= 1e-12 * (1 + abs(want))
 
