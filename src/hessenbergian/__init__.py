@@ -14,24 +14,22 @@ __version__ = "0.1.0"
 
 # each public name and the submodule that defines it
 _OWNERS = {
-    "AscendingOrder": "ldevc", "BitArray": "sep_codec",
-    "ComplexRational": "scalars", "DEFAULT_CLOSED_FORM_CAP": "errors",
-    "DEFAULT_ORACLE_CAP": "errors", "EXACT": "scalars",
-    "EXPANSION_CAP": "sep_codec", "EquationClass": "ldevc", "FLOAT": "scalars",
+    "BitArray": "sep_codec", "ComplexRational": "scalars",
+    "DEFAULT_CLOSED_FORM_CAP": "errors", "DEFAULT_ORACLE_CAP": "errors",
+    "EXACT": "scalars", "EXPANSION_CAP": "sep_codec", "FLOAT": "scalars",
     "FormatError": "errors", "HessenbergianError": "errors",
     "HessenbergMatrix": "matrix", "IndexOutOfRange": "errors",
     "IntegerTooLargeForJson": "errors", "InvalidOrder": "errors",
     "InvalidParams": "errors", "InvalidSep": "errors",
     "IrregularOrder": "errors", "LdevcSpec": "ldevc",
-    "LinearityViolation": "errors", "NOrder": "ldevc",
-    "NonFiniteResult": "errors", "NotInRangeSet": "errors",
-    "OrderTooLargeForClosedForm": "errors",
+    "LinearityViolation": "errors", "NonFiniteResult": "errors",
+    "NotInRangeSet": "errors", "OrderTooLargeForClosedForm": "errors",
     "OrderTooLargeForExpansion": "errors", "OrderTooLargeForOracle": "errors",
     "Scalar": "scalars", "SepFactors": "sep_codec", "SepIndex": "sep_codec",
     "SizeCapExceeded": "errors", "SolutionBundle": "ldevc",
-    "SymbolicTerm": "sep_codec", "UnboundedOrder": "ldevc",
-    "WrongEntryCount": "errors", "WrongInitLength": "errors",
-    "chi": "closed_form", "classify": "ldevc", "decode_columns": "sep_codec",
+    "SymbolicTerm": "sep_codec", "WrongEntryCount": "errors",
+    "WrongInitLength": "errors", "chi": "closed_form",
+    "closed_form_prefixes": "closed_form", "decode_columns": "sep_codec",
     "det_closed_form": "closed_form", "det_leibniz": "determinants",
     "det_prefixes": "determinants", "det_recurrence": "determinants",
     "encode_sep": "sep_codec", "entry_count": "matrix",
@@ -39,8 +37,7 @@ _OWNERS = {
     "fundamental_solution": "ldevc", "general_solution": "ldevc",
     "general_solutions": "ldevc", "leading_submatrix": "matrix",
     "make_matrix": "matrix", "particular_solution": "ldevc",
-    "row_length": "matrix", "sep_count": "sep_codec",
-    "sep_index": "sep_codec", "signed_rows": "matrix",
+    "row_length": "matrix", "sep_count": "sep_codec", "signed_rows": "matrix",
     "solve_bundle": "ldevc", "solve_forward": "ldevc", "tau": "sep_codec",
 }
 

@@ -35,12 +35,24 @@ compensated accumulation.  numpy is imported by that kernel alone.
 An exact matrix is summed fraction-free on plain ints:
 :func:`gaussian_rows` scales each signed row by the lcm of its
 denominators into ``(re, im)`` lists of ``int``, and
-:func:`_gaussian_sum` walks the prefix tree depth first on an explicit
+:func:`_gaussian_sums` walks the prefix tree depth first on an explicit
 stack, so the order of the matrix bounds its depth, not Python's
 recursion limit.  A zero factor makes every term below it zero, so the
 walk never enters that subtree; on a banded matrix it visits only the
-terms with no zero factor.  The sum is exact in any order, and the
-total is divided once, by the product of the row scales.
+terms with no zero factor.  The sum is exact in any order.
+
+Every leading submatrix H_k shares its rows with the matrix, and the
+terms of det(H_k) are the standard children at row k of the same prefix
+tree, since H_k's last row takes its standard factor and its
+superdiagonal is never read.  So the one exact walk adds each standard
+child's product into its row's sum, and returns every prefix
+determinant at the cost of the largest: :func:`det_closed_form` divides
+the last sum once, by the product of the row scales, and
+:func:`closed_form_prefixes` divides sum k by d_1...d_k, as
+:func:`det_prefixes` does for the recurrence.  The float kernel keeps
+ascending m within each order, so :func:`closed_form_prefixes` sums
+each order k's blocks from one set of signed rows of the whole matrix,
+with the bits that H_k's own signed rows give.
 
 The symbolic expansion, which touches no matrix, lives in
 :mod:`sep_codec`.
@@ -52,8 +64,8 @@ import math
 
 from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
                      _check_order_cap)
-from .matrix import (HessenbergMatrix, exact_value, gaussian_rows,
-                     scalar_rows, signed_rows)
+from .matrix import (HessenbergMatrix, exact_prefixes, exact_value,
+                     gaussian_rows, scalar_rows, signed_rows)
 from .sep_codec import decode_columns, sep_count, tau
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
@@ -118,29 +130,51 @@ def _sum_block(rows, zeros, n: int, start: int, stop: int) -> complex:
         return prod.sum().item()
 
 
-def _gaussian_sum(rows: tuple) -> tuple:
-    # The sum of every term over Gaussian-integer rows of (re, im) int
-    # lists, as (re, im): a depth-first walk down the prefix tree on an
-    # explicit stack, each child's product its parent's times one factor.
+def _gaussian_sums(rows: tuple) -> list:
+    # det(H_1), ..., det(H_n) over Gaussian-integer rows of (re, im) int
+    # lists, each as (re, im): one depth-first walk down the prefix tree
+    # on an explicit stack, each child's product its parent's times one
+    # factor.  At 0-based row i a prefix's standard child is both a term
+    # of det(H_{i+1}) and the parent of the terms below it.
     n = len(rows)
-    total_re = total_im = 0
+    sums_re = [0] * n
+    sums_im = [0] * n
     # (0-based row, column of its standard factor, prefix product re, im)
     stack = [(0, 0, 1, 0)]
     while stack:
         i, last, a, b = stack.pop()
         re, im = rows[i]
+        x, y = re[last], im[last]
         if i == n - 1:  # the last row takes its standard factor alone
-            x, y = re[last], im[last]
-            total_re += a * x - b * y
-            total_im += a * y + b * x
+            sums_re[i] += a * x - b * y
+            sums_im[i] += a * y + b * x
             continue
-        # the superdiagonal child keeps `last`; the standard child moves
-        # it to this row.  A zero factor's subtree adds exactly 0.
-        for col, nxt in ((i + 1, last), (last, i + 1)):
-            x, y = re[col], im[col]
-            if x or y:
-                stack.append((i + 1, nxt, a * x - b * y, a * y + b * x))
-    return total_re, total_im
+        # the standard child moves `last` to this row; the superdiagonal
+        # child keeps it.  A zero factor's subtree adds exactly 0.
+        j = i + 1
+        if x or y:
+            c, d = a * x - b * y, a * y + b * x
+            sums_re[i] += c
+            sums_im[i] += d
+            stack.append((j, j, c, d))
+        x, y = re[j], im[j]
+        if x or y:
+            stack.append((j, last, a * x - b * y, a * y + b * x))
+    return list(zip(sums_re, sums_im))
+
+
+def _float_sums(crows: tuple, orders) -> list:
+    # det(H_k) for each k in orders, from the signed complex128 rows of
+    # the whole matrix: the rows past k and row k's superdiagonal are
+    # never read, so each sum has the bits of H_k's own signed rows
+    zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
+    sums = []
+    for k in orders:
+        total = sep_count(k)
+        sums.append(_kahan_sum(_sum_block(crows, zeros, k, start,
+                                          min(start + _BLOCK, total))
+                               for start in range(0, total, _BLOCK)))
+    return sums
 
 
 def det_closed_form(matrix: HessenbergMatrix, *,
@@ -150,11 +184,12 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     2^(n-1) terms; raises OrderTooLargeForClosedForm above the cap.
     A term with a zero factor adds exactly 0 on both realizations, as in
     the recurrence, so a zero entry never turns an overflowing product
-    into NaN.  A float-backed matrix sums its terms in _BLOCK-sized
-    blocks of ascending m, combined in ascending order; rows with no
-    zero entry skip the zero bookkeeping.  An exact matrix is summed by
-    the walk of :func:`_gaussian_sum`, which never enters the terms
-    under a zero factor, and the Gaussian-integer total is divided once.
+    into NaN.  A float-backed matrix sums its order-n terms alone, in
+    _BLOCK-sized blocks of ascending m, combined in ascending order;
+    rows with no zero entry skip the zero bookkeeping.  An exact matrix
+    takes the last sum of the one walk of :func:`_gaussian_sums`, which
+    never enters the terms under a zero factor, and divides that
+    Gaussian-integer total once.
     """
     n = matrix.order
     _check_order_cap(n, closed_form_cap, OrderTooLargeForClosedForm,
@@ -162,12 +197,30 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     crows = signed_rows(matrix)
     if not matrix.is_float_backed:
         parts, scales, kind = gaussian_rows(crows)
-        return exact_value(_gaussian_sum(parts), math.prod(scales), kind)
-    zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
-    total = sep_count(n)
-    return _kahan_sum(_sum_block(crows, zeros, n, start,
-                                 min(start + _BLOCK, total))
-                      for start in range(0, total, _BLOCK))
+        return exact_value(_gaussian_sums(parts)[-1], math.prod(scales), kind)
+    return _float_sums(crows, (n,))[0]
+
+
+def closed_form_prefixes(matrix: HessenbergMatrix, *,
+                         closed_form_cap: int = DEFAULT_CLOSED_FORM_CAP):
+    """[det(H_0), det(H_1), ..., det(H_n)] by the closed form, as
+    :func:`det_prefixes` gives them by the recurrence; det(H_0) = 1.
+
+    The cap is checked once, on the order n, before any term is summed.
+    An exact matrix takes every prefix from the same walk that
+    :func:`det_closed_form` runs, prefix k divided once by d_1...d_k,
+    so every value has the whole matrix's result type.  A float-backed
+    matrix sums each order k from one set of signed rows of the whole
+    matrix, each with the bits of :func:`det_closed_form` on H_k.
+    """
+    n = matrix.order
+    _check_order_cap(n, closed_form_cap, OrderTooLargeForClosedForm,
+                     "closed_form_cap")
+    crows = signed_rows(matrix)
+    if not matrix.is_float_backed:
+        parts, scales, kind = gaussian_rows(crows)
+        return exact_prefixes(_gaussian_sums(parts), scales, kind)
+    return [1, *_float_sums(crows, range(1, n + 1))]
 
 
 def _kahan_sum(parts):

@@ -64,7 +64,8 @@ from itertools import compress
 
 from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
                      _check_order_cap)
-from .matrix import HessenbergMatrix, exact_value, gaussian_rows, scalar_rows
+from .matrix import (HessenbergMatrix, exact_prefixes, exact_value,
+                     gaussian_rows, scalar_rows)
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:
@@ -72,12 +73,7 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
     submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
     if not matrix.is_float_backed:
         parts, scales, kind = gaussian_rows(matrix.rows)
-        values = [1]
-        scale = 1
-        for d, det in zip(scales, _gaussian_prefixes(parts)):
-            scale *= d
-            values.append(exact_value(det, scale, kind))
-        return values
+        return exact_prefixes(_gaussian_prefixes(parts), scales, kind)
     import numpy as np
 
     n = matrix.order

@@ -42,12 +42,14 @@ overflow while their ratio is finite.
 
 The *-recurrence methods take every prefix from one pass of the
 Hessenbergian recurrence (:func:`det_prefixes`), O(h^2) scalar
-operations in all; the *-closed methods sum the closed form over each
-leading submatrix.  The reduced-* methods name the same values as the
-ratio-* methods and run the same computation: dividing the rows after
-the first by -a_{r,N+r} instead would only move the sign (-1)^n into
-the rows, and negation is exact in both realizations (in floating point
-only the sign of a zero part can differ).
+operations in all; the *-closed methods take every prefix from one
+closed-form sum over the same matrix (:func:`closed_form_prefixes`),
+which on an exact matrix is one walk.  For one row alone, both routes
+evaluate the last prefix only.  The reduced-* methods name the same
+values as the ratio-* methods and run the same computation: dividing
+the rows after the first by -a_{r,N+r} instead would only move the sign
+(-1)^n into the rows, and negation is exact in both realizations (in
+floating point only the sign of a zero part can differ).
 
 Each row is divided by its own lead, and the matrix constructor alone
 picks the realization: one float or complex value makes the whole
@@ -127,41 +129,6 @@ class LdevcSpec:
         return f"LdevcSpec(N={self.index_N}, horizon={self.horizon})"
 
 
-class EquationClass:
-    """Base of the classification results."""
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class AscendingOrder(EquationClass):
-    index: int
-
-
-@dataclass(frozen=True)
-class NOrder(EquationClass):
-    index: int
-
-
-@dataclass(frozen=True)
-class UnboundedOrder(EquationClass):
-    pass
-
-
-def classify(spec: LdevcSpec) -> EquationClass:
-    """Unbounded order iff N=0; N-order iff every a_{n,i} with i < n
-    vanishes and some diagonal a_{m,m} does not; ascending otherwise.
-    The check is necessarily horizon-local."""
-    N = spec.index_N
-    if N == 0:
-        return UnboundedOrder()
-    banded = all(not spec.coeffs[n][i]
-                 for n in range(1, spec.horizon + 1) for i in range(n))
-    has_diagonal = any(spec.coeffs[n][n] for n in range(spec.horizon + 1))
-    if banded and has_diagonal:
-        return NOrder(N)
-    return AscendingOrder(N)
-
-
 def _divide(num, den):
     # int/int must not fall through to float division on the exact path;
     # every other exact pair already divides through Fraction or
@@ -206,22 +173,20 @@ def _solutions(spec: LdevcSpec, n: int, first_column,
     """(-1)^k det(X_k) / D_k for k = 0..n, or for k = n alone when not
     ``every``; X_k is the order-(k+1) solution matrix whose first column
     is ``first_column``."""
-    from .determinants import det_prefixes, det_recurrence
-    from .matrix import leading_submatrix
-
     matrix = _monic_matrix(spec, n, first_column)
-    orders = range(1, n + 2) if every else (n + 1,)
     if method.endswith("closed"):
-        from .closed_form import det_closed_form
+        from .closed_form import closed_form_prefixes, det_closed_form
 
-        # largest first: its cap refuses before any term is summed
-        dets = [det_closed_form(leading_submatrix(matrix, k),
-                                closed_form_cap=closed_form_cap)
-                for k in reversed(orders)][::-1]
-    elif every:
-        dets = det_prefixes(matrix)[1:]
+        if every:
+            dets = closed_form_prefixes(
+                matrix, closed_form_cap=closed_form_cap)[1:]
+        else:
+            dets = [det_closed_form(matrix, closed_form_cap=closed_form_cap)]
     else:
-        dets = [det_recurrence(matrix)]
+        from .determinants import det_prefixes, det_recurrence
+
+        dets = det_prefixes(matrix)[1:] if every else [det_recurrence(matrix)]
+    orders = range(1, n + 2) if every else (n + 1,)
     # the prefix of order k belongs to row n = k-1, so (-1)^n is + for odd
     # k; 0 - det rather than -det keeps a +0.0 part of a float +0.0
     return [det if k % 2 else 0 - det for k, det in zip(orders, dets)]

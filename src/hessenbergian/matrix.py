@@ -19,7 +19,8 @@ already loaded.
 Both exact kernels, the recurrence and the closed form, read exact rows
 through :func:`gaussian_rows`, which scales each row by the lcm of its
 entries' denominators so that every entry is a Gaussian integer held in
-plain ``int`` parts, and turn each result back with :func:`exact_value`.
+plain ``int`` parts, and turn each result back with :func:`exact_value`,
+or every prefix determinant with :func:`exact_prefixes`.
 """
 
 from __future__ import annotations
@@ -225,3 +226,14 @@ def exact_value(parts: tuple, scale: int, kind):
     return ComplexRational._from_fractions(Fraction(re, scale),
                                            Fraction(im, scale))
 
+
+def exact_prefixes(sums, scales, kind) -> list:
+    """[1, det(H_1), ..., det(H_n)] from the ``(re, im)`` int parts of
+    the prefix determinants of rows scaled by :func:`gaussian_rows`:
+    prefix k is divided once, by d_1...d_k."""
+    values = [1]
+    scale = 1
+    for d, parts in zip(scales, sums):
+        scale *= d
+        values.append(exact_value(parts, scale, kind))
+    return values

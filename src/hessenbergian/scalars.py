@@ -154,9 +154,6 @@ class ComplexRational:
             k >>= 1
         return result
 
-    def conjugate(self) -> "ComplexRational":
-        return _from_fractions(self.re, -self.im)
-
     # comparisons and conversions -----------------------------------------
 
     def __eq__(self, other):

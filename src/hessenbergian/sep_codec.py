@@ -28,10 +28,10 @@ each term's factor tuple or text is its parent prefix's plus one factor
 and nothing is decoded per term.  :func:`tau` and :func:`decode_columns`
 decode one index on its own, and stay the reference the walk is checked
 against.  :class:`BitArray` is the one validator of a 0/1 sequence:
-:func:`decode_columns` and :func:`sep_index` pass a raw sequence through
-it and share one last-bit check; integer arguments and the expansion
-cap go through the rules in :mod:`errors`.  The module imports nothing
-numeric: ``expand`` runs on it without loading numpy.
+:func:`decode_columns` passes a raw sequence through it and checks the
+last bit; integer arguments and the expansion cap go through the rules
+in :mod:`errors`.  The module imports nothing numeric: ``expand`` runs
+on it without loading numpy.
 """
 
 from __future__ import annotations
@@ -93,19 +93,14 @@ def tau(order: int, m: SepIndex) -> BitArray:
     return BitArray(order, bits)
 
 
-def _in_range_set(r: Union[BitArray, Sequence[int]]) -> BitArray:
+def decode_columns(r: Union[BitArray, Sequence[int]]) -> SepFactors:
+    """Bit array -> SEP columns and sign, one left-to-right pass."""
     # a raw sequence is validated as a BitArray; either must end in 1
     if not isinstance(r, BitArray):
         bits = tuple(r)
         r = BitArray(len(bits), bits)
     if r.bits[-1] != 1:
         raise NotInRangeSet(f"last bit must be 1, got {r.bits!r}")
-    return r
-
-
-def decode_columns(r: Union[BitArray, Sequence[int]]) -> SepFactors:
-    """Bit array -> SEP columns and sign, one left-to-right pass."""
-    r = _in_range_set(r)
     order, bits = r.order, r.bits
     columns = []
     zrun = 0
@@ -141,15 +136,6 @@ def encode_sep(p: Union[SepFactors, Sequence[int]]) -> BitArray:
     bits = tuple(0 if col == i + 1 else 1
                  for i, col in enumerate(columns, start=1))
     return BitArray(n, bits)
-
-
-def sep_index(r: Union[BitArray, Sequence[int]]) -> SepIndex:
-    """The m index of a bit array: r_1..r_{n-1} read as binary."""
-    bits = _in_range_set(r).bits
-    m = 0
-    for b in bits[:-1]:
-        m = (m << 1) | b
-    return m
 
 
 def fold_seps(order: int, step: Callable[[Acc, int, int], Acc],

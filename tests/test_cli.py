@@ -758,6 +758,14 @@ for name, *argv in (
         ("band-closed", "det", "band.json", "--method", "closed"),
         ("ratio-closed", "solve", "spec", "--init", "1,2/3-i",
          "--method", "ratio-closed"),
+        ("periodic", "gen", "--family", "periodic", "--params", "3",
+         "--N", "2", "--horizon", "16"),
+        ("periodic-forward", "solve", "periodic", "--init", "1,2/3-i",
+         "--method", "forward"),
+        ("periodic-ratio-closed", "solve", "periodic", "--init", "1,2/3-i",
+         "--method", "ratio-closed"),
+        ("periodic-reduced-closed", "solve", "periodic", "--init", "1,2/3-i",
+         "--method", "reduced-closed"),
         ("sep", "sep", "--order", "8", "--index", "81")):
     assert main([*argv, "--out", name]) == 0, name
 sys.argv = ["hessenbergian", "expand", "--order", "3"]
@@ -774,6 +782,10 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     out = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert len(json.loads(out["ratio"])["values"]) == 9
     assert out["ratio"] == out["forward"] == out["ratio-closed"]
+    # a banded exact spec: the closed form's one walk gives every prefix
+    assert len(json.loads(out["periodic-forward"])["values"]) == 17
+    assert (out["periodic-ratio-closed"] == out["periodic-reduced-closed"]
+            == out["periodic-forward"])
     exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
     assert out["recurrence"] == out["leibniz"] == out["closed"] == exact
     # zero diagonal entries and a banded first column: the exact

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import random
@@ -6,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_exact_matrix, random_float_matrix
+from conftest import (random_exact_matrix, random_float_matrix,
+                      random_fraction, random_rational_scalar)
 from hessenbergian import (HessenbergMatrix, IndexOutOfRange, InvalidOrder,
                            OrderTooLargeForClosedForm,
                            OrderTooLargeForExpansion, chi, closed_form,
-                           det_closed_form, det_leibniz, det_recurrence,
-                           expand_symbolic, make_matrix, row_length,
-                           sep_count)
+                           closed_form_prefixes, det_closed_form,
+                           det_leibniz, det_prefixes, det_recurrence,
+                           entry_count, expand_symbolic, leading_submatrix,
+                           make_matrix, row_length, sep_count)
 from hessenbergian.cli import main
 
 
@@ -161,6 +164,58 @@ def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
         for idx in range(sep_count(order)):
             total = total + chi(m, idx)
         assert det_closed_form(m) == total
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.randint(-9, 9), random_fraction, random_rational_scalar,
+], ids=["int", "Fraction", "ComplexRational"])
+def test_exact_prefixes_equal_recurrence_prefixes(draw):
+    # one walk gives every prefix, each divided by its own row scales,
+    # with the values and result types of the recurrence's prefixes
+    rng = random.Random(57)
+    for order in range(1, 11):
+        for zeros in (0.0, 0.3, 0.6):
+            m = make_matrix(order, [0 if rng.random() < zeros else draw(rng)
+                                    for _ in range(entry_count(order))])
+            want = det_prefixes(m)
+            got = closed_form_prefixes(m)
+            assert got == want
+            assert [type(v) for v in got] == [type(v) for v in want]
+
+
+@pytest.mark.parametrize("block", [4, 64])
+def test_float_prefixes_have_each_leading_submatrix_bits(monkeypatch, block):
+    # every prefix is summed from the whole matrix's signed rows, with
+    # the bits of the closed form on its own leading submatrix; the
+    # zero-factor-meets-overflow matrix must stay finite at every order
+    monkeypatch.setattr(closed_form, "_BLOCK", block)
+    rng = random.Random(block + 1)
+    overflow = make_matrix(3, [complex(v) for v in (
+        2, 1e300, 1e-300, 3, 1e300, 0, 1e-300 + 1e-301j, 5)])
+    matrices = [overflow] + [_float_matrix_with_zeros(order, rng)
+                             for order in range(1, 11) for _ in range(3)]
+    for m in matrices:
+        got = closed_form_prefixes(m)
+        assert got[0] == 1 and len(got) == m.order + 1
+        assert [repr(v) for v in got[1:]] == [
+            repr(det_closed_form(leading_submatrix(m, k)))
+            for k in range(1, m.order + 1)]
+    assert all(map(cmath.isfinite, closed_form_prefixes(overflow)))
+
+
+def test_prefixes_refuse_above_the_cap_before_summing(monkeypatch):
+    def no_sum(*args):
+        raise AssertionError("a term was summed")
+
+    monkeypatch.setattr(closed_form, "_gaussian_sums", no_sum)
+    monkeypatch.setattr(closed_form, "_sum_block", no_sum)
+    rng = random.Random(59)
+    for m in (random_exact_matrix(5, rng), random_float_matrix(5, rng)):
+        with pytest.raises(OrderTooLargeForClosedForm,
+                           match="closed_form_cap=4"):
+            closed_form_prefixes(m, closed_form_cap=4)
+    with pytest.raises(OrderTooLargeForClosedForm):
+        closed_form_prefixes(random_float_matrix(29, rng))
 
 
 def test_exact_walk_skips_zero_subtrees_at_any_depth(capsys, tmp_path):

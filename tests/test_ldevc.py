@@ -9,14 +9,12 @@ import pytest
 from conftest import (periodic_exact_spec, random_exact_spec,
                       random_float_spec, random_fraction,
                       random_rational_scalar)
-from hessenbergian import (AscendingOrder, ComplexRational, IndexOutOfRange,
-                           InvalidOrder, IrregularOrder, LdevcSpec,
-                           LinearityViolation, NOrder,
-                           OrderTooLargeForClosedForm, UnboundedOrder,
-                           WrongEntryCount, WrongInitLength, classify,
-                           fundamental_solution, general_solution,
-                           general_solutions, particular_solution,
-                           solve_bundle, solve_forward)
+from hessenbergian import (ComplexRational, IndexOutOfRange, InvalidOrder,
+                           IrregularOrder, LdevcSpec, LinearityViolation,
+                           OrderTooLargeForClosedForm, WrongEntryCount,
+                           WrongInitLength, fundamental_solution,
+                           general_solution, general_solutions,
+                           particular_solution, solve_bundle, solve_forward)
 from hessenbergian import ldevc
 from hessenbergian.ldevc import GENERAL_METHODS
 
@@ -76,17 +74,6 @@ def test_spec_is_immutable():
     with pytest.raises(AttributeError):
         spec.foo = 1  # not a field: no slot, and frozen all the same
     assert spec.leading(2) == 1
-
-
-def test_classify():
-    assert classify(first_order_spec(F(2), 5)) == NOrder(1)
-    spec0 = LdevcSpec(0, 2, [[1], [0, 2], [0, 0, 3]], [1, 1, 1])
-    assert classify(spec0) == UnboundedOrder()
-    full = random_exact_spec(2, 5, random.Random(8))
-    assert classify(full) == AscendingOrder(2)
-    # banded but with an all-zero diagonal: not N-order by the rule
-    shifted = LdevcSpec(1, 2, [[0, 1], [0, 0, 1], [0, 0, 0, 1]], [1, 1, 1])
-    assert classify(shifted) == AscendingOrder(1)
 
 
 def test_solution_matrix_structure():
@@ -254,6 +241,19 @@ def test_closed_cap_passthrough():
                           closed_form_cap=4)
     assert general_solutions(spec, GOLDEN_INIT, "reduced-closed",
                              closed_form_cap=5) == GOLDEN_Y
+
+
+def test_closed_and_recurrence_values_share_their_types():
+    # rows 1-3 of the monic matrix stay int (lead 1), rows 4-6 become
+    # Fraction (lead 2): every prefix takes the horizon matrix's result
+    # type, by the closed form as by the recurrence
+    coeffs = ([[0] * n + [-2, 1] for n in range(3)]
+              + [[0] * n + [F(1, 3), 2] for n in range(3, 6)])
+    spec = LdevcSpec(1, 5, coeffs, [1] * 6)
+    closed = general_solutions(spec, (1,), "ratio-closed")
+    recurrence = general_solutions(spec, (1,), "ratio-recurrence")
+    assert closed == recurrence == solve_forward(spec, (1,))
+    assert [type(v) for v in closed] == [type(v) for v in recurrence] == [F] * 6
 
 
 def scaled_rows(spec, scales):

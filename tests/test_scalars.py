@@ -27,7 +27,6 @@ def test_arithmetic_goldens():
     assert (a * b) / b == a
     assert -a == CR(Fraction(-1, 2), Fraction(-3, 4))
     assert +a == a
-    assert a.conjugate() == CR(Fraction(1, 2), Fraction(-3, 4))
 
 
 def test_division_golden():

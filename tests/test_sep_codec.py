@@ -9,7 +9,7 @@ from hessenbergian import (BitArray, IndexOutOfRange, InvalidOrder,
                            InvalidSep, NotInRangeSet,
                            OrderTooLargeForExpansion, decode_columns,
                            encode_sep, enumerate_seps, expand_symbolic,
-                           sep_codec, sep_count, sep_index, tau)
+                           sep_codec, sep_count, tau)
 
 
 def test_tau_goldens():
@@ -56,8 +56,6 @@ def test_decode_rejects_range_set_violation():
         decode_columns((0, 1, 0))
     with pytest.raises(NotInRangeSet):
         decode_columns(BitArray(2, (1, 0)))
-    with pytest.raises(NotInRangeSet):
-        sep_index([1, 0])
 
 
 def test_bit_array_validation():
@@ -74,9 +72,7 @@ def test_bit_array_validation():
     # only the ints 0 and 1 are digits
     for bad in ([3, 1], [1, 2, 1], [0.5, 1], [True, 1], [1.0, 1]):
         with pytest.raises(InvalidOrder):
-            sep_index(bad)
-    with pytest.raises(InvalidOrder):
-        decode_columns([1.0, 1])
+            decode_columns(bad)
 
 
 def test_encode_goldens():
@@ -100,13 +96,12 @@ def test_sep_count():
 
 def test_round_trip_and_decimal_identity_exhaustive():
     # every index up to order 16: tau -> decode -> encode is the identity,
-    # sep_index inverts tau, and the bits read in base 2 give 2m+1
+    # and the bits read in base 2 give 2m+1
     for n in range(1, 17):
         for m in range(sep_count(n)):
             bits = tau(n, m)
             factors = decode_columns(bits)
             assert encode_sep(factors) == bits
-            assert sep_index(bits) == m
             as_int = int("".join(str(b) for b in bits.bits), 2)
             assert as_int == 2 * m + 1
 
@@ -166,7 +161,8 @@ def test_any_terminated_bit_string_decodes(prefix):
     bits = tuple(prefix) + (1,)
     factors = decode_columns(bits)
     assert sorted(factors.columns) == list(range(1, len(bits) + 1))
-    assert sep_index(bits) == int("".join(map(str, prefix)) or "0", 2)
+    # the prefix read in base 2 is the index whose bits these are
+    assert tau(len(bits), int("".join(map(str, prefix)) or "0", 2)).bits == bits
 
 
 def test_enumeration_equals_per_index_decode():
