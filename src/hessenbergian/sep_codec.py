@@ -212,13 +212,14 @@ def expand_symbolic(order: int) -> List[SymbolicTerm]:
 def expansion_lines(order: int) -> Iterator[str]:
     """The rendered terms of :func:`expand_symbolic`, lazily; each
     line's text is its parent prefix's text plus one factor."""
-    return (("+" if sign > 0 else "-") + text for _, sign, text in
-            _expansion(order, _add_label, ""))
+    terms = _expansion(order, lambda text, i, col: text + labels[i][col], "")
+    # each factor's label is formatted once, so a step appends a string
+    # instead of formatting two ints; the table is built once _expansion
+    # has checked the order, and the walk reads it only when iterated
+    labels = [[f"h({i},{col})" for col in range(i + 2)]
+              for i in range(order + 1)]
+    return (("+" if sign > 0 else "-") + text for _, sign, text in terms)
 
 
 def _add_pair(pairs: tuple, i: int, col: int) -> tuple:
     return pairs + ((i, col),)
-
-
-def _add_label(text: str, i: int, col: int) -> str:
-    return f"{text}h({i},{col})"

@@ -5,6 +5,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (random_exact_matrix, random_float_matrix,
@@ -17,6 +18,8 @@ from hessenbergian import (HessenbergMatrix, IndexOutOfRange, InvalidOrder,
                            entry_count, expand_symbolic, leading_submatrix,
                            make_matrix, row_length, sep_count)
 from hessenbergian.cli import main
+from hessenbergian.matrix import signed_rows
+from hessenbergian.sep_codec import enumerate_seps
 
 
 def test_chi_goldens_order_two():
@@ -183,6 +186,66 @@ def test_exact_prefixes_equal_recurrence_prefixes(draw):
             assert [type(v) for v in got] == [type(v) for v in want]
 
 
+def _overflow_matrix():
+    # a zero factor meets products that overflow to inf and nan
+    return make_matrix(3, [complex(v) for v in (
+        2, 1e300, 1e-300, 3, 1e300, 0, 1e-300 + 1e-301j, 5)])
+
+
+def _per_term_sum(m):
+    # the float closed form with every term decoded on its own: each
+    # term's columns from enumerate_seps, one out-of-place product per
+    # row over the whole block, the terms with a zero factor zeroed,
+    # the block sums combined in ascending order by _kahan_sum
+    rows = signed_rows(m)
+    columns = np.array([f.columns for _, f in enumerate_seps(m.order)]) - 1
+    sums = []
+    for start in range(0, len(columns), closed_form._BLOCK):
+        cols = columns[start:start + closed_form._BLOCK]
+        prod = np.ones(len(cols), dtype=np.complex128)
+        dead = np.zeros(len(cols), dtype=bool)
+        with np.errstate(all="ignore"):
+            for i, row in enumerate(rows):
+                picked = row[cols[:, i]]
+                prod = np.multiply(prod, picked)
+                dead |= picked == 0
+            prod[dead] = 0
+        sums.append(prod.sum().item())
+    return closed_form._kahan_sum(sums)
+
+
+@pytest.mark.parametrize("block", [1, 4, 64])
+def test_float_kernel_bits_equal_per_term_decode(monkeypatch, block):
+    # the prefix doubling and its reused buffers give every term the
+    # bits of its own left-to-right product, whatever the block size
+    monkeypatch.setattr(closed_form, "_BLOCK", block)
+    rng = random.Random(block + 2)
+    matrices = [_overflow_matrix()] + [
+        matrix for order in range(1, 13)
+        for matrix in (random_float_matrix(order, rng),
+                       _float_matrix_with_zeros(order, rng))]
+    for m in matrices:
+        assert repr(det_closed_form(m)) == repr(_per_term_sum(m))
+
+
+def test_reused_buffers_carry_nothing_between_orders_or_blocks():
+    # at the default block size, order 18 spans two full blocks and
+    # every smaller order a slice of the same buffers; zeros only in the
+    # late rows leave dead terms behind for no earlier order to see, and
+    # h(18,1) = 0 kills the first term of the first order-18 block, so a
+    # block that kept its predecessor's dead flags would lose every term
+    rng = random.Random(61)
+    m = make_matrix(18, [
+        0j if (i, j) == (18, 1) or i > 14 and rng.random() < 0.3 else
+        complex(rng.random(), rng.random())
+        for i in range(1, 19) for j in range(1, row_length(18, i) + 1)])
+    assert 2 * closed_form._BLOCK == sep_count(18)
+    got = closed_form_prefixes(m)
+    assert [repr(v) for v in got[1:]] == [
+        repr(det_closed_form(leading_submatrix(m, k))) for k in range(1, 19)]
+    assert repr(got[-1]) == repr(_per_term_sum(m))
+
+
 @pytest.mark.parametrize("block", [4, 64])
 def test_float_prefixes_have_each_leading_submatrix_bits(monkeypatch, block):
     # every prefix is summed from the whole matrix's signed rows, with
@@ -190,8 +253,7 @@ def test_float_prefixes_have_each_leading_submatrix_bits(monkeypatch, block):
     # zero-factor-meets-overflow matrix must stay finite at every order
     monkeypatch.setattr(closed_form, "_BLOCK", block)
     rng = random.Random(block + 1)
-    overflow = make_matrix(3, [complex(v) for v in (
-        2, 1e300, 1e-300, 3, 1e300, 0, 1e-300 + 1e-301j, 5)])
+    overflow = _overflow_matrix()
     matrices = [overflow] + [_float_matrix_with_zeros(order, rng)
                              for order in range(1, 11) for _ in range(3)]
     for m in matrices:
