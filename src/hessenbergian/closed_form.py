@@ -21,7 +21,8 @@ superdiagonal child takes c_{i,i+1} and its standard child the next
 standard factor.
 
 A float-backed matrix sums its terms in ascending m, in fixed-size
-blocks of 2^b consecutive m.  :func:`_sum_block` multiplies the rows a
+blocks of 2^b consecutive m, gathered from a signed copy of its rows
+(:func:`signed_rows`).  :func:`_sum_block` multiplies the rows a
 block shares once, on one-element arrays, and then, for each of the b
 free rows, doubles every prefix into its superdiagonal child and its
 standard child (ascending m) with one gather and one array product per
@@ -33,32 +34,31 @@ bits of the sum.  The block sums are combined in ascending order with
 compensated accumulation.  numpy is imported by that kernel alone.
 Each call makes one set of block-sized buffers and every block writes
 into them, products out of place between two of them: a fresh array
-per row of a 2^16-term block is about 1 MB, which the allocator maps
-and unmaps each time, so in a fresh process on a 2-core Xeon the
-order-22 sum took 0.11-0.14 s with 39,224 minor page faults, and takes
-0.05-0.08 s with 1,170 on one set of buffers.
+per row of a 2^16-term block is about 1 MB, which the allocator would
+map and unmap each time.
 
-An exact matrix is summed fraction-free on plain ints:
-:func:`gaussian_rows` scales each signed row by the lcm of its
-denominators into ``(re, im)`` lists of ``int``, and
+An exact matrix converts its stored rows once, by
+:func:`gaussian_rows`, as the recurrence does, and
 :func:`_gaussian_sums` walks the prefix tree depth first on an explicit
 stack, so the order of the matrix bounds its depth, not Python's
-recursion limit.  A zero factor makes every term below it zero, so the
-walk never enters that subtree; on a banded matrix it visits only the
-terms with no zero factor.  The sum is exact in any order.
+recursion limit.  It applies c_{i,i+1} = -h_{i,i+1} where it
+multiplies a superdiagonal child, so no signed copy is built.  A zero
+factor makes every term below it zero, so the walk never enters that
+subtree; on a banded matrix it visits only the terms with no zero
+factor.  The sum is exact in any order.
 
 Every leading submatrix H_k shares its rows with the matrix, and the
 terms of det(H_k) are the standard children at row k of the same prefix
 tree, since H_k's last row takes its standard factor and its
 superdiagonal is never read.  So the one exact walk adds each standard
 child's product into its row's sum, and returns every prefix
-determinant at the cost of the largest: :func:`det_closed_form` divides
-the last sum once, by the product of the row scales, and
-:func:`closed_form_prefixes` divides sum k by d_1...d_k, as
-:func:`det_prefixes` does for the recurrence.  The float kernel keeps
-ascending m within each order, so :func:`closed_form_prefixes` sums
-each order k's blocks from one set of signed rows of the whole matrix,
-with the bits that H_k's own signed rows give.
+determinant at the cost of the largest: :func:`closed_form_prefixes`
+divides sum k by d_1...d_k, as :func:`det_prefixes` does for the
+recurrence, and :func:`det_closed_form` takes its last entry.  The
+float kernel keeps ascending m within each order, so
+:func:`closed_form_prefixes` sums each order k's blocks from one set of
+signed rows of the whole matrix, with the bits that H_k's own signed
+rows give, and :func:`det_closed_form` sums order n alone.
 
 The symbolic expansion, which touches no matrix, lives in
 :mod:`sep_codec`.
@@ -66,12 +66,10 @@ The symbolic expansion, which touches no matrix, lives in
 
 from __future__ import annotations
 
-import math
-
 from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
                      _check_order_cap)
-from .matrix import (HessenbergMatrix, exact_prefixes, exact_value,
-                     gaussian_rows, scalar_rows, signed_rows)
+from .matrix import (HessenbergMatrix, exact_prefixes, gaussian_rows,
+                     scalar_rows, signed_rows)
 from .sep_codec import decode_columns, sep_count, tau
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
@@ -80,15 +78,18 @@ _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
 def chi(matrix: HessenbergMatrix, m: int):
     """Product value of the m-th non-trivial SEP, sign folded in.
 
-    The factors come from :func:`signed_rows`, so the superdiagonal
-    entries arrive negated and no separate permutation sign is needed.
-    The signed rows and the decode are built per call; nothing is cached.
+    The factors are the signed factors of :func:`signed_rows`, formed
+    here from the stored rows: a superdiagonal entry is negated where it
+    is multiplied, c_{i,i+1} = -h_{i,i+1}, so no separate permutation
+    sign is needed.  The rows and the decode are read per call; nothing
+    is cached or copied.
     """
-    crows = scalar_rows(signed_rows(matrix))
+    rows = scalar_rows(matrix.rows)
     factors = decode_columns(tau(matrix.order, m))
     value = 1
     for i, col in enumerate(factors.columns, start=1):
-        value = value * crows[i - 1][col - 1]
+        h = rows[i - 1][col - 1]
+        value = value * (-h if col > i else h)
     return value
 
 
@@ -158,11 +159,11 @@ def _sum_block(rows, zeros, n: int, start: int, stop: int,
 
 
 def _gaussian_sums(rows: tuple) -> list:
-    # det(H_1), ..., det(H_n) over Gaussian-integer rows of (re, im) int
-    # lists, each as (re, im): one depth-first walk down the prefix tree
-    # on an explicit stack, each child's product its parent's times one
-    # factor.  At 0-based row i a prefix's standard child is both a term
-    # of det(H_{i+1}) and the parent of the terms below it.
+    # det(H_1), ..., det(H_n) over the stored rows as Gaussian-integer
+    # (re, im) int lists, each as (re, im): one depth-first walk down the
+    # prefix tree on an explicit stack, each child's product its parent's
+    # times one factor.  At 0-based row i a prefix's standard child is
+    # both a term of det(H_{i+1}) and the parent of the terms below it.
     n = len(rows)
     sums_re = [0] * n
     sums_im = [0] * n
@@ -184,7 +185,7 @@ def _gaussian_sums(rows: tuple) -> list:
             sums_re[i] += c
             sums_im[i] += d
             stack.append((j, j, c, d))
-        x, y = re[j], im[j]
+        x, y = -re[j], -im[j]  # the signed superdiagonal c = -h
         if x or y:
             stack.append((j, last, a * x - b * y, a * y + b * x))
     return list(zip(sums_re, sums_im))
@@ -224,18 +225,17 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     into NaN.  A float-backed matrix sums its order-n terms alone, in
     _BLOCK-sized blocks of ascending m, combined in ascending order;
     rows with no zero entry skip the zero bookkeeping.  An exact matrix
-    takes the last sum of the one walk of :func:`_gaussian_sums`, which
-    never enters the terms under a zero factor, and divides that
-    Gaussian-integer total once.
+    takes the last prefix of :func:`closed_form_prefixes`, the one walk
+    of :func:`_gaussian_sums`, which never enters the terms under a
+    zero factor.
     """
+    if not matrix.is_float_backed:
+        return closed_form_prefixes(
+            matrix, closed_form_cap=closed_form_cap)[-1]
     n = matrix.order
     _check_order_cap(n, closed_form_cap, OrderTooLargeForClosedForm,
                      "closed_form_cap")
-    crows = signed_rows(matrix)
-    if not matrix.is_float_backed:
-        parts, scales, kind = gaussian_rows(crows)
-        return exact_value(_gaussian_sums(parts)[-1], math.prod(scales), kind)
-    return _float_sums(crows, (n,))[0]
+    return _float_sums(signed_rows(matrix), (n,))[0]
 
 
 def closed_form_prefixes(matrix: HessenbergMatrix, *,
@@ -244,20 +244,20 @@ def closed_form_prefixes(matrix: HessenbergMatrix, *,
     :func:`det_prefixes` gives them by the recurrence; det(H_0) = 1.
 
     The cap is checked once, on the order n, before any term is summed.
-    An exact matrix takes every prefix from the same walk that
-    :func:`det_closed_form` runs, prefix k divided once by d_1...d_k,
-    so every value has the whole matrix's result type.  A float-backed
-    matrix sums each order k from one set of signed rows of the whole
-    matrix, each with the bits of :func:`det_closed_form` on H_k.
+    An exact matrix converts its stored rows once, by
+    :func:`gaussian_rows` as :func:`det_prefixes` does, and takes every
+    prefix from one walk, prefix k divided once by d_1...d_k, so every
+    value has the whole matrix's result type.  A float-backed matrix
+    sums each order k from one set of signed rows of the whole matrix,
+    each with the bits of :func:`det_closed_form` on H_k.
     """
     n = matrix.order
     _check_order_cap(n, closed_form_cap, OrderTooLargeForClosedForm,
                      "closed_form_cap")
-    crows = signed_rows(matrix)
     if not matrix.is_float_backed:
-        parts, scales, kind = gaussian_rows(crows)
+        parts, scales, kind = gaussian_rows(matrix.rows)
         return exact_prefixes(_gaussian_sums(parts), scales, kind)
-    return [1, *_float_sums(crows, range(1, n + 1))]
+    return [1, *_float_sums(signed_rows(matrix), range(1, n + 1))]
 
 
 def _kahan_sum(parts):

@@ -4,8 +4,8 @@ Two routes live here:
 
 * :func:`det_prefixes` and :func:`det_recurrence`, the production
   path.  :func:`det_prefixes` evaluates the recurrence on the signed
-  factors of :func:`signed_rows`, the c_{i,i+1} = -h_{i,i+1} that the
-  closed form multiplies:
+  factors c_{i,i+1} = -h_{i,i+1} that the closed form multiplies, each
+  formed from the stored rows where it is multiplied:
 
       det(H_j) = sum_{k=1}^{j} h_{j,k} q_k,
       q_k = c_{k,k+1} c_{k+1,k+2} ... c_{j-1,j} det(H_{k-1}),
@@ -30,20 +30,20 @@ Two routes live here:
   mathematically correct term there is 0.  Every zero part of a float
   prefix is +0.0, as in the closed form and the oracle.
 
-  An exact matrix runs the same loop fraction-free, on Gaussian integers
-  held as ``(re, im)`` lists of plain ``int`` (real entries too, their
-  imaginary parts zero): :func:`gaussian_rows` scales row i by the lcm
-  d_i of its denominators, the recurrence then needs only +, - and x on
-  ints, and every prefix determinant is divided once, by
-  D_k = d_1...d_k, into an ``int``, ``Fraction`` or ``ComplexRational``
-  as the entries are (see :func:`exact_value`).  Every product is an
-  entry times a large q_k, and q_k is kept only while column k is live,
-  from its diagonal row to its last nonzero h_{j,k}, so the mostly-zero
-  solution matrices of low-order difference equations cost nothing for
-  their zero columns; a zero entry inside the live window adds exactly
-  0.  The two loops stay apart, numpy on complex128 and plain ints on
-  Gaussian integers, but share this one form; the closed form splits
-  by realization the same way, so no exact determinant loads numpy.
+  An exact matrix runs the same loop fraction-free, on the Gaussian
+  integers that :func:`gaussian_rows` converts the stored rows to, as
+  the closed form does: the recurrence then needs only +, - and x on
+  ints, and every prefix determinant is divided once, by the product
+  D_k = d_1...d_k of its rows' scales, into an ``int``, ``Fraction`` or
+  ``ComplexRational`` as the entries are (see :func:`exact_value`).
+  Every product is an entry times a large q_k, and q_k is kept only
+  while column k is live, from its diagonal row to its last nonzero
+  h_{j,k}, so the mostly-zero solution matrices of low-order difference
+  equations cost nothing for their zero columns; a zero entry inside the
+  live window adds exactly 0.  The two loops stay apart, numpy on
+  complex128 and plain ints on Gaussian integers, but share this one
+  form; the closed form splits by realization the same way, so no exact
+  determinant loads numpy.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the Leibniz
   expansion on Python scalars, treating structural zeros as 0: column

@@ -88,7 +88,10 @@ class OrderTooLargeForExpansion(SizeCapExceeded):
 
 
 def _check_order_cap(order: int, cap: int, error: type, name: str) -> None:
-    """Refuse (``error``) an order above ``cap``, which is named ``name``."""
+    """Refuse an order that is not a positive int (InvalidOrder, through
+    :func:`_check_int`), then (``error``) one above ``cap``, which is
+    named ``name``."""
+    _check_int(order, "order", 1)
     if order > cap:
         raise error(f"order {order} exceeds {name}={cap}")
 

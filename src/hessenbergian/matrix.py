@@ -16,11 +16,11 @@ only to build float rows: an exact matrix never loads it, and an array
 row is recognised through the numpy a caller that passes one has
 already loaded.
 
-Both exact kernels, the recurrence and the closed form, read exact rows
-through :func:`gaussian_rows`, which scales each row by the lcm of its
-entries' denominators so that every entry is a Gaussian integer held in
-plain ``int`` parts, and turn each result back with :func:`exact_value`,
-or every prefix determinant with :func:`exact_prefixes`.
+Both exact kernels, the recurrence and the closed form, convert the
+stored rows once, by :func:`gaussian_rows`, apply c_{i,i+1} = -h_{i,i+1}
+where they multiply, and turn each result back with
+:func:`exact_value`, or every prefix determinant with
+:func:`exact_prefixes`.
 """
 
 from __future__ import annotations
@@ -156,7 +156,9 @@ def scalar_rows(rows) -> tuple:
 
 def signed_rows(matrix: HessenbergMatrix) -> tuple:
     """The stored rows as signed factors c_{i,j}, one per row, in the
-    rows' own layout (a tuple, or a new complex128 array).
+    rows' own layout (a tuple, or a new complex128 array).  The float
+    closed form gathers its factors from this copy; the exact kernels
+    and the oracle ``chi`` negate the superdiagonal where they multiply.
 
     The superdiagonal entry h_{i,i+1}, the last stored entry of every
     row except row n, is negated: c_{i,i+1} = -h_{i,i+1}.  Every other
@@ -174,19 +176,24 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
 
 
 def gaussian_rows(rows) -> tuple:
-    """Exact rows as Gaussian integers: ``(parts, scales, kind)``.
+    """The stored rows of an exact matrix as Gaussian integers:
+    ``(parts, scales, kind)``; the one conversion pass of both exact
+    determinant kernels.
 
     Row i is multiplied by d_i = ``scales[i]``, the lcm of its entries'
     denominators, so every entry becomes a Gaussian integer.
     ``parts[i]`` holds the scaled row as two lists of plain ``int``,
-    ``(re, im)``, the imaginary parts zero for real entries.  A
+    ``(re, im)``, the imaginary parts zero for real entries.  An int
+    entry never goes through ``Fraction``, and a zero of any type scales
+    to 0 without its parts being read.  The rows keep the stored signs:
+    a kernel negates a superdiagonal entry where it multiplies it.  A
     determinant is linear in each row, so the determinant of the leading
     k x k block of the scaled rows is d_1...d_k times the original one,
     and :func:`exact_value` divides it back once.
-    ``kind`` is the type of the results: ``int`` for int entries,
-    ``Fraction`` when int and Fraction entries mix, and
-    ``ComplexRational`` when any entry is one.  Built per call; nothing
-    is cached.
+    ``kind`` is the type of the results, taken from the entry types:
+    ``int`` for int entries, ``Fraction`` when int and Fraction entries
+    mix, and ``ComplexRational`` when any entry is one, zero or not.
+    Built per call; nothing is cached.
     """
     kind = int
     scaled = []
@@ -204,7 +211,9 @@ def gaussian_rows(rows) -> tuple:
             kind = ComplexRational
         elif kind is int:
             kind = Fraction
-        quads = [(i, *exact_parts(x)) for i, x in others]
+        # a zero that is not an int, such as the ComplexRational zero of
+        # a decoded [0,1,0,1], stays 0 with no parts and no lcm
+        quads = [(i, *exact_parts(x)) for i, x in others if x]
         d = math.lcm(*(q[2] for q in quads), *(q[4] for q in quads))
         re = [x * d if isinstance(x, int) else 0 for x in values]
         for i, a, b, c, e in quads:

@@ -196,10 +196,9 @@ class SymbolicTerm:
 
 
 def _expansion(order: int, step, initial):
-    # the cap and the order are checked before any term is built
+    # the order, then the cap, are checked before any term is built
     _check_order_cap(order, EXPANSION_CAP, OrderTooLargeForExpansion,
                      "EXPANSION_CAP")
-    sep_count(order)
     return fold_seps(order, step, initial)
 
 

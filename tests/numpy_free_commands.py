@@ -1,0 +1,121 @@
+"""The numpy-free commands, run and checked with numpy blocked.
+
+Usage: python tests/numpy_free_commands.py OUTDIR
+
+Puts None in ``sys.modules["numpy"]``, so any import of numpy fails,
+and then runs expand, sep, gen, exact ``solve`` by the forward and the
+ratio methods and exact ``det`` by every method, writing each output
+into OUTDIR.  The expand commands run as ``python -m hessenbergian``
+does, through the package's ``__main__``; the others call
+``cli.main``.  Exits 0 when every check holds, else 1 with the failed
+check on stderr.  The file has no ``test_`` prefix, so pytest does not
+collect it: CI runs it on an interpreter that has no numpy, and
+``test_cli.test_numpy_free_commands_run_without_numpy`` runs it in a
+child process.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import runpy
+import sys
+from fractions import Fraction
+
+# sha256 of the stdout of `expand --order 16`, pinned byte for byte
+EXPAND_16 = "c6bcb0e23f99f1445f5df25ed2e11eee52a39043c52ab1cdb5075ae4dbaa04c8"
+INIT = "1,2/3-i"
+
+
+def check(ok: bool, what: str) -> None:
+    if not ok:
+        sys.exit(f"numpy-free check failed: {what}")
+
+
+def run_module(*argv) -> str:
+    """The stdout of ``python -m hessenbergian ARGV``, run in this
+    process; a non-zero exit fails the check."""
+    sys.argv = ["hessenbergian", *argv]
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out):
+        try:
+            runpy.run_module("hessenbergian", run_name="__main__",
+                             alter_sys=True)
+        except SystemExit as exc:
+            code = exc.code
+    check(code == 0, f"{' '.join(argv)} exited {code}")
+    return out.getvalue()
+
+
+def run_checks(outdir: str) -> None:
+    sys.modules["numpy"] = None  # any import of numpy now fails
+    # each of these modules imports with numpy blocked
+    import hessenbergian.errors
+    import hessenbergian.sep_codec
+    from hessenbergian.cli import main
+    from hessenbergian.ldevc import LdevcSpec, solve_forward
+
+    def run(name: str, *argv) -> str:
+        # one command with --out OUTDIR/name; returns the file's text
+        path = os.path.join(outdir, name)
+        check(main([*argv, "--out", path]) == 0, name)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+    spec = LdevcSpec(1, 1, [[1, 2], [Fraction(1, 2), 3, 4]], [1, 0])
+    check(solve_forward(spec, [Fraction(1)]) == [0, Fraction(-1, 8)],
+          "solve_forward on a Fraction spec")
+
+    check(len(run_module("expand", "--order", "3").splitlines()) == 4,
+          "expand --order 3 prints 4 terms")
+    expanded = run_module("expand", "--order", "16").encode()
+    check(hashlib.sha256(expanded).hexdigest() == EXPAND_16,
+          "expand --order 16 text")
+
+    spec_path = os.path.join(outdir, "spec.json")
+    run("spec.json", "gen", "--family", "random", "--N", "2", "--horizon", "8")
+    forward = run("forward.json", "solve", spec_path, "--init", INIT,
+                  "--method", "forward")
+    check(len(json.loads(forward)["values"]) == 9, "a horizon-8 solve")
+    for method in ("ratio-recurrence", "ratio-closed"):
+        check(run(f"{method}.json", "solve", spec_path, "--init", INIT,
+                  "--method", method) == forward, f"{method} equals forward")
+
+    # a banded exact spec: the closed form's one walk gives every prefix
+    periodic_path = os.path.join(outdir, "periodic.json")
+    run("periodic.json", "gen", "--family", "periodic", "--params", "3",
+        "--N", "2", "--horizon", "16")
+    forward = run("periodic-forward.json", "solve", periodic_path, "--init",
+                  INIT, "--method", "forward")
+    check(len(json.loads(forward)["values"]) == 17, "a horizon-16 solve")
+    for method in ("ratio-closed", "reduced-closed"):
+        check(run(f"periodic-{method}.json", "solve", periodic_path,
+                  "--init", INIT, "--method", method) == forward,
+              f"periodic {method} equals forward")
+
+    # zero diagonal entries and a banded first column: the exact
+    # recurrence's live columns open and close inside the matrix, and
+    # the closed form's walk skips the terms under a zero factor
+    for name, rows, value in (
+            ("m", [[1, 2], [3, 4]], [-2, 1, 0, 1]),
+            ("band", [[0, 1], [1, 0, 1], [0, 2, 0, 1], [0, 0, 3, 0]],
+             [3, 1, 0, 1])):
+        path = os.path.join(outdir, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"order": len(rows), "rows": rows}, fh)
+        want = json.dumps({"backend": "exact", "value": value},
+                          separators=(",", ":")) + "\n"
+        for method in ("recurrence", "leibniz", "closed"):
+            check(run(f"{name}-{method}.json", "det", path, "--method",
+                      method) == want, f"det {name} --method {method}")
+
+    check(run("sep.json", "sep", "--order", "8", "--index", "81")
+          == '{"bits":[1,0,1,0,0,0,1,1],"columns":[1,3,2,5,6,7,4,8],'
+             '"sign":1}\n', "sep --order 8 --index 81")
+    check(sys.modules["numpy"] is None, "numpy stayed blocked")
+
+
+if __name__ == "__main__":
+    run_checks(sys.argv[1])

@@ -731,71 +731,14 @@ def test_expand_loads_no_numpy(matrix_file):
         assert ("numpy" in _imported_modules(proc.stderr)) is loads, args
 
 
-_WITHOUT_NUMPY = """
-import os, runpy, sys
-from fractions import Fraction
-sys.modules["numpy"] = None  # any import of numpy now fails
-import hessenbergian.errors, hessenbergian.ldevc, hessenbergian.sep_codec
-from hessenbergian.cli import main
-from hessenbergian.ldevc import LdevcSpec, solve_forward
-spec = LdevcSpec(1, 1, [[1, 2], [Fraction(1, 2), 3, 4]], [1, 0])
-assert solve_forward(spec, [Fraction(1)]) == [0, Fraction(-1, 8)]
-os.chdir(sys.argv[1])
-with open("m.json", "w") as fh:
-    fh.write('{"order":2,"rows":[[1,2],[3,4]]}')
-with open("band.json", "w") as fh:
-    fh.write('{"order":4,"rows":[[0,1],[1,0,1],[0,2,0,1],[0,0,3,0]]}')
-for name, *argv in (
-        ("spec", "gen", "--family", "random", "--N", "2", "--horizon", "8"),
-        ("ratio", "solve", "spec", "--init", "1,2/3-i",
-         "--method", "ratio-recurrence"),
-        ("forward", "solve", "spec", "--init", "1,2/3-i", "--method", "forward"),
-        ("recurrence", "det", "m.json", "--method", "recurrence"),
-        ("leibniz", "det", "m.json", "--method", "leibniz"),
-        ("band-recurrence", "det", "band.json", "--method", "recurrence"),
-        ("band-leibniz", "det", "band.json", "--method", "leibniz"),
-        ("closed", "det", "m.json", "--method", "closed"),
-        ("band-closed", "det", "band.json", "--method", "closed"),
-        ("ratio-closed", "solve", "spec", "--init", "1,2/3-i",
-         "--method", "ratio-closed"),
-        ("periodic", "gen", "--family", "periodic", "--params", "3",
-         "--N", "2", "--horizon", "16"),
-        ("periodic-forward", "solve", "periodic", "--init", "1,2/3-i",
-         "--method", "forward"),
-        ("periodic-ratio-closed", "solve", "periodic", "--init", "1,2/3-i",
-         "--method", "ratio-closed"),
-        ("periodic-reduced-closed", "solve", "periodic", "--init", "1,2/3-i",
-         "--method", "reduced-closed"),
-        ("sep", "sep", "--order", "8", "--index", "81")):
-    assert main([*argv, "--out", name]) == 0, name
-sys.argv = ["hessenbergian", "expand", "--order", "3"]
-runpy.run_module("hessenbergian", run_name="__main__", alter_sys=True)
-"""
-
-
 def test_numpy_free_commands_run_without_numpy(tmp_path):
-    # the commands of the CI job for an interpreter with no numpy
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+    # the script that CI runs on an interpreter with no numpy, here with
+    # numpy blocked in its sys.modules; it checks every output itself
+    script = Path(__file__).with_name("numpy_free_commands.py")
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4
-    out = {path.name: path.read_text() for path in tmp_path.iterdir()}
-    assert len(json.loads(out["ratio"])["values"]) == 9
-    assert out["ratio"] == out["forward"] == out["ratio-closed"]
-    # a banded exact spec: the closed form's one walk gives every prefix
-    assert len(json.loads(out["periodic-forward"])["values"]) == 17
-    assert (out["periodic-ratio-closed"] == out["periodic-reduced-closed"]
-            == out["periodic-forward"])
-    exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
-    assert out["recurrence"] == out["leibniz"] == out["closed"] == exact
-    # zero diagonal entries and a banded first column: the exact
-    # recurrence's live columns open and close inside the matrix, and
-    # the closed form's walk skips the terms under a zero factor
-    band = '{"backend":"exact","value":[3,1,0,1]}\n'
-    assert (out["band-recurrence"] == out["band-leibniz"]
-            == out["band-closed"] == band)
-    assert out["sep"] == ('{"bits":[1,0,1,0,0,0,1,1],'
-                          '"columns":[1,3,2,5,6,7,4,8],"sign":1}\n')
+    assert proc.stdout == proc.stderr == ""
 
 
 @pytest.fixture

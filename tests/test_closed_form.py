@@ -18,7 +18,7 @@ from hessenbergian import (HessenbergMatrix, IndexOutOfRange, InvalidOrder,
                            entry_count, expand_symbolic, leading_submatrix,
                            make_matrix, row_length, sep_count)
 from hessenbergian.cli import main
-from hessenbergian.matrix import signed_rows
+from hessenbergian.matrix import scalar_rows, signed_rows
 from hessenbergian.sep_codec import enumerate_seps
 
 
@@ -184,6 +184,54 @@ def test_exact_prefixes_equal_recurrence_prefixes(draw):
             got = closed_form_prefixes(m)
             assert got == want
             assert [type(v) for v in got] == [type(v) for v in want]
+            # the determinant is the walk's last prefix, type included
+            det = det_closed_form(m)
+            assert det == got[-1] and type(det) is type(got[-1])
+
+
+def test_only_the_float_closed_form_builds_signed_rows(monkeypatch):
+    # the exact walk and chi form c = -h where they multiply, from the
+    # stored rows; the float kernel gathers from one signed copy per call
+    calls = []
+
+    def float_only(matrix):
+        if isinstance(matrix.rows[0], tuple):
+            raise AssertionError("a signed copy of exact rows")
+        calls.append(matrix)
+        return signed_rows(matrix)
+
+    monkeypatch.setattr(closed_form, "signed_rows", float_only)
+    rng = random.Random(59)
+    m = random_exact_matrix(6, rng)
+    assert det_closed_form(m) == det_recurrence(m)
+    assert closed_form_prefixes(m) == det_prefixes(m)
+    terms = [chi(m, idx) for idx in range(sep_count(6))]
+    assert sum(terms) == det_closed_form(m)
+    f = random_float_matrix(6, rng)
+    chi(f, 5)
+    assert calls == []
+    det_closed_form(f)
+    assert calls == [f]
+    closed_form_prefixes(f)
+    assert calls == [f, f]
+
+
+def test_chi_is_the_left_to_right_product_of_signed_factors():
+    # every term at orders 1-8: chi's own negation of the superdiagonal
+    # gives the bits of the product over signed_rows, zero signs included
+    rng = random.Random(61)
+    for order in range(1, 9):
+        exact_zeros = make_matrix(order, [
+            0 if rng.random() < 0.3 else random_rational_scalar(rng)
+            for _ in range(entry_count(order))])
+        for m in (_float_matrix_with_zeros(order, rng),
+                  random_exact_matrix(order, rng), exact_zeros):
+            rows = scalar_rows(signed_rows(m))
+            for idx, factors in enumerate_seps(order):
+                value = 1
+                for row, col in zip(rows, factors.columns):
+                    value = value * row[col - 1]
+                assert repr(chi(m, idx)) == repr(value)
 
 
 def _overflow_matrix():

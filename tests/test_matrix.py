@@ -11,6 +11,7 @@ from hessenbergian import (ComplexRational, FormatError, HessenbergMatrix,
                            entry_count, leading_submatrix, make_matrix,
                            row_length, signed_rows)
 from hessenbergian.cli import random_float_matrix
+from hessenbergian.matrix import gaussian_rows
 
 
 def test_row_length_goldens():
@@ -202,3 +203,25 @@ def test_signed_rows_keep_fractions():
     assert rows == ((Fraction(1, 3), Fraction(2, 7)),
                     (Fraction(5, 2), Fraction(0)))
     assert type(rows[0][1]) is Fraction
+
+
+def test_gaussian_rows_skip_zeros_of_any_type():
+    # a ComplexRational zero, as every [0,1,0,1] of a spec document
+    # decodes to, scales to the parts and row scale of an int zero, and
+    # still makes the results ComplexRational
+    rng = random.Random(13)
+    for order in (1, 3, 8):
+        entries = [0 if rng.random() < 0.5 else ComplexRational(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            for _ in range(entry_count(order))]
+        ints = make_matrix(order, entries)
+        zeros = make_matrix(order, [ComplexRational(0, 0) if x == 0 else x
+                                    for x in entries])
+        parts, scales, kind = gaussian_rows(zeros.rows)
+        assert (parts, scales) == gaussian_rows(ints.rows)[:2]
+        assert kind is ComplexRational
+    assert gaussian_rows(((ComplexRational(0, 0),),)) == (
+        (([0], [0]),), [1], ComplexRational)
+    assert gaussian_rows(((Fraction(0), 3),)) == (
+        (([0, 3], [0, 0]),), [1], Fraction)

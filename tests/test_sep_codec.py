@@ -94,6 +94,15 @@ def test_sep_count():
             sep_count(bad)
 
 
+def test_expansion_refuses_an_order_that_is_not_an_int():
+    # the order is checked before the cap compares it, so a string or
+    # None is not a bare TypeError and 17.5 is not "too large"
+    for bad in ("x", None, 2.5, True, 17.5):
+        for expand in (expand_symbolic, sep_codec.expansion_lines):
+            with pytest.raises(InvalidOrder):
+                expand(bad)
+
+
 def test_round_trip_and_decimal_identity_exhaustive():
     # every index up to order 16: tau -> decode -> encode is the identity,
     # and the bits read in base 2 give 2m+1
