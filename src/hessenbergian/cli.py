@@ -15,12 +15,17 @@ byte-identical output.  A command runs with the cyclic garbage collector
 off, since the data it builds holds no cycles, and :func:`main` gives
 the caller's collector setting back however the command ends.
 
-The module imports nothing numeric at load time: the parser's defaults
-come from :mod:`errors` and :mod:`ldevc`, and ``expand`` runs on
-:mod:`sep_codec` alone.  Each subcommand that reads or writes
-documents, or evaluates a matrix, imports the modules it runs in its
-own body, and numpy loads only on a float path: ``expand``, ``sep``,
-``gen``, and exact ``solve`` and ``det`` by every method never load it.
+At load time the module imports only :mod:`errors`, which owns the
+parser's defaults and method names, and :mod:`scalars`, which reads the
+literals of ``--init`` and ``--params``.  Every subcommand imports the
+modules it runs in its own body, ``statistics``, ``random`` and
+``time`` included, so a command loads and compiles only what it runs:
+``expand`` and ``sep`` run on :mod:`sep_codec`, ``gen`` and ``solve``
+on :mod:`ldevc`, ``det --method closed`` on :mod:`closed_form` without
+:mod:`determinants`, and only ``bench`` loads ``statistics``.  numpy
+loads only on a float path: ``expand``, ``sep``, ``gen``, exact
+``solve`` and ``det`` by every method, and ``solve --method forward``
+never load it.
 """
 
 from __future__ import annotations
@@ -28,24 +33,22 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
-import statistics
 import sys
-import time
 from fractions import Fraction
 from functools import partial
 from itertools import islice
-from random import Random
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import (DEFAULT_CLOSED_FORM_CAP, DEFAULT_ORACLE_CAP,
-                     FormatError, HessenbergianError, InvalidParams,
-                     NonFiniteResult, SizeCapExceeded, _cut,
+                     GENERAL_METHODS, FormatError, HessenbergianError,
+                     InvalidParams, NonFiniteResult, SizeCapExceeded, _cut,
                      _digit_limit_error)
-from .ldevc import GENERAL_METHODS, LdevcSpec, general_solutions, solve_forward
 from .scalars import EXACT, FLOAT, ComplexRational, _ratio, is_exact
-from .sep_codec import decode_columns, expansion_lines, tau
 
 if TYPE_CHECKING:
+    from random import Random
+
+    from .ldevc import LdevcSpec
     from .matrix import HessenbergMatrix
 
 BENCH_METHODS = ("recurrence", "closed")
@@ -199,6 +202,10 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
     random: every stored coefficient random; takes no params.  All
     leading coefficients are forced nonzero.
     """
+    from random import Random
+
+    from .ldevc import LdevcSpec
+
     if family == "constant":
         alphas = parse_init(params, EXACT)
         if len(alphas) != index_N:
@@ -275,14 +282,14 @@ def _result_to_json(value):
 
 def _det_kernel(method: str, args):
     """The routine a ``det`` method name runs, with its cap from ``args``."""
-    from .determinants import det_leibniz, det_recurrence
-
-    if method == "recurrence":
-        return det_recurrence
     if method == "closed":
         from .closed_form import det_closed_form
 
         return partial(det_closed_form, closed_form_cap=args.closed_form_cap)
+    from .determinants import det_leibniz, det_recurrence
+
+    if method == "recurrence":
+        return det_recurrence
     return partial(det_leibniz, oracle_cap=args.oracle_cap)
 
 
@@ -296,6 +303,8 @@ def cmd_det(args) -> str:
 
 
 def cmd_expand(args) -> str:
+    from .sep_codec import expansion_lines
+
     lines = expansion_lines(args.order)
     if args.limit is not None:
         lines = islice(lines, args.limit)
@@ -304,6 +313,7 @@ def cmd_expand(args) -> str:
 
 def cmd_sep(args) -> str:
     from .formats import dump_text
+    from .sep_codec import decode_columns, tau
 
     bits = tau(args.order, args.index)
     factors = decode_columns(bits)
@@ -314,6 +324,7 @@ def cmd_sep(args) -> str:
 
 def cmd_solve(args) -> str:
     from .formats import dump_text, parse_text, spec_from_json
+    from .ldevc import general_solutions, solve_forward
 
     spec, backend = spec_from_json(parse_text(_read(args.spec)), args.backend)
     init = parse_init(args.init, backend)
@@ -334,20 +345,22 @@ def cmd_gen(args) -> str:
     return dump_text(spec_to_json(spec))
 
 
-def _timed_ns(matrix: HessenbergMatrix, kernel) -> int:
-    start = time.perf_counter_ns()
-    kernel(matrix)
-    return time.perf_counter_ns() - start
-
-
 def cmd_bench(args) -> str:
+    import statistics
+    from random import Random
+    from time import perf_counter_ns
+
     rng = Random(args.seed)
     lines = ["order,method,median_ns"]
     for order in args.orders:
         matrix = random_float_matrix(order, rng)
         for method in args.methods:
             kernel = _det_kernel(method, args)
-            samples = [_timed_ns(matrix, kernel) for _ in range(args.reps)]
+            samples = []
+            for _ in range(args.reps):
+                start = perf_counter_ns()
+                kernel(matrix)
+                samples.append(perf_counter_ns() - start)
             lines.append(f"{order},{method},{int(statistics.median(samples))}")
     return "\n".join(lines)
 

@@ -61,7 +61,10 @@ signed rows of the whole matrix, with the bits that H_k's own signed
 rows give, and :func:`det_closed_form` sums order n alone.
 
 The symbolic expansion, which touches no matrix, lives in
-:mod:`sep_codec`.
+:mod:`sep_codec`.  The kernels count their own terms, 2^(k-1) at order
+k, and only the oracle :func:`chi` decodes an index, importing
+:mod:`sep_codec` in its body, so ``det --method closed`` loads neither
+the codec nor :mod:`determinants`.
 """
 
 from __future__ import annotations
@@ -69,8 +72,7 @@ from __future__ import annotations
 from .errors import (DEFAULT_CLOSED_FORM_CAP, OrderTooLargeForClosedForm,
                      _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_prefixes, gaussian_rows,
-                     scalar_rows, signed_rows)
-from .sep_codec import decode_columns, sep_count, tau
+                     signed_rows)
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
 
@@ -81,14 +83,20 @@ def chi(matrix: HessenbergMatrix, m: int):
     The factors are the signed factors of :func:`signed_rows`, formed
     here from the stored rows: a superdiagonal entry is negated where it
     is multiplied, c_{i,i+1} = -h_{i,i+1}, so no separate permutation
-    sign is needed.  The rows and the decode are read per call; nothing
-    is cached or copied.
+    sign is needed.  Each row's one factor is read per call, a float
+    one as a Python ``complex`` (as :func:`scalar_rows` gives it); no
+    row is converted, cached or copied.
     """
-    rows = scalar_rows(matrix.rows)
-    factors = decode_columns(tau(matrix.order, m))
+    from .sep_codec import decode_columns, tau
+
+    rows = matrix.rows
+    float_backed = matrix.is_float_backed
     value = 1
-    for i, col in enumerate(factors.columns, start=1):
+    for i, col in enumerate(decode_columns(tau(matrix.order, m)).columns,
+                            start=1):
         h = rows[i - 1][col - 1]
+        if float_backed:
+            h = complex(h)
         value = value * (-h if col > i else h)
     return value
 
@@ -201,14 +209,14 @@ def _float_sums(crows: tuple, orders) -> list:
     import numpy as np
 
     block = _BLOCK
-    size = min(block, sep_count(max(orders)))
+    size = min(block, 1 << (max(orders) - 1))
     buffers = (np.empty((2, size), np.complex128),
                np.empty((2, size), np.intp), np.empty(size, np.intp),
                np.empty(size, np.complex128), np.empty((2, size), bool))
     zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     sums = []
     for k in orders:
-        total = sep_count(k)
+        total = 1 << (k - 1)  # the terms of order k
         sums.append(_kahan_sum(_sum_block(crows, zeros, k, start,
                                           min(start + block, total), buffers)
                                for start in range(0, total, block)))

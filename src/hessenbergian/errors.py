@@ -8,7 +8,9 @@ The module also owns the argument rules every module checks through:
 :func:`_is_int`, :func:`_check_int` (an int, not a bool, in range) and
 :func:`_check_order_cap`; the default order caps of the closed form and
 the Leibniz oracle; and the helpers that error messages share:
-:func:`_cut`, which bounds an echoed token, and the digit-limit message.
+:func:`_cut`, which bounds an echoed token, and the digit-limit message;
+and :class:`_Frozen`, the base of the immutable value types of
+:mod:`ldevc` and :mod:`sep_codec`.
 It imports nothing numeric, so the CLI's argument parser and the
 numpy-free modules use it without loading numpy.
 """
@@ -17,6 +19,10 @@ import sys
 
 DEFAULT_CLOSED_FORM_CAP = 28
 DEFAULT_ORACLE_CAP = 10
+
+# the names of the Hessenbergian solve routes, re-exported by ldevc
+GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
+                   "reduced-recurrence", "reduced-closed")
 
 _ECHO_CHARS = 40
 
@@ -28,6 +34,39 @@ def _cut(text: str, limit: int = _ECHO_CHARS, show=str) -> str:
     if len(text) <= limit:
         return show(text)
     return f"{show(text[:limit])}... (cut, {len(text)} characters)"
+
+
+class _Frozen:
+    """Base of the package's immutable value types, which hold their
+    fields in ``__slots__`` and set them in ``__init__`` through
+    ``object.__setattr__``.  Two values are equal when their classes are
+    the same and their fields are equal in slot order, and hash as the
+    tuple of their fields; repr and the errors on assignment and
+    deletion read as those of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class HessenbergianError(Exception):

@@ -24,7 +24,9 @@ slices of it.  Any other document (a bare bool, an int beyond the
 double range, or any invalid scalar) takes the scalar rule, which alone
 words the decode errors.  numpy is imported by that float decoder
 alone, so exact documents, specs and scalars are read and written
-without it.
+without it.  The loaders import :mod:`matrix` and :mod:`ldevc` where
+they build a matrix or a spec, so a command that reads one loads only
+its module, and one that only writes JSON loads neither.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -49,12 +51,15 @@ import cmath
 import json
 from fractions import Fraction
 from itertools import accumulate, chain
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, _cut, _digit_limit_error, _is_int
-from .ldevc import LdevcSpec
-from .matrix import HessenbergMatrix
 from .scalars import (EXACT, FLOAT, ComplexRational, _ratio, exact_parts,
                       is_exact)
+
+if TYPE_CHECKING:
+    from .ldevc import LdevcSpec
+    from .matrix import HessenbergMatrix
 
 
 def _shape(obj):
@@ -142,6 +147,8 @@ def _realizations(scalars, backend):
 def matrix_from_json(obj, backend=None):
     """Decode a matrix document into ``backend`` (default: the document's
     own realization); returns (matrix, backend)."""
+    from .matrix import HessenbergMatrix
+
     _require_keys(obj, ("order", "rows"), "matrix")
     if not _is_int(obj["order"]):
         raise FormatError(f"matrix order must be an integer, got {obj['order']!r}")
@@ -199,6 +206,8 @@ def matrix_to_json(matrix: HessenbergMatrix) -> dict:
 def spec_from_json(obj, backend=None):
     """Decode an equation-spec document into ``backend`` (default: the
     document's own realization); returns (spec, backend)."""
+    from .ldevc import LdevcSpec
+
     _require_keys(obj, ("N", "horizon", "coeffs", "forcing"), "spec")
     if not _is_int(obj["N"]) or not _is_int(obj["horizon"]):
         raise FormatError("spec N and horizon must be integers")

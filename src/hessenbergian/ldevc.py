@@ -55,33 +55,31 @@ Each row is divided by its own lead, and the matrix constructor alone
 picks the realization: one float or complex value makes the whole
 matrix float, each exact entry rounded once.
 
-The spec type, the method names and :func:`solve_forward` need neither
+The method names, :data:`GENERAL_METHODS`, belong to :mod:`errors`,
+where the CLI's argument parser reads them without this module, which
+re-exports them.  The spec type and :func:`solve_forward` need neither
 the matrix nor the determinant module; the functions that build and
-evaluate the monic matrix import them, so the CLI's argument parser can
-read :data:`GENERAL_METHODS` without them.  numpy loads only for a
-float matrix, so every method solves an exact spec without it.
+evaluate the monic matrix import them.  The spec and the solution
+bundle are plain ``__slots__`` classes on :class:`errors._Frozen`, so
+the module loads no ``dataclasses``.  numpy loads only for a float
+matrix, so every method solves an exact spec without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Tuple
 
-from .errors import (DEFAULT_CLOSED_FORM_CAP, IrregularOrder,
-                     LinearityViolation, WrongEntryCount, WrongInitLength,
-                     _check_int)
+from .errors import (DEFAULT_CLOSED_FORM_CAP, GENERAL_METHODS,
+                     IrregularOrder, LinearityViolation, WrongEntryCount,
+                     WrongInitLength, _check_int, _Frozen)
 from .scalars import is_exact
 
 if TYPE_CHECKING:
     from .matrix import HessenbergMatrix
 
-GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",
-                   "reduced-recurrence", "reduced-closed")
 
-
-@dataclass(frozen=True, repr=False)
-class LdevcSpec:
+class LdevcSpec(_Frozen):
     """Validated, immutable equation system up to a finite horizon.
 
     coeffs[n] stores exactly N+n+1 scalars a_{n,0..N+n}; forcing holds
@@ -89,8 +87,6 @@ class LdevcSpec:
     (WrongEntryCount) and zero leading coefficients (IrregularOrder).
     """
 
-    # written out: dataclass(slots=True) rebuilds the class, and its
-    # frozen __setattr__ then raises TypeError, not AttributeError
     __slots__ = ("index_N", "horizon", "coeffs", "forcing")
     index_N: int
     horizon: int
@@ -98,16 +94,15 @@ class LdevcSpec:
     forcing: Tuple
     __hash__ = None  # equal by value, but unhashable
 
-    def __post_init__(self):
-        index_N, horizon, coeffs = self.index_N, self.horizon, self.coeffs
+    def __init__(self, index_N: int, horizon: int, coeffs, forcing):
         _check_int(index_N, "index N", 0)
         _check_int(horizon, "horizon", 0)
         if len(coeffs) != horizon + 1:
             raise WrongEntryCount(
                 f"expected {horizon + 1} coefficient rows, got {len(coeffs)}")
-        if len(self.forcing) != horizon + 1:
+        if len(forcing) != horizon + 1:
             raise WrongEntryCount(
-                f"expected {horizon + 1} forcing values, got {len(self.forcing)}")
+                f"expected {horizon + 1} forcing values, got {len(forcing)}")
         frozen = []
         for n, row in enumerate(coeffs):
             want = index_N + n + 1
@@ -118,8 +113,10 @@ class LdevcSpec:
                 raise IrregularOrder(
                     f"leading coefficient a[{n},{index_N + n}] is zero")
             frozen.append(tuple(row))
+        object.__setattr__(self, "index_N", index_N)
+        object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "coeffs", tuple(frozen))
-        object.__setattr__(self, "forcing", tuple(self.forcing))
+        object.__setattr__(self, "forcing", tuple(forcing))
 
     def leading(self, n: int):
         """a_{n,N+n}, the coefficient of y_n in row n."""
@@ -282,16 +279,25 @@ def solve_forward(spec: LdevcSpec, init) -> list:
     return values
 
 
-@dataclass(frozen=True)
-class SolutionBundle:
+class SolutionBundle(_Frozen):
     """Fundamental table xi[i][n], particular p[n], and general y[n]
     sequences for one spec and one set of initial conditions."""
 
+    __slots__ = ("index_N", "fundamentals", "particulars", "generals",
+                 "init")
     index_N: int
     fundamentals: Tuple[Tuple, ...]
     particulars: Tuple
     generals: Tuple
     init: Tuple
+
+    def __init__(self, index_N: int, fundamentals: Tuple[Tuple, ...],
+                 particulars: Tuple, generals: Tuple, init: Tuple):
+        object.__setattr__(self, "index_N", index_N)
+        object.__setattr__(self, "fundamentals", fundamentals)
+        object.__setattr__(self, "particulars", particulars)
+        object.__setattr__(self, "generals", generals)
+        object.__setattr__(self, "init", init)
 
 
 def _values_agree(a, b) -> bool:

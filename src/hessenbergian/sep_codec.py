@@ -30,19 +30,20 @@ decode one index on its own, and stay the reference the walk is checked
 against.  :class:`BitArray` is the one validator of a 0/1 sequence:
 :func:`decode_columns` passes a raw sequence through it and checks the
 last bit; integer arguments and the expansion cap go through the rules
-in :mod:`errors`.  The module imports nothing numeric: ``expand`` runs
-on it without loading numpy.
+in :mod:`errors`.  The module imports nothing numeric, and its value
+types are plain ``__slots__`` classes on :class:`errors._Frozen`, not
+dataclasses: ``expand`` runs on it without loading numpy or
+``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import (Callable, Iterator, List, Sequence, Tuple, TypeVar,
                     Union)
 
 from .errors import (InvalidOrder, InvalidSep, NotInRangeSet,
                      OrderTooLargeForExpansion, _check_int, _check_order_cap,
-                     _is_int)
+                     _Frozen, _is_int)
 
 # The m index of a SEP is a plain integer in [0, 2^(order-1)).
 SepIndex = int
@@ -52,31 +53,37 @@ EXPANSION_CAP = 16
 Acc = TypeVar("Acc")
 
 
-@dataclass(frozen=True)
-class BitArray:
+class BitArray(_Frozen):
     """Bits r_1..r_n, one per matrix row.  Values produced by this
     module always end in r_n = 1; arbitrary 0/1 content is accepted at
     construction so that the decoders can reject it explicitly."""
 
+    __slots__ = ("order", "bits")
     order: int
     bits: Tuple[int, ...]
 
-    def __post_init__(self):
-        _check_int(self.order, "order", 1)
-        if len(self.bits) != self.order:
-            raise InvalidOrder(
-                f"expected {self.order} bits, got {len(self.bits)}")
-        if not all(_is_int(b) and b in (0, 1) for b in self.bits):
+    def __init__(self, order: int, bits: Tuple[int, ...]):
+        _check_int(order, "order", 1)
+        if len(bits) != order:
+            raise InvalidOrder(f"expected {order} bits, got {len(bits)}")
+        if not all(_is_int(b) and b in (0, 1) for b in bits):
             raise InvalidOrder("bits must be 0 or 1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "bits", bits)
 
 
-@dataclass(frozen=True)
-class SepFactors:
+class SepFactors(_Frozen):
     """Column choices pi_1..pi_n of one non-trivial SEP, plus its sign."""
 
+    __slots__ = ("order", "columns", "sign")
     order: int
     columns: Tuple[int, ...]
     sign: int
+
+    def __init__(self, order: int, columns: Tuple[int, ...], sign: int):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "sign", sign)
 
 
 def sep_count(order: int) -> int:
@@ -180,13 +187,17 @@ def _add_column(columns: Tuple[int, ...], i: int, col: int):
     return columns + (col,)
 
 
-@dataclass(frozen=True)
-class SymbolicTerm:
+class SymbolicTerm(_Frozen):
     """One signed term of the symbolic expansion: sign and the (row,
     column) pair of the factor taken in each row."""
 
+    __slots__ = ("sign", "factors")
     sign: int
     factors: Tuple[Tuple[int, int], ...]
+
+    def __init__(self, sign: int, factors: Tuple[Tuple[int, int], ...]):
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "factors", factors)
 
     def render(self) -> str:
         head = "+" if self.sign > 0 else "-"

@@ -702,33 +702,59 @@ def _imported_modules(stderr: str) -> list:
             if line.startswith("import time:")]
 
 
-def test_expand_loads_no_numpy(matrix_file):
+# The start-up contract of each command: the modules it loads, in the
+# columns statistics, ldevc, sep_codec, determinants and numpy, and
+# stdout where it is pinned (None: the command must only exit 0).  No
+# command loads dataclasses.
+_EXPAND_3 = ("+h(1,2)h(2,3)h(3,1)\n-h(1,2)h(2,1)h(3,3)\n"
+             "-h(1,1)h(2,3)h(3,2)\n+h(1,1)h(2,2)h(3,3)\n")
+_EXACT_DET = '{"backend":"exact","value":[-2,1,0,1]}\n'
+_FLOAT_DET = '{"backend":"float","value":[-2.0,0.0]}\n'
+_STARTUP = [
+    # argv, stdout, statistics, ldevc, sep_codec, determinants, numpy
+    (["expand", "--order", "3"], _EXPAND_3, 0, 0, 1, 0, 0),
+    (["sep", "--order", "3", "--index", "2"], None, 0, 0, 1, 0, 0),
+    (["gen", "--family", "random", "--N", "1", "--horizon", "3"], None,
+     0, 1, 0, 0, 0),
+    (["det", "{matrix}"], _EXACT_DET, 0, 0, 0, 1, 0),
+    (["det", "{matrix}", "--method", "leibniz"], _EXACT_DET, 0, 0, 0, 1, 0),
+    (["det", "{matrix}", "--method", "closed"], _EXACT_DET, 0, 0, 0, 0, 0),
+    (["det", "{matrix}", "--backend", "float"], _FLOAT_DET, 0, 0, 0, 1, 1),
+    (["det", "{matrix}", "--backend", "float", "--method", "leibniz"],
+     _FLOAT_DET, 0, 0, 0, 1, 1),
+    (["det", "{matrix}", "--backend", "float", "--method", "closed"],
+     _FLOAT_DET, 0, 0, 0, 0, 1),
+    (["solve", "{spec}", "--init", "1"], None, 0, 1, 0, 1, 0),
+    (["solve", "{spec}", "--init", "1", "--method", "ratio-closed"], None,
+     0, 1, 0, 0, 0),
+    (["solve", "{spec}", "--init", "1", "--method", "forward"], None,
+     0, 1, 0, 0, 0),
+    (["solve", "{spec}", "--init", "1", "--backend", "float"], None,
+     0, 1, 0, 1, 1),
+    (["solve", "{spec}", "--init", "1", "--backend", "float",
+      "--method", "ratio-closed"], None, 0, 1, 0, 0, 1),
+    (["solve", "{spec}", "--init", "1", "--backend", "float",
+      "--method", "forward"], None, 0, 1, 0, 0, 0),
+    (["bench", "--orders", "3", "--reps", "1"], None, 1, 0, 0, 1, 1),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs(matrix_file,
+                                                     alpha_spec_file):
     env = child_env()
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "hessenbergian", "expand",
-         "--order", "3"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0
-    assert proc.stdout == ("+h(1,2)h(2,3)h(3,1)\n-h(1,2)h(2,1)h(3,3)\n"
-                           "-h(1,1)h(2,3)h(3,2)\n+h(1,1)h(2,2)h(3,3)\n")
-    modules = _imported_modules(proc.stderr)
-    assert "hessenbergian.sep_codec" in modules
-    assert not [m for m in modules if "numpy" in m]
-    # an exact det loads none either, by any method; a float det and the
-    # float closed form still load it, and every output is unchanged
-    exact = '{"backend":"exact","value":[-2,1,0,1]}\n'
-    floats = '{"backend":"float","value":[-2.0,0.0]}\n'
-    for args, stdout, loads in (
-            ([], exact, False),
-            (["--method", "leibniz"], exact, False),
-            (["--method", "closed"], exact, False),
-            (["--backend", "float"], floats, True),
-            (["--backend", "float", "--method", "closed"], floats, True)):
+    for argv, stdout, *loads in _STARTUP:
+        argv = [a.format(matrix=matrix_file, spec=alpha_spec_file)
+                for a in argv]
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "hessenbergian", "det",
-             matrix_file, *args], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0
-        assert proc.stdout == stdout
-        assert ("numpy" in _imported_modules(proc.stderr)) is loads, args
+            [sys.executable, "-X", "importtime", "-m", "hessenbergian",
+             *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr[-300:])
+        assert stdout is None or proc.stdout == stdout, argv
+        modules = set(_imported_modules(proc.stderr))
+        assert "dataclasses" not in modules, argv
+        assert [name in modules for name in (
+            "statistics", "hessenbergian.ldevc", "hessenbergian.sep_codec",
+            "hessenbergian.determinants", "numpy")] == loads, argv
 
 
 def test_numpy_free_commands_run_without_numpy(tmp_path):

@@ -149,6 +149,21 @@ def _float_matrix_with_zeros(order, rng):
         for _ in range(order * (order + 3) // 2 - 1)])
 
 
+def _float_matrix_with_signed_zeros(order, rng):
+    # unit-square entries, about one in three with a -0.0 or 0.0 part
+    def entry():
+        re, im = rng.random(), rng.random()
+        pick = rng.random()
+        if pick < 0.1:
+            return complex(-0.0, im)
+        if pick < 0.2:
+            return complex(re, -0.0)
+        if pick < 0.3:
+            return complex(-0.0, -0.0)
+        return complex(re, im)
+    return make_matrix(order, [entry() for _ in range(entry_count(order))])
+
+
 @pytest.mark.parametrize("block", [1, 2, 4, 64])
 def test_prefix_doubling_blocks_equal_oracles(monkeypatch, block):
     # float blocks that share every row (1), some rows (2, 4) or none
@@ -217,21 +232,27 @@ def test_only_the_float_closed_form_builds_signed_rows(monkeypatch):
 
 
 def test_chi_is_the_left_to_right_product_of_signed_factors():
-    # every term at orders 1-8: chi's own negation of the superdiagonal
-    # gives the bits of the product over signed_rows, zero signs included
+    # every term at orders 1-10: chi, which reads one stored entry per
+    # row and negates the superdiagonal itself, gives the bits of the
+    # product over the Python scalars of signed_rows, on zero and -0.0
+    # parts and on products that overflow
     rng = random.Random(61)
-    for order in range(1, 9):
-        exact_zeros = make_matrix(order, [
-            0 if rng.random() < 0.3 else random_rational_scalar(rng)
-            for _ in range(entry_count(order))])
-        for m in (_float_matrix_with_zeros(order, rng),
-                  random_exact_matrix(order, rng), exact_zeros):
-            rows = scalar_rows(signed_rows(m))
-            for idx, factors in enumerate_seps(order):
-                value = 1
-                for row, col in zip(rows, factors.columns):
-                    value = value * row[col - 1]
-                assert repr(chi(m, idx)) == repr(value)
+    matrices = [_overflow_matrix()]
+    for order in range(1, 11):
+        matrices += [_float_matrix_with_zeros(order, rng),
+                     _float_matrix_with_signed_zeros(order, rng),
+                     random_exact_matrix(order, rng),
+                     make_matrix(order, [
+                         0 if rng.random() < 0.3
+                         else random_rational_scalar(rng)
+                         for _ in range(entry_count(order))])]
+    for m in matrices:
+        rows = scalar_rows(signed_rows(m))
+        for idx, factors in enumerate_seps(m.order):
+            value = 1
+            for row, col in zip(rows, factors.columns):
+                value = value * row[col - 1]
+            assert repr(chi(m, idx)) == repr(value)
 
 
 def _overflow_matrix():

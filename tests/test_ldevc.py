@@ -142,6 +142,12 @@ def test_golden_system_bundle():
         for k in range(2):
             combo = combo + bundle.fundamentals[k][n] * GOLDEN_INIT[k]
         assert combo == GOLDEN_Y[n]
+    # a value record: equal and hashed by its fields, and frozen
+    again = solve_bundle(spec, GOLDEN_INIT)
+    assert again == bundle and hash(again) == hash(bundle)
+    assert repr(bundle).startswith("SolutionBundle(index_N=2, fundamentals=(")
+    with pytest.raises(AttributeError, match="cannot assign to field 'init'"):
+        bundle.init = ()
 
 
 def test_first_order_powers():

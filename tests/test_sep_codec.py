@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from hessenbergian import (BitArray, IndexOutOfRange, InvalidOrder,
                            InvalidSep, NotInRangeSet,
-                           OrderTooLargeForExpansion, decode_columns,
-                           encode_sep, enumerate_seps, expand_symbolic,
-                           sep_codec, sep_count, tau)
+                           OrderTooLargeForExpansion, SepFactors,
+                           decode_columns, encode_sep, enumerate_seps,
+                           expand_symbolic, sep_codec, sep_count, tau)
 
 
 def test_tau_goldens():
@@ -25,6 +25,33 @@ def test_tau_index_out_of_range():
             tau(3, bad)
     with pytest.raises(InvalidOrder):
         tau(0, 0)
+
+
+def test_codec_values_are_frozen_records():
+    # equal and hashed by their fields in order, with a field-by-field
+    # repr; no field can be set or deleted, and no other attribute added
+    bits = tau(4, 5)
+    assert bits == BitArray(order=4, bits=(1, 0, 1, 1))
+    assert hash(bits) == hash((4, (1, 0, 1, 1)))
+    assert repr(bits) == "BitArray(order=4, bits=(1, 0, 1, 1))"
+    factors = decode_columns(bits)
+    assert factors == SepFactors(4, (1, 3, 2, 4), -1)
+    assert factors != SepFactors(4, (1, 3, 2, 4), 1)
+    assert factors != (4, (1, 3, 2, 4), -1)
+    assert repr(factors) == "SepFactors(order=4, columns=(1, 3, 2, 4), sign=-1)"
+    term = expand_symbolic(2)[0]
+    assert repr(term) == "SymbolicTerm(sign=-1, factors=((1, 2), (2, 1)))"
+    assert str(term) == "-h(1,2)h(2,1)" and hash(term) == hash(
+        (-1, ((1, 2), (2, 1))))
+    for value, field in ((bits, "bits"), (factors, "sign"), (term, "sign")):
+        with pytest.raises(AttributeError,
+                           match=f"cannot assign to field '{field}'"):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError,
+                           match=f"cannot delete field '{field}'"):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 def test_decode_goldens_order_three():
