@@ -3,9 +3,10 @@ expansion terms, and determinant-ratio solutions of linear difference
 equations with variable coefficients.
 
 The public names are loaded on first use (PEP 562): importing the
-package loads no submodule.  No module imports numpy at load time;
-each imports it in its float branches, so exact work never loads
-numpy.
+package loads no submodule.  A float matrix stores Python ``complex``
+values, and the only code that imports numpy is the float closed form
+of :mod:`closed_form`, in its kernel, so every other route, exact or
+float, runs without numpy.
 """
 
 from importlib import import_module
@@ -16,7 +17,7 @@ __version__ = "0.1.0"
 _OWNERS = {
     "BitArray": "sep_codec", "ComplexRational": "scalars",
     "DEFAULT_CLOSED_FORM_CAP": "errors", "DEFAULT_ORACLE_CAP": "errors",
-    "EXACT": "scalars", "EXPANSION_CAP": "sep_codec", "FLOAT": "scalars",
+    "EXACT": "errors", "EXPANSION_CAP": "sep_codec", "FLOAT": "errors",
     "FormatError": "errors", "HessenbergianError": "errors",
     "HessenbergMatrix": "matrix", "IndexOutOfRange": "errors",
     "IntegerTooLargeForJson": "errors", "InvalidOrder": "errors",

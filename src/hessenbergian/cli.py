@@ -16,16 +16,18 @@ off, since the data it builds holds no cycles, and :func:`main` gives
 the caller's collector setting back however the command ends.
 
 At load time the module imports only :mod:`errors`, which owns the
-parser's defaults and method names, and :mod:`scalars`, which reads the
-literals of ``--init`` and ``--params``.  Every subcommand imports the
-modules it runs in its own body, ``statistics``, ``random`` and
-``time`` included, so a command loads and compiles only what it runs:
-``expand`` and ``sep`` run on :mod:`sep_codec`, ``gen`` and ``solve``
-on :mod:`ldevc`, ``det --method closed`` on :mod:`closed_form` without
+parser's defaults, realization names and method names.  Every
+subcommand imports the modules it runs in its own body, ``statistics``,
+``random``, ``time``, ``fractions`` and :mod:`scalars` included, so a
+command loads and compiles only what it runs: ``expand`` and ``sep``
+run on :mod:`sep_codec` alone, ``gen`` and ``solve`` on :mod:`ldevc`,
+``det --method closed`` on :mod:`closed_form` without
 :mod:`determinants`, and only ``bench`` loads ``statistics``.  numpy
-loads only on a float path: ``expand``, ``sep``, ``gen``, exact
-``solve`` and ``det`` by every method, and ``solve --method forward``
-never load it.
+loads only for the float closed form: a float ``det --method closed``,
+a float ``solve`` by a closed method, and ``bench`` timing ``closed``.
+Every other command, float ``det`` by the recurrence or the Leibniz
+oracle and float ``solve`` by a recurrence method or forward included,
+runs without it.
 """
 
 from __future__ import annotations
@@ -34,18 +36,17 @@ import argparse
 import cmath
 import gc
 import sys
-from fractions import Fraction
 from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import (DEFAULT_CLOSED_FORM_CAP, DEFAULT_ORACLE_CAP,
-                     GENERAL_METHODS, FormatError, HessenbergianError,
+from .errors import (DEFAULT_CLOSED_FORM_CAP, DEFAULT_ORACLE_CAP, EXACT,
+                     FLOAT, GENERAL_METHODS, FormatError, HessenbergianError,
                      InvalidParams, NonFiniteResult, SizeCapExceeded, _cut,
                      _digit_limit_error)
-from .scalars import EXACT, FLOAT, ComplexRational, _ratio, is_exact
 
 if TYPE_CHECKING:
+    from fractions import Fraction
     from random import Random
 
     from .ldevc import LdevcSpec
@@ -129,6 +130,8 @@ def _fraction(text: str) -> Fraction:
     numerator or denominator longer than the int/str digit limit, or an
     exponent whose magnitude reaches it: Fraction would spend minutes
     expanding 10**exponent."""
+    from fractions import Fraction
+
     limit = sys.get_int_max_str_digits()
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.lstrip("+-").replace("_", "")
@@ -143,6 +146,8 @@ def _float_part(text: str) -> float:
     # p/q rounds as a document's [p, q, 0, 1] read as float
     if "/" not in text:
         return float(text)
+    from .scalars import _ratio
+
     ratio = _fraction(text)
     return _ratio(ratio.numerator, ratio.denominator)
 
@@ -161,6 +166,8 @@ def parse_scalar_token(token: str, backend: str):
             if not cmath.isfinite(z):
                 raise ValueError(token)
             return z
+        from .scalars import ComplexRational
+
         return ComplexRational(_fraction(re_text) if re_text else 0,
                                _fraction(im_text) if im_text else 0)
     except (ValueError, ZeroDivisionError, OverflowError):
@@ -175,21 +182,6 @@ def parse_init(text: Optional[str], backend: str) -> tuple:
 
 # generators ----------------------------------------------------------------
 
-def _random_fraction(rng: Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-
-
-def _random_scalar(rng: Random) -> ComplexRational:
-    return ComplexRational(_random_fraction(rng), _random_fraction(rng))
-
-
-def _random_nonzero(rng: Random) -> ComplexRational:
-    # real-part numerator drawn from 1..9 with a random sign, so the
-    # value (used as a leading coefficient) can never vanish
-    re = Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
-    return ComplexRational(re, _random_fraction(rng))
-
-
 def generate_spec(family: str, params: str, index_N: int, horizon: int,
                   seed: int) -> LdevcSpec:
     """Deterministic spec families.
@@ -202,9 +194,24 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
     random: every stored coefficient random; takes no params.  All
     leading coefficients are forced nonzero.
     """
+    from fractions import Fraction
     from random import Random
 
     from .ldevc import LdevcSpec
+    from .scalars import ComplexRational
+
+    def random_fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def random_scalar():
+        return ComplexRational(random_fraction(), random_fraction())
+
+    def random_nonzero():
+        # real-part numerator drawn from 1..9 with a random sign, so the
+        # value (used as a leading coefficient) can never vanish
+        re = Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
+                      rng.randint(1, 9))
+        return ComplexRational(re, random_fraction())
 
     if family == "constant":
         alphas = parse_init(params, EXACT)
@@ -228,18 +235,18 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
                 f"periodic family needs an integer period, got {_echo(params)}") from None
         if period < 1:
             raise InvalidParams(f"period must be positive, got {period}")
-        band = [[_random_scalar(rng) for _ in range(index_N)] + [_random_nonzero(rng)]
+        band = [[random_scalar() for _ in range(index_N)] + [random_nonzero()]
                 for _ in range(period)]
-        pattern = [_random_scalar(rng) for _ in range(period)]
+        pattern = [random_scalar() for _ in range(period)]
         coeffs = [[0] * n + band[n % period] for n in range(horizon + 1)]
         forcing = [pattern[n % period] for n in range(horizon + 1)]
         return LdevcSpec(index_N, horizon, coeffs, forcing)
     if family == "random":
         if params.strip():
             raise InvalidParams("random family takes no params")
-        coeffs = [[_random_scalar(rng) for _ in range(index_N + n)]
-                  + [_random_nonzero(rng)] for n in range(horizon + 1)]
-        forcing = [_random_scalar(rng) for _ in range(horizon + 1)]
+        coeffs = [[random_scalar() for _ in range(index_N + n)]
+                  + [random_nonzero()] for n in range(horizon + 1)]
+        forcing = [random_scalar() for _ in range(horizon + 1)]
         return LdevcSpec(index_N, horizon, coeffs, forcing)
     raise InvalidParams(f"unknown family {family!r}")
 
@@ -270,6 +277,7 @@ def _result_to_json(value):
     Every zero part of a float result is written as +0.0, whichever
     method computed it."""
     from .formats import scalar_to_json
+    from .scalars import is_exact
 
     if not is_exact(value) and not cmath.isfinite(value):
         raise NonFiniteResult(
@@ -312,14 +320,17 @@ def cmd_expand(args) -> str:
 
 
 def cmd_sep(args) -> str:
-    from .formats import dump_text
+    # small ints only, so json writes them as formats.dump_text does,
+    # without loading formats and the scalars it reads
+    import json
+
     from .sep_codec import decode_columns, tau
 
     bits = tau(args.order, args.index)
     factors = decode_columns(bits)
-    return dump_text({"bits": list(bits.bits),
-                      "columns": list(factors.columns),
-                      "sign": factors.sign})
+    return json.dumps({"bits": list(bits.bits),
+                       "columns": list(factors.columns),
+                       "sign": factors.sign}, separators=(",", ":"))
 
 
 def cmd_solve(args) -> str:

@@ -22,7 +22,8 @@ standard factor.
 
 A float-backed matrix sums its terms in ascending m, in fixed-size
 blocks of 2^b consecutive m, gathered from a signed copy of its rows
-(:func:`signed_rows`).  :func:`_sum_block` multiplies the rows a
+(:func:`signed_rows`), which :func:`_float_sums` turns into complex128
+arrays once per call.  :func:`_sum_block` multiplies the rows a
 block shares once, on one-element arrays, and then, for each of the b
 free rows, doubles every prefix into its superdiagonal child and its
 standard child (ascending m) with one gather and one array product per
@@ -31,7 +32,8 @@ its own factors, formed by numpy's array product, so a float term has
 the same bits as when the whole block decodes every row; shared tables
 of half products would change that association, and with it the last
 bits of the sum.  The block sums are combined in ascending order with
-compensated accumulation.  numpy is imported by that kernel alone.
+compensated accumulation.  numpy is imported by that kernel alone;
+no other code in the package loads it.
 Each call makes one set of block-sized buffers and every block writes
 into them, products out of place between two of them: a fresh array
 per row of a 2^16-term block is about 1 MB, which the allocator would
@@ -83,20 +85,16 @@ def chi(matrix: HessenbergMatrix, m: int):
     The factors are the signed factors of :func:`signed_rows`, formed
     here from the stored rows: a superdiagonal entry is negated where it
     is multiplied, c_{i,i+1} = -h_{i,i+1}, so no separate permutation
-    sign is needed.  Each row's one factor is read per call, a float
-    one as a Python ``complex`` (as :func:`scalar_rows` gives it); no
-    row is converted, cached or copied.
+    sign is needed.  Each row's one factor is read per call, as it is
+    stored; no row is converted, cached or copied.
     """
     from .sep_codec import decode_columns, tau
 
     rows = matrix.rows
-    float_backed = matrix.is_float_backed
     value = 1
     for i, col in enumerate(decode_columns(tau(matrix.order, m)).columns,
                             start=1):
         h = rows[i - 1][col - 1]
-        if float_backed:
-            h = complex(h)
         value = value * (-h if col > i else h)
     return value
 
@@ -200,14 +198,15 @@ def _gaussian_sums(rows: tuple) -> list:
 
 
 def _float_sums(crows: tuple, orders) -> list:
-    # det(H_k) for each k in orders, from the signed complex128 rows of
-    # the whole matrix: the rows past k and row k's superdiagonal are
-    # never read, so each sum has the bits of H_k's own signed rows.
-    # Every block of every order writes into one set of buffers, made
-    # here (see the module docstring): product, last and dead pairs,
-    # then the cols and the picked factors
+    # det(H_k) for each k in orders, from the signed rows of the whole
+    # matrix, as complex128 arrays: the rows past k and row k's
+    # superdiagonal are never read, so each sum has the bits of H_k's
+    # own signed rows.  Every block of every order writes into one set
+    # of buffers, made here (see the module docstring): product, last
+    # and dead pairs, then the cols and the picked factors
     import numpy as np
 
+    crows = [np.array(row, np.complex128) for row in crows]
     block = _BLOCK
     size = min(block, 1 << (max(orders) - 1))
     buffers = (np.empty((2, size), np.complex128),

@@ -20,14 +20,15 @@ Two routes live here:
   It returns every prefix determinant det(H_0), ..., det(H_n), and
   :func:`det_recurrence` is its last entry.
 
-  A float-backed matrix runs the loop on its stored complex128 rows,
-  each k-sum one numpy dot product over the nonzero h_{j,k}; numpy is
-  imported for that loop alone.  Float overflow shows up as an inf or
-  nan value that the caller can refuse, never as a warning on stderr:
-  numpy's floating-point warnings are off.  A zero h_{j,k} is dropped
-  from the sum while its q_k still advances, so a zero entry times an
-  infinite q_k never turns the sum into NaN via 0*inf; the
-  mathematically correct term there is 0.  Every zero part of a float
+  A float-backed matrix runs the loop on its stored rows of Python
+  ``complex``: row j scales every q_k by c with ``map``, and its k-sum
+  is one ``sum`` of h_{j,k} q_k over the nonzero h_{j,k}, so no float
+  determinant loads numpy.  Float overflow shows up as an inf or nan
+  value that the caller can refuse; Python's float arithmetic raises
+  and warns on neither.  A zero h_{j,k} is dropped from the sum while
+  its q_k still advances, so a zero entry times an infinite q_k never
+  turns the sum into NaN via 0*inf; the mathematically correct term
+  there is 0.  Every sum starts from 0j, so every zero part of a float
   prefix is +0.0, as in the closed form and the oracle.
 
   An exact matrix runs the same loop fraction-free, on the Gaussian
@@ -40,10 +41,9 @@ Two routes live here:
   while column k is live, from its diagonal row to its last nonzero
   h_{j,k}, so the mostly-zero solution matrices of low-order difference
   equations cost nothing for their zero columns; a zero entry inside the
-  live window adds exactly 0.  The two loops stay apart, numpy on
-  complex128 and plain ints on Gaussian integers, but share this one
-  form; the closed form splits by realization the same way, so no exact
-  determinant loads numpy.
+  live window adds exactly 0.  The two loops stay apart, Python
+  ``complex`` and plain ints on Gaussian integers, but share this one
+  form; the closed form splits by realization the same way.
 
 * :func:`det_leibniz`, a brute-force oracle.  It sums the Leibniz
   expansion on Python scalars, treating structural zeros as 0: column
@@ -59,13 +59,13 @@ Two routes live here:
 from __future__ import annotations
 
 import math
-import operator
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul
 
 from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
                      _check_order_cap)
 from .matrix import (HessenbergMatrix, exact_prefixes, exact_value,
-                     gaussian_rows, scalar_rows)
+                     gaussian_rows)
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:
@@ -74,22 +74,17 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
     if not matrix.is_float_backed:
         parts, scales, kind = gaussian_rows(matrix.rows)
         return exact_prefixes(_gaussian_prefixes(parts), scales, kind)
-    import numpy as np
-
-    n = matrix.order
     rows = matrix.rows
-    dets = np.empty(n + 1, dtype=np.complex128)
-    dets[0] = 1
-    q = np.empty(n, dtype=np.complex128)  # q_{k+1} of column k, 0-based
-    with np.errstate(all="ignore"):
-        for j in range(n):  # 0-based row j gives det(H_{j+1})
-            if j:
-                q[:j] *= -rows[j - 1][j]  # the signed superdiagonal c
-            q[j] = dets[j]
-            row = rows[j][:j + 1]
-            nz = np.flatnonzero(row)  # a zero h_{j,k} adds nothing
-            dets[j + 1] = np.dot(row[nz], q[nz])
-    return (dets + 0).tolist()  # + 0 makes every -0.0 part +0.0
+    dets = [1 + 0j]
+    q = []  # q_{k+1} of column k, 0-based
+    for j, row in enumerate(rows):  # 0-based row j gives det(H_{j+1})
+        if j:  # the signed superdiagonal c = -h_{j-1,j}
+            q = list(map(mul, q, repeat(-rows[j - 1][j])))
+        q.append(dets[j])
+        # a zero h_{j,k} adds nothing; the superdiagonal h_{j,j+1}, last
+        # of the nonzero entries, meets no q and map drops it
+        dets.append(sum(map(mul, compress(row, row), compress(q, row)), 0j))
+    return dets
 
 
 def _scale(q: tuple, s: tuple) -> tuple:
@@ -104,8 +99,8 @@ def _scale(q: tuple, s: tuple) -> tuple:
 def _sum_products(h: tuple, q: tuple) -> tuple:
     # sum_k h[k] q[k] over (re, im) lists
     (hr, hi), (qr, qi) = h, q
-    return (sum(map(operator.mul, hr, qr)) - sum(map(operator.mul, hi, qi)),
-            sum(map(operator.mul, hr, qi)) + sum(map(operator.mul, hi, qr)))
+    return (sum(map(mul, hr, qr)) - sum(map(mul, hi, qi)),
+            sum(map(mul, hr, qi)) + sum(map(mul, hi, qr)))
 
 
 def _gaussian_prefixes(rows: tuple) -> list:
@@ -157,7 +152,7 @@ def det_leibniz(matrix: HessenbergMatrix, oracle_cap: int = DEFAULT_ORACLE_CAP):
     """Full Leibniz-sum determinant; oracle for orders up to the cap."""
     n = matrix.order
     _check_order_cap(n, oracle_cap, OrderTooLargeForOracle, "oracle_cap")
-    rows = scalar_rows(matrix.rows)
+    rows = matrix.rows
     total = 0
     # (rows chosen, used columns as bits, sign, product); children are
     # pushed in descending column order, so the leaves come off in

@@ -4,7 +4,8 @@ Every domain error is a distinct class so callers can dispatch on type
 rather than parse messages.  The CLI exits 3 on a :class:`SizeCapExceeded`
 and 2 on any other :class:`HessenbergianError`.
 
-The module also owns the argument rules every module checks through:
+The module also owns the names of the two realizations, ``EXACT`` and
+``FLOAT``, and the argument rules every module checks through:
 :func:`_is_int`, :func:`_check_int` (an int, not a bool, in range) and
 :func:`_check_order_cap`; the default order caps of the closed form and
 the Leibniz oracle; and the helpers that error messages share:
@@ -19,6 +20,10 @@ import sys
 
 DEFAULT_CLOSED_FORM_CAP = 28
 DEFAULT_ORACLE_CAP = 10
+
+# the names of the two realizations, re-exported by scalars
+EXACT = "exact"
+FLOAT = "float"
 
 # the names of the Hessenbergian solve routes, re-exported by ldevc
 GENERAL_METHODS = ("ratio-recurrence", "ratio-closed",

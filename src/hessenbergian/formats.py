@@ -16,17 +16,17 @@ straight into their ``backend`` argument (default: the document's own
 realization, "exact" unless something float-only appeared), and return
 it with the object.  Float values go through ``complex`` first, even when
 read as exact; :func:`convert_spec` reuses the rule.  A float matrix
-read as float is decoded in one conversion: when every scalar is a
-finite ``[re, im]`` pair of floats and ints, or a bare float or int v,
-read as the pair ``[v, 0]``, all of them become one complex128 array,
-bit for bit as the scalar rule reads each scalar, and the rows are
-slices of it.  Any other document (a bare bool, an int beyond the
-double range, or any invalid scalar) takes the scalar rule, which alone
-words the decode errors.  numpy is imported by that float decoder
-alone, so exact documents, specs and scalars are read and written
-without it.  The loaders import :mod:`matrix` and :mod:`ldevc` where
-they build a matrix or a spec, so a command that reads one loads only
-its module, and one that only writes JSON loads neither.
+read as float is decoded in one pass after one type scan: when every
+scalar is a finite ``[re, im]`` pair of floats and ints, or a bare
+float or int v, read as the pair ``[v, 0]``, each row becomes a tuple
+of ``complex(re, im)``, bit for bit as the scalar rule reads each
+scalar, and :func:`matrix_to_json` writes each such value back as
+``[z.real, z.imag]``.  Any other document (a bare bool, an int beyond
+the double range, or any invalid scalar) takes the scalar rule, which
+alone words the decode errors.  No document is read or written with
+numpy.  The loaders import :mod:`matrix` and :mod:`ldevc` where they
+build a matrix or a spec, so a command that reads one loads only its
+module, and one that only writes JSON loads neither.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -50,12 +50,12 @@ from __future__ import annotations
 import cmath
 import json
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import chain, starmap
 from typing import TYPE_CHECKING
 
-from .errors import FormatError, _cut, _digit_limit_error, _is_int
-from .scalars import (EXACT, FLOAT, ComplexRational, _ratio, exact_parts,
-                      is_exact)
+from .errors import (EXACT, FLOAT, FormatError, _cut, _digit_limit_error,
+                     _is_int)
+from .scalars import ComplexRational, _ratio, exact_parts, is_exact
 
 if TYPE_CHECKING:
     from .ldevc import LdevcSpec
@@ -163,14 +163,11 @@ def matrix_from_json(obj, backend=None):
 
 
 def _float_rows(rows):
-    """The rows of a float document read as float, as slices of one
-    complex128 array converted in one pass, bit for bit as
-    :func:`scalar_from_json` reads each scalar.  None unless every
-    scalar is an ``[re, im]`` pair of floats and ints or a bare float or
-    int, with a finite value; the scalar rule then decodes the document
-    or words its error."""
-    import numpy as np
-
+    """The rows of a float document read as float, each a tuple of
+    ``complex(re, im)``, bit for bit as :func:`scalar_from_json` reads
+    each scalar.  None unless every scalar is an ``[re, im]`` pair of
+    floats and ints or a bare float or int, with a finite value; the
+    scalar rule then decodes the document or words its error."""
     def scalars():
         return chain.from_iterable(rows)
 
@@ -185,20 +182,19 @@ def _float_rows(rows):
             <= {float, int}):
         return None
     try:
-        parts = np.fromiter(chain.from_iterable(scalars()), np.float64,
-                            count=2 * sum(map(len, rows)))
+        decoded = [tuple(starmap(complex, row)) for row in rows]
     except OverflowError:  # an integer beyond the double range
         return None
-    if not np.isfinite(parts).all():  # a literal such as 1e400 reads as inf
+    # a literal such as 1e400 reads as inf
+    if not all(map(cmath.isfinite, chain.from_iterable(decoded))):
         return None
-    return np.split(parts.view(np.complex128),
-                    list(accumulate(map(len, rows[:-1]))))
+    return decoded
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
+    floats = matrix.is_float_backed
     return {"order": matrix.order,
-            "rows": [row.view("float64").reshape(-1, 2).tolist()
-                     if matrix.is_float_backed
+            "rows": [[[z.real, z.imag] for z in row] if floats
                      else [scalar_to_json(v) for v in row]
                      for row in matrix.rows]}
 

@@ -61,8 +61,9 @@ re-exports them.  The spec type and :func:`solve_forward` need neither
 the matrix nor the determinant module; the functions that build and
 evaluate the monic matrix import them.  The spec and the solution
 bundle are plain ``__slots__`` classes on :class:`errors._Frozen`, so
-the module loads no ``dataclasses``.  numpy loads only for a float
-matrix, so every method solves an exact spec without it.
+the module loads no ``dataclasses``.  numpy loads only for the
+closed methods on a float matrix; every other method and spec solves
+without it.
 """
 
 from __future__ import annotations

@@ -6,15 +6,15 @@ min(i+1, n) scalars, the entries h_{i,1} .. h_{i,min(i+1,n)}, so a
 matrix holds n(n+3)/2 - 1 scalars in total.  All indices in the public
 interface are 1-based.  The constructor alone fixes values and
 realization: an entry is exact (a ``numbers.Rational`` or ComplexRational),
-a float or a complex, else TypeError.  One float or complex entry makes
-every row a read-only complex128 array, exact entries rounded once as by
-``complex(x)``; an exact entry beyond the double range is then a
-FormatError, worded as the decoder words it.  Otherwise every row is a
-tuple of the entries themselves, immutable by type.  A complex128 array
-row is taken on its dtype and copied, never scanned.  numpy is imported
-only to build float rows: an exact matrix never loads it, and an array
-row is recognised through the numpy a caller that passes one has
-already loaded.
+a float or a complex, else TypeError.  Every row is stored as a tuple,
+immutable by type.  One float or complex entry makes every entry a
+Python ``complex``, exact entries rounded once by ``complex(x)``; an
+exact entry beyond the double range is then a FormatError, worded as
+the decoder words it.  Rows whose entries are all ``complex`` already,
+as the float decoder gives them, are taken as they are after the one
+type scan.  Otherwise every row holds the entries themselves.  No
+matrix loads numpy: an exact array row's numpy scalars become Python
+scalars through the numpy a caller that passes one has already loaded.
 
 Both exact kernels, the recurrence and the closed form, convert the
 stored rows once, by :func:`gaussian_rows`, apply c_{i,i+1} = -h_{i,i+1}
@@ -59,18 +59,13 @@ class HessenbergMatrix:
         if len(rows) != order:
             raise WrongEntryCount(
                 f"expected {order} rows, got {len(rows)}")
-        np = sys.modules.get("numpy")  # loaded if a row is an array
         kinds = set()  # the distinct entry types, checked once each
         for i, row in enumerate(rows, start=1):
             want = row_length(order, i)
             if len(row) != want:
                 raise WrongEntryCount(
                     f"row {i} must store {want} entries, got {len(row)}")
-            if (np and isinstance(row, np.ndarray)
-                    and row.dtype == np.complex128):
-                kinds.add(complex)  # taken on its dtype, never scanned
-            else:
-                kinds.update(map(type, row))
+            kinds.update(map(type, row))
         floats = False
         for kind in kinds:
             if issubclass(kind, (float, complex)):
@@ -78,19 +73,16 @@ class HessenbergMatrix:
             elif not issubclass(kind, (Rational, ComplexRational)):
                 raise TypeError(f"matrix entries must be exact, float or "
                                 f"complex scalars, got {kind.__name__}")
-        if floats:
-            import numpy as np
-
-            # np.array copies, so a caller's array is never frozen in place
+        if kinds == {complex}:  # the float decoder's rows, taken as they are
+            frozen = tuple(map(tuple, rows))
+        elif floats:
             try:
-                frozen = tuple(np.array(row, dtype=np.complex128)
-                               for row in rows)
+                frozen = tuple(tuple(map(complex, row)) for row in rows)
             except OverflowError:  # an exact entry beyond the doubles
                 raise FormatError(
                     "a scalar is beyond the double range") from None
-            for row in frozen:
-                row.flags.writeable = False
         else:  # an array row's numpy scalars become Python scalars
+            np = sys.modules.get("numpy")  # loaded if a row is an array
             frozen = tuple(tuple(row.tolist() if np and isinstance(
                 row, np.ndarray) else row) for row in rows)
         object.__setattr__(self, "order", order)
@@ -101,17 +93,16 @@ class HessenbergMatrix:
 
     @property
     def is_float_backed(self) -> bool:
-        """True when the rows are stored as complex128 arrays."""
-        return not isinstance(self.rows[0], tuple)
+        """True when the rows hold Python ``complex`` values."""
+        return type(self.rows[0][0]) is complex
 
     def __eq__(self, other):
         if not isinstance(other, HessenbergMatrix):
             return NotImplemented
-        return (self.order == other.order
-                and scalar_rows(self.rows) == scalar_rows(other.rows))
+        return self.order == other.order and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.order, scalar_rows(self.rows)))
+        return hash((self.order, self.rows))
 
     def __repr__(self):
         return f"HessenbergMatrix(order={self.order})"
@@ -147,18 +138,11 @@ def make_matrix(order: int, entries: Sequence) -> HessenbergMatrix:
     return HessenbergMatrix(order, rows)
 
 
-def scalar_rows(rows) -> tuple:
-    """Stored or signed rows as tuples of Python scalars: an exact row as
-    it is, a complex128 row as its ``complex`` values."""
-    return tuple(row if isinstance(row, tuple) else tuple(row.tolist())
-                 for row in rows)
-
-
 def signed_rows(matrix: HessenbergMatrix) -> tuple:
-    """The stored rows as signed factors c_{i,j}, one per row, in the
-    rows' own layout (a tuple, or a new complex128 array).  The float
-    closed form gathers its factors from this copy; the exact kernels
-    and the oracle ``chi`` negate the superdiagonal where they multiply.
+    """The stored rows as signed factors c_{i,j}, one tuple per row.
+    The float closed form gathers its factors from this copy; the exact
+    kernels, the recurrence and the oracle ``chi`` negate the
+    superdiagonal where they multiply.
 
     The superdiagonal entry h_{i,i+1}, the last stored entry of every
     row except row n, is negated: c_{i,i+1} = -h_{i,i+1}.  Every other
@@ -167,12 +151,7 @@ def signed_rows(matrix: HessenbergMatrix) -> tuple:
     permutation sign folded in.
     """
     rows = matrix.rows
-    if not matrix.is_float_backed:
-        return (*(row[:-1] + (-row[-1],) for row in rows[:-1]), rows[-1])
-    signed = tuple(row.copy() for row in rows)
-    for row in signed[:-1]:
-        row[-1] = -row[-1]
-    return signed
+    return (*(row[:-1] + (-row[-1],) for row in rows[:-1]), rows[-1])
 
 
 def gaussian_rows(rows) -> tuple:

@@ -20,6 +20,10 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Union
 
+# the realization names belong to errors, where the CLI's argument
+# parser reads them without this module
+from .errors import EXACT, FLOAT
+
 
 class ComplexRational:
     """A complex number with exact rational real and imaginary parts.
@@ -200,9 +204,6 @@ _ZERO = Fraction(0)
 _from_fractions = ComplexRational._from_fractions
 
 Scalar = Union[int, Fraction, ComplexRational, float, complex]
-
-EXACT = "exact"
-FLOAT = "float"
 
 
 def is_exact(value) -> bool:

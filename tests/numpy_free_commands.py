@@ -4,8 +4,10 @@ Usage: python tests/numpy_free_commands.py OUTDIR
 
 Puts None in ``sys.modules["numpy"]``, so any import of numpy fails,
 and then runs expand, sep, gen, exact ``solve`` by the forward and the
-ratio methods and exact ``det`` by every method, writing each output
-into OUTDIR.  The expand commands run as ``python -m hessenbergian``
+ratio methods, exact ``det`` by every method, float ``det`` by the
+recurrence and the Leibniz oracle, float ``solve`` by the recurrence
+methods and forward, and ``bench --methods recurrence``, writing each
+output into OUTDIR.  Only the float closed form needs numpy.  The expand commands run as ``python -m hessenbergian``
 does, through the package's ``__main__``; the others call
 ``cli.main``.  Exits 0 when every check holds, else 1 with the failed
 check on stderr.  The file has no ``test_`` prefix, so pytest does not
@@ -14,6 +16,7 @@ collect it: CI runs it on an interpreter that has no numpy, and
 child process.
 """
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -110,6 +113,37 @@ def run_checks(outdir: str) -> None:
         for method in ("recurrence", "leibniz", "closed"):
             check(run(f"{name}-{method}.json", "det", path, "--method",
                       method) == want, f"det {name} --method {method}")
+        # the same matrix read as float: the recurrence and the oracle
+        # run on Python complex
+        want = json.dumps({"backend": "float",
+                           "value": [float(value[0]), 0.0]},
+                          separators=(",", ":")) + "\n"
+        for method in ("recurrence", "leibniz"):
+            check(run(f"{name}-float-{method}.json", "det", path,
+                      "--backend", "float", "--method", method) == want,
+                  f"det {name} --backend float --method {method}")
+
+    # the random spec read as float: every recurrence method agrees with
+    # forward substitution to rounding
+    forward = json.loads(run("float-forward.json", "solve", spec_path,
+                             "--backend", "float", "--init", INIT,
+                             "--method", "forward"))["values"]
+    check(len(forward) == 9, "a horizon-8 float solve")
+    for method in ("ratio-recurrence", "reduced-recurrence"):
+        values = json.loads(run(f"float-{method}.json", "solve", spec_path,
+                                "--backend", "float", "--init", INIT,
+                                "--method", method))["values"]
+        check(len(values) == 9 and all(
+            cmath.isclose(complex(*a), complex(*b), rel_tol=1e-9,
+                          abs_tol=1e-9) for a, b in zip(values, forward)),
+              f"float {method} agrees with forward")
+
+    lines = run("bench.csv", "bench", "--orders", "3,40", "--reps", "2",
+                "--methods", "recurrence").splitlines()
+    check(lines[0] == "order,method,median_ns"
+          and [line.rsplit(",", 1)[0] for line in lines[1:]]
+          == ["3,recurrence", "40,recurrence"],
+          "bench --methods recurrence")
 
     check(run("sep.json", "sep", "--order", "8", "--index", "81")
           == '{"bits":[1,0,1,0,0,0,1,1],"columns":[1,3,2,5,6,7,4,8],'

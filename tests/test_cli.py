@@ -703,39 +703,46 @@ def _imported_modules(stderr: str) -> list:
 
 
 # The start-up contract of each command: the modules it loads, in the
-# columns statistics, ldevc, sep_codec, determinants and numpy, and
-# stdout where it is pinned (None: the command must only exit 0).  No
-# command loads dataclasses.
+# columns statistics, ldevc, sep_codec, determinants, numpy, fractions
+# and scalars, and stdout where it is pinned (None: the command must
+# only exit 0).  No command loads dataclasses.
 _EXPAND_3 = ("+h(1,2)h(2,3)h(3,1)\n-h(1,2)h(2,1)h(3,3)\n"
              "-h(1,1)h(2,3)h(3,2)\n+h(1,1)h(2,2)h(3,3)\n")
 _EXACT_DET = '{"backend":"exact","value":[-2,1,0,1]}\n'
 _FLOAT_DET = '{"backend":"float","value":[-2.0,0.0]}\n'
+_SEP_3_2 = '{"bits":[1,0,1],"columns":[1,3,2],"sign":-1}\n'
 _STARTUP = [
-    # argv, stdout, statistics, ldevc, sep_codec, determinants, numpy
-    (["expand", "--order", "3"], _EXPAND_3, 0, 0, 1, 0, 0),
-    (["sep", "--order", "3", "--index", "2"], None, 0, 0, 1, 0, 0),
+    # argv, stdout, statistics, ldevc, sep_codec, determinants, numpy,
+    # fractions, scalars
+    (["expand", "--order", "3"], _EXPAND_3, 0, 0, 1, 0, 0, 0, 0),
+    (["sep", "--order", "3", "--index", "2"], _SEP_3_2, 0, 0, 1, 0, 0, 0, 0),
     (["gen", "--family", "random", "--N", "1", "--horizon", "3"], None,
-     0, 1, 0, 0, 0),
-    (["det", "{matrix}"], _EXACT_DET, 0, 0, 0, 1, 0),
-    (["det", "{matrix}", "--method", "leibniz"], _EXACT_DET, 0, 0, 0, 1, 0),
-    (["det", "{matrix}", "--method", "closed"], _EXACT_DET, 0, 0, 0, 0, 0),
-    (["det", "{matrix}", "--backend", "float"], _FLOAT_DET, 0, 0, 0, 1, 1),
+     0, 1, 0, 0, 0, 1, 1),
+    (["det", "{matrix}"], _EXACT_DET, 0, 0, 0, 1, 0, 1, 1),
+    (["det", "{matrix}", "--method", "leibniz"], _EXACT_DET,
+     0, 0, 0, 1, 0, 1, 1),
+    (["det", "{matrix}", "--method", "closed"], _EXACT_DET,
+     0, 0, 0, 0, 0, 1, 1),
+    (["det", "{matrix}", "--backend", "float"], _FLOAT_DET,
+     0, 0, 0, 1, 0, 1, 1),
     (["det", "{matrix}", "--backend", "float", "--method", "leibniz"],
-     _FLOAT_DET, 0, 0, 0, 1, 1),
+     _FLOAT_DET, 0, 0, 0, 1, 0, 1, 1),
     (["det", "{matrix}", "--backend", "float", "--method", "closed"],
-     _FLOAT_DET, 0, 0, 0, 0, 1),
-    (["solve", "{spec}", "--init", "1"], None, 0, 1, 0, 1, 0),
+     _FLOAT_DET, 0, 0, 0, 0, 1, 1, 1),
+    (["solve", "{spec}", "--init", "1"], None, 0, 1, 0, 1, 0, 1, 1),
     (["solve", "{spec}", "--init", "1", "--method", "ratio-closed"], None,
-     0, 1, 0, 0, 0),
+     0, 1, 0, 0, 0, 1, 1),
     (["solve", "{spec}", "--init", "1", "--method", "forward"], None,
-     0, 1, 0, 0, 0),
+     0, 1, 0, 0, 0, 1, 1),
     (["solve", "{spec}", "--init", "1", "--backend", "float"], None,
-     0, 1, 0, 1, 1),
+     0, 1, 0, 1, 0, 1, 1),
     (["solve", "{spec}", "--init", "1", "--backend", "float",
-      "--method", "ratio-closed"], None, 0, 1, 0, 0, 1),
+      "--method", "ratio-closed"], None, 0, 1, 0, 0, 1, 1, 1),
     (["solve", "{spec}", "--init", "1", "--backend", "float",
-      "--method", "forward"], None, 0, 1, 0, 0, 0),
-    (["bench", "--orders", "3", "--reps", "1"], None, 1, 0, 0, 1, 1),
+      "--method", "forward"], None, 0, 1, 0, 0, 0, 1, 1),
+    (["bench", "--orders", "3", "--reps", "1"], None, 1, 0, 0, 1, 1, 1, 1),
+    (["bench", "--orders", "3", "--reps", "1", "--methods", "recurrence"],
+     None, 1, 0, 0, 1, 0, 1, 1),
 ]
 
 
@@ -754,7 +761,8 @@ def test_each_command_loads_only_the_modules_it_runs(matrix_file,
         assert "dataclasses" not in modules, argv
         assert [name in modules for name in (
             "statistics", "hessenbergian.ldevc", "hessenbergian.sep_codec",
-            "hessenbergian.determinants", "numpy")] == loads, argv
+            "hessenbergian.determinants", "numpy", "fractions",
+            "hessenbergian.scalars")] == loads, argv
 
 
 def test_numpy_free_commands_run_without_numpy(tmp_path):

@@ -18,7 +18,7 @@ from hessenbergian import (HessenbergMatrix, IndexOutOfRange, InvalidOrder,
                            entry_count, expand_symbolic, leading_submatrix,
                            make_matrix, row_length, sep_count)
 from hessenbergian.cli import main
-from hessenbergian.matrix import scalar_rows, signed_rows
+from hessenbergian.matrix import signed_rows
 from hessenbergian.sep_codec import enumerate_seps
 
 
@@ -210,7 +210,7 @@ def test_only_the_float_closed_form_builds_signed_rows(monkeypatch):
     calls = []
 
     def float_only(matrix):
-        if isinstance(matrix.rows[0], tuple):
+        if not matrix.is_float_backed:
             raise AssertionError("a signed copy of exact rows")
         calls.append(matrix)
         return signed_rows(matrix)
@@ -234,7 +234,7 @@ def test_only_the_float_closed_form_builds_signed_rows(monkeypatch):
 def test_chi_is_the_left_to_right_product_of_signed_factors():
     # every term at orders 1-10: chi, which reads one stored entry per
     # row and negates the superdiagonal itself, gives the bits of the
-    # product over the Python scalars of signed_rows, on zero and -0.0
+    # product over the stored scalars of signed_rows, on zero and -0.0
     # parts and on products that overflow
     rng = random.Random(61)
     matrices = [_overflow_matrix()]
@@ -247,7 +247,7 @@ def test_chi_is_the_left_to_right_product_of_signed_factors():
                          else random_rational_scalar(rng)
                          for _ in range(entry_count(order))])]
     for m in matrices:
-        rows = scalar_rows(signed_rows(m))
+        rows = signed_rows(m)
         for idx, factors in enumerate_seps(m.order):
             value = 1
             for row, col in zip(rows, factors.columns):
@@ -266,7 +266,7 @@ def _per_term_sum(m):
     # term's columns from enumerate_seps, one out-of-place product per
     # row over the whole block, the terms with a zero factor zeroed,
     # the block sums combined in ascending order by _kahan_sum
-    rows = signed_rows(m)
+    rows = [np.array(row, np.complex128) for row in signed_rows(m)]
     columns = np.array([f.columns for _, f in enumerate_seps(m.order)]) - 1
     sums = []
     for start in range(0, len(columns), closed_form._BLOCK):

@@ -119,16 +119,26 @@ def test_float_path_matches_generic_path():
 def test_zero_entry_meeting_overflowing_superdiagonal_product():
     # h_{1,2} h_{2,3} = 1e600 overflows to inf, but its term in det(H_3)
     # has h_{3,1} = 0, so it adds nothing; 0 * inf must not make it NaN
-    m = HessenbergMatrix(3, [[2 + 0j, 1e300 + 0j],
-                             [1e-300 + 0j, 3 + 0j, 1e300 + 0j],
-                             [0j, 1e-300 + 1e-301j, 5 + 0j]])
-    exact = [complex(v) for v in det_prefixes(HessenbergMatrix(
-        3, [[CR.from_complex(v) for v in row] for row in m.rows]))]
-    got = det_prefixes(m)
-    for g, e in zip(got, exact, strict=True):
-        assert cmath.isfinite(g)
-        assert abs(g - e) <= 1e-12 * abs(e)
-    assert got[-1] == det_recurrence(m)
+    small = HessenbergMatrix(3, [[2 + 0j, 1e300 + 0j],
+                                 [1e-300 + 0j, 3 + 0j, 1e300 + 0j],
+                                 [0j, 1e-300 + 1e-301j, 5 + 0j]])
+    # order 40 on the unit square: q_1 is inf from row 3 on, and every
+    # h_{j,1} it meets there is 0; the other prefixes reach 1e300
+    rng = random.Random(40)
+    rows = [[0j if i >= 3 and j == 1 else
+             complex(rng.random(), rng.random())
+             for j in range(1, row_length(40, i) + 1)]
+            for i in range(1, 41)]
+    rows[0][1] = rows[1][2] = 1e300 + 0j
+    for m in (small, HessenbergMatrix(40, rows)):
+        # the exact recurrence on the same entries, each read exactly
+        exact = [complex(v) for v in det_prefixes(HessenbergMatrix(
+            m.order, [[CR.from_complex(v) for v in row] for row in m.rows]))]
+        got = det_prefixes(m)
+        for g, e in zip(got, exact, strict=True):
+            assert cmath.isfinite(g)
+            assert abs(g - e) <= 1e-12 * abs(e)
+        assert got[-1] == det_recurrence(m)
 
 
 def test_exact_results_keep_python_scalar_types():
@@ -230,7 +240,7 @@ def test_oracle_cap():
 def _lexicographic_leibniz(m):
     # every permutation in lexicographic order, each product taken left
     # to right from 1 and signed by its inversion count
-    rows = [row.tolist() for row in m.rows]
+    rows = m.rows
     total = 0
     for perm in itertools.permutations(range(m.order)):
         if any(c >= len(row) for row, c in zip(rows, perm)):

@@ -279,18 +279,19 @@ def test_float_rows_decode_as_their_scalars(doc):
         assert _bits(stored) == _bits(want)
 
 
-def test_numpy_conversions_the_float_decoder_relies_on():
-    # the numpy floor in pyproject.toml must keep these: np.fromiter with
-    # a count reads Python floats and ints as float(x) reads them, zero
-    # signs and subnormals included, and refuses an int beyond the
-    # doubles with OverflowError
+def test_complex_conversions_the_float_decoder_relies_on():
+    # complex(re, im) reads Python floats and ints into each part as
+    # float(x) reads them, zero signs and subnormals included, and
+    # refuses an int beyond the doubles with OverflowError
     values = [-0.0, 5e-324, 2 ** 53 + 1, -(2 ** 60) - 1, 10 ** 308, 3]
-    got = np.fromiter(iter(values), np.float64, count=len(values))
-    want = np.array([float(v) for v in values])
-    assert got.tolist() == want.tolist()
-    assert np.signbit(got).tolist() == np.signbit(want).tolist()
-    with pytest.raises(OverflowError):
-        np.fromiter(iter([1.0, 10 ** 400]), np.float64, count=2)
+    for re in values:
+        for im in values:
+            z = complex(re, im)
+            assert (z.real.hex(), z.imag.hex()) == (float(re).hex(),
+                                                    float(im).hex())
+    for pair in ((10 ** 400, 0), (1.0, 10 ** 400)):
+        with pytest.raises(OverflowError):
+            complex(*pair)
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +316,7 @@ def test_order_700_last_scalar_decodes_as_the_scalar_rule(order_700_rows,
                         lambda *args: calls.append(args))
     matrix, backend = matrix_from_json(doc)
     assert backend == "float" and calls == []
-    assert _bits(np.concatenate(matrix.rows)) == _bits(flat)
+    assert _bits([v for row in matrix.rows for v in row]) == _bits(flat)
 
 
 _EXPECTED = ("; expected [re_num,re_den,im_num,im_den], [re,im], "
@@ -389,13 +390,13 @@ def test_decode_errors_are_short():
 
 
 def test_float_encode_matches_scalar_encode():
-    # a complex128 row is written through its float64 view, to the same
+    # a float row is written as [z.real, z.imag] per entry, to the same
     # bytes as scalar_to_json writes entry by entry, zero signs included
     signed, _ = matrix_from_json({"order": 2, "rows": [
         [[-0.0, 1.0], [2.0, -0.0]], [[5e-324, 0.0], [1e308, -1.5]]]})
     for matrix in (signed, random_float_matrix(9, random.Random(5))):
         by_scalar = {"order": matrix.order,
-                     "rows": [[scalar_to_json(v) for v in row.tolist()]
+                     "rows": [[scalar_to_json(v) for v in row]
                               for row in matrix.rows]}
         assert dump_text(matrix_to_json(matrix)) == dump_text(by_scalar)
 

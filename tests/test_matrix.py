@@ -94,10 +94,11 @@ def test_stored_rows_dtype_follows_realization():
     for entries in ([1.0, 2j, 0.5, 4.0], [1, 2j, 0.5, 4],
                     [Fraction(1, 3), third, 0.5, 10 ** 30 + 1]):
         floats = make_matrix(2, entries)
-        assert [a.dtype for a in floats.rows] == [np.complex128, np.complex128]
+        assert all(type(a) is tuple for a in floats.rows)
+        values = [v for a in floats.rows for v in a]
+        assert [type(v) for v in values] == [complex] * 4
         # each exact entry is rounded once, as complex(x) rounds it
-        assert [v for a in floats.rows for v in a.tolist()] == [
-            complex(x) for x in entries]
+        assert values == [complex(x) for x in entries]
     for entries in ([1, 2, 3, 4], [Fraction(1, 2), 2, 3, third],
                     [ComplexRational(1, 2)] * 4):
         m = make_matrix(2, entries)
@@ -131,7 +132,7 @@ def test_exact_entry_beyond_doubles_beside_a_float_is_refused(huge):
 def test_float_construction_speed_at_order_700():
     # the det-float benchmark builds its order-700 inputs this way, from
     # lists of Python complex values
-    rows = [row.tolist() for row in
+    rows = [list(row) for row in
             random_float_matrix(700, random.Random(700)).rows]
     elapsed = min(_timed(HessenbergMatrix, 700, rows) for _ in range(3))
     assert elapsed < 0.1, f"order-700 float construction took {elapsed:.3f}s"
@@ -147,17 +148,23 @@ def test_stored_rows_are_read_only_copies():
     given = np.array([1.0, 2.0])
     m = HessenbergMatrix(2, [given, [3.0, 4.0]])
     for row in m.rows:
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             row[0] = 9
     given[0] = 5.0  # the caller's array is copied, not frozen in place
-    assert m.rows[0].tolist() == [1.0, 2.0]
-    # a complex128 row is taken on its dtype, and copied all the same
+    assert m.rows[0] == (1.0, 2.0)
+    # a complex128 row becomes Python complex values, copied all the same
     given = np.array([1 + 2j, -0.0])
     m = HessenbergMatrix(2, [given, np.array([3j, 4.0])])
     assert m.is_float_backed and m.rows[0] is not given
+    assert {type(v) for row in m.rows for v in row} == {complex}
     given[0] = 5.0
-    assert given.flags.writeable and m.rows[0].tolist() == [1 + 2j, 0j]
-    assert leading_submatrix(m, 1).rows[0].tolist() == [1 + 2j]
+    assert given.flags.writeable and m.rows[0] == (1 + 2j, 0j)
+    assert leading_submatrix(m, 1).rows[0] == (1 + 2j,)
+    # a list of complex values is taken as it is, into a tuple of its own
+    given = [1j, 2j]
+    m = HessenbergMatrix(2, [given, [3j, 4j]])
+    given[0] = 9j
+    assert m.rows == ((1j, 2j), (3j, 4j))
     # an exact row is a tuple, a copy of the caller's entries
     given = [3, 4]
     exact = HessenbergMatrix(2, [[1, 2], given])
@@ -179,12 +186,12 @@ def test_signed_rows_negate_superdiagonal_only():
     one = make_matrix(1, [ComplexRational(3, -1)])
     # order 1 has no superdiagonal
     assert signed_rows(one) == one.rows
-    # a float matrix gets new complex128 rows; its stored rows stay
+    # a float matrix gets new tuples of complex; its stored rows stay
     f = make_matrix(2, [1.0, 2.0, 3.0, 4.0])
     signed = signed_rows(f)
-    assert [row.tolist() for row in signed] == [[1, -2], [3, 4]]
-    assert all(row.dtype == np.complex128 for row in signed)
-    assert [row.tolist() for row in f.rows] == [[1, 2], [3, 4]]
+    assert signed == ((1, -2), (3, 4))
+    assert {type(v) for row in signed for v in row} == {complex}
+    assert f.rows == ((1, 2), (3, 4))
 
 
 def test_signed_rows_round_trip():
