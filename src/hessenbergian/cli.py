@@ -204,14 +204,15 @@ def generate_spec(family: str, params: str, index_N: int, horizon: int,
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def random_scalar():
-        return ComplexRational(random_fraction(), random_fraction())
+        return ComplexRational._from_fractions(random_fraction(),
+                                               random_fraction())
 
     def random_nonzero():
         # real-part numerator drawn from 1..9 with a random sign, so the
         # value (used as a leading coefficient) can never vanish
         re = Fraction(rng.choice((1, -1)) * rng.randint(1, 9),
                       rng.randint(1, 9))
-        return ComplexRational(re, random_fraction())
+        return ComplexRational._from_fractions(re, random_fraction())
 
     if family == "constant":
         alphas = parse_init(params, EXACT)

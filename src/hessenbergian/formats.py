@@ -15,14 +15,22 @@ There is one conversion rule: the loaders decode every scalar once,
 straight into their ``backend`` argument (default: the document's own
 realization, "exact" unless something float-only appeared), and return
 it with the object.  Float values go through ``complex`` first, even when
-read as exact; :func:`convert_spec` reuses the rule.  A float matrix
-read as float is decoded in one pass after one type scan: when every
-scalar is a finite ``[re, im]`` pair of floats and ints, or a bare
-float or int v, read as the pair ``[v, 0]``, each row becomes a tuple
-of ``complex(re, im)``, bit for bit as the scalar rule reads each
-scalar, and :func:`matrix_to_json` writes each such value back as
-``[z.real, z.imag]``.  Any other document (a bare bool, an int beyond
-the double range, or any invalid scalar) takes the scalar rule, which
+read as exact; :func:`convert_spec` reuses the rule.  Matrix and spec
+documents of either realization, read into either backend, are decoded
+by one batched rule, :func:`_decode_rows`: one type scan over every
+scalar, then one conversion pass.  A float document read as float must
+hold finite ``[re, im]`` pairs of floats and ints, or bare floats or
+ints v read as ``[v, 0]``, and each row becomes a tuple of
+``complex(re, im)``.  An exact document must hold quads of ints with
+nonzero denominators, or bare ints: read as exact, a quad becomes a
+ComplexRational of two Fractions and a bare int stays itself; read as
+float, each part is rounded once and a bare v becomes ``complex(v)``.
+Every quad with two zero numerators decodes to one shared zero of the
+backend.  The values are, bit for bit and type for type, what the
+scalar rule gives each scalar, and :func:`matrix_to_json` writes a
+float value back as ``[z.real, z.imag]``.  Any other document (a float
+document read as exact, a bare bool, a value beyond the double range
+read as float, or any invalid scalar) takes the scalar rule, which
 alone words the decode errors.  No document is read or written with
 numpy.  The loaders import :mod:`matrix` and :mod:`ldevc` where they
 build a matrix or a spec, so a command that reads one loads only its
@@ -51,11 +59,13 @@ import cmath
 import json
 from fractions import Fraction
 from itertools import chain, starmap
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .errors import (EXACT, FLOAT, FormatError, _cut, _digit_limit_error,
                      _is_int)
-from .scalars import ComplexRational, _ratio, exact_parts, is_exact
+from .scalars import (ComplexRational, _from_fractions, _ratio, exact_parts,
+                      is_exact)
 
 if TYPE_CHECKING:
     from .ldevc import LdevcSpec
@@ -155,40 +165,78 @@ def matrix_from_json(obj, backend=None):
     rows = obj["rows"]
     _require_rows(rows, "matrix rows")
     mode, backend = _realizations(chain.from_iterable(rows), backend)
-    decoded = _float_rows(rows) if mode == backend == FLOAT else None
+    return HessenbergMatrix(obj["order"], _rows(rows, mode, backend)), backend
+
+
+def _rows(rows, mode, backend):
+    """Every row decoded into ``backend``: by :func:`_decode_rows` when
+    it can, else scalar by scalar, which words any decode error."""
+    decoded = _decode_rows(rows, mode, backend)
     if decoded is None:
         decoded = [[scalar_from_json(v, mode, backend) for v in row]
                    for row in rows]
-    return HessenbergMatrix(obj["order"], decoded), backend
+    return decoded
 
 
-def _float_rows(rows):
-    """The rows of a float document read as float, each a tuple of
-    ``complex(re, im)``, bit for bit as :func:`scalar_from_json` reads
-    each scalar.  None unless every scalar is an ``[re, im]`` pair of
-    floats and ints or a bare float or int, with a finite value; the
-    scalar rule then decodes the document or words its error."""
+def _decode_rows(rows, mode, backend):
+    """The rows of a document in realization ``mode`` read into
+    ``backend`` in one batched pass, as the module docstring sets out:
+    each value bit for bit and type for type what
+    :func:`scalar_from_json` gives its scalar, and every zero quad the
+    one zero of the call.  None unless every scalar passes the type
+    scan and every value is in the double range when read as float;
+    the scalar rule then decodes the document or words its error."""
     def scalars():
         return chain.from_iterable(rows)
 
     kinds = set(map(type, scalars()))
-    if not kinds <= {list, float, int}:
+    if mode == FLOAT:
+        if backend != FLOAT or not kinds <= {list, float, int}:
+            return None
+        if not kinds <= {list}:  # a bare v reads as [v, 0], as complex(v)
+            rows = [[v if isinstance(v, list) else [v, 0] for v in row]
+                    for row in rows]
+        if (not set(map(len, scalars())) <= {2}
+                or not set(map(type, chain.from_iterable(scalars())))
+                <= {float, int}):
+            return None
+        try:
+            decoded = [tuple(starmap(complex, row)) for row in rows]
+        except OverflowError:  # an integer beyond the double range
+            return None
+        # a literal such as 1e400 reads as inf
+        if not all(map(cmath.isfinite, chain.from_iterable(decoded))):
+            return None
+        return decoded
+    if not kinds <= {list, int}:  # a bool, a float or anything else
         return None
-    if not kinds <= {list}:  # a bare v reads as [v, 0], as complex(v) does
-        rows = [[v if isinstance(v, list) else [v, 0] for v in row]
+    quads = ([v for v in scalars() if type(v) is list] if int in kinds
+             else list(scalars()))
+    if (not set(map(len, quads)) <= {4}
+            or not set(map(type, chain.from_iterable(quads))) <= {int}
+            or not all(map(itemgetter(1), quads))
+            or not all(map(itemgetter(3), quads))):
+        return None
+    if backend == EXACT:
+        zero = ComplexRational(0)
+        return [[v if type(v) is int
+                 else zero if not (v[0] or v[2])
+                 else _from_fractions(Fraction(v[0], v[1]),
+                                      Fraction(v[2], v[3]))
+                 for v in row]
                 for row in rows]
-    if (not set(map(len, scalars())) <= {2}
-            or not set(map(type, chain.from_iterable(scalars())))
-            <= {float, int}):
-        return None
+    if int in kinds:
+        rows = [[[v, 1, 0, 1] if type(v) is int else v for v in row]
+                for row in rows]
     try:
-        decoded = [tuple(starmap(complex, row)) for row in rows]
-    except OverflowError:  # an integer beyond the double range
+        # each part rounded once, as _ratio rounds it
+        return [[0j if not (a or c)
+                 else complex(a / b if b > 0 else -a / -b,
+                              c / d if d > 0 else -c / -d)
+                 for a, b, c, d in row]
+                for row in rows]
+    except OverflowError:  # a ratio beyond the double range
         return None
-    # a literal such as 1e400 reads as inf
-    if not all(map(cmath.isfinite, chain.from_iterable(decoded))):
-        return None
-    return decoded
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:
@@ -213,9 +261,7 @@ def spec_from_json(obj, backend=None):
         raise FormatError("spec forcing must be a list")
     mode, backend = _realizations(
         chain(chain.from_iterable(coeffs), forcing), backend)
-    coeffs = [[scalar_from_json(v, mode, backend) for v in row]
-              for row in coeffs]
-    forcing = [scalar_from_json(v, mode, backend) for v in forcing]
+    *coeffs, forcing = _rows([*coeffs, forcing], mode, backend)
     return LdevcSpec(obj["N"], obj["horizon"], coeffs, forcing), backend
 
 

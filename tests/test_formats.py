@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (default_digit_limit, random_exact_matrix,
-                      random_exact_spec, random_float_matrix)
+from conftest import (default_digit_limit, periodic_exact_spec,
+                      random_exact_matrix, random_exact_spec,
+                      random_float_matrix, random_float_spec)
 from hessenbergian import (ComplexRational, FormatError,
                            IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
                            WrongEntryCount, row_length)
@@ -409,3 +410,167 @@ def test_float_decode_speed_at_order_700():
     elapsed = time.perf_counter() - start
     assert matrix.is_float_backed
     assert elapsed < 0.3, f"order-700 float decode took {elapsed:.2f}s"
+
+
+# Exact documents: quads of ints and bare ints, decoded in one batched
+# pass into either backend.
+
+def _refuse_scalar_rule(*args):
+    raise AssertionError(f"scalar rule called on {args[0]!r}")
+
+
+def _document_rows(doc) -> list:
+    return doc["rows"] if "order" in doc else [*doc["coeffs"], doc["forcing"]]
+
+
+def _decoded_rows(decoded) -> list:
+    if hasattr(decoded, "rows"):
+        return list(decoded.rows)
+    return [*decoded.coeffs, decoded.forcing]
+
+
+def _load(doc, backend):
+    """The document decoded with the scalar rule refused, so only the
+    batched pass can decode it; returns the flat decoded values."""
+    load = matrix_from_json if "order" in doc else spec_from_json
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "scalar_from_json", _refuse_scalar_rule)
+        decoded, got_backend = load(doc, backend)
+    assert got_backend == backend
+    return [v for row in _decoded_rows(decoded) for v in row]
+
+
+_BIG = 2 ** 53 + 1  # not a double; each read as float rounds it once
+_numerators = st.one_of(st.integers(-9, 9), st.sampled_from([_BIG, -_BIG]),
+                        st.integers(-2 ** 70, 2 ** 70))
+_denominators = st.one_of(st.integers(-9, 9).filter(bool),
+                          st.sampled_from([_BIG, -_BIG]))
+_quads = st.tuples(_numerators, _denominators, _numerators,
+                   _denominators).map(list)
+_zero_quads = st.tuples(st.just(0), _denominators, st.just(0),
+                        _denominators).map(list)
+_nonzero_quads = _quads.filter(lambda q: q[0] or q[2])
+_exact_scalars = st.one_of(_quads, _quads, _zero_quads,
+                           st.integers(-9, 9), st.sampled_from([_BIG, -_BIG]))
+
+
+@st.composite
+def _quad_documents(draw):
+    if draw(st.booleans()):
+        order = draw(st.integers(1, 6))
+        return {"order": order,
+                "rows": [draw(st.lists(_exact_scalars,
+                                       min_size=row_length(order, i),
+                                       max_size=row_length(order, i)))
+                         for i in range(1, order + 1)]}
+    index_N, horizon = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    leads = st.one_of(_nonzero_quads, st.integers(1, 9))
+    return {"N": index_N, "horizon": horizon,
+            "coeffs": [draw(st.lists(_exact_scalars, min_size=index_N + n,
+                                     max_size=index_N + n)) + [draw(leads)]
+                       for n in range(horizon + 1)],
+            "forcing": draw(st.lists(_exact_scalars, min_size=horizon + 1,
+                                     max_size=horizon + 1))}
+
+
+@given(_quad_documents(), st.sampled_from(["exact", "float"]))
+@example({"order": 2, "rows": [[[0, -3, 0, -7], 0],
+                               [[_BIG, -1, -_BIG, 3], _BIG]]}, "float")
+@example({"order": 2, "rows": [[[1, 1, 0, -3], [0, -2, 5, 7]],
+                               [-_BIG, [0, -1, 0, 1]]]}, "float")
+@example({"N": 1, "horizon": 0, "coeffs": [[[0, 5, 0, -2], [-1, -2, 3, -4]]],
+          "forcing": [[0, -1, 0, 1]]}, "exact")
+@settings(max_examples=300)
+def test_quad_documents_decode_as_their_scalars(doc, backend):
+    # the batched pass gives each scalar the scalar rule's value and
+    # type, and as float its bits, zero signs included
+    want = [scalar_from_json(v, "exact", backend)
+            for row in _document_rows(doc) for v in row]
+    got = _load(doc, backend)
+    assert got == want
+    assert list(map(type, got)) == list(map(type, want))
+    if backend == "float":
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_valid_exact_documents_skip_the_scalar_rule(backend):
+    rng = random.Random(29)
+    for doc in (matrix_to_json(random_exact_matrix(6, rng)),
+                spec_to_json(random_exact_spec(2, 5, rng)),
+                spec_to_json(periodic_exact_spec(2, 9, 3, rng)),
+                {"order": 2, "rows": [[1, -2], [3, 0]]}):
+        want = [scalar_from_json(v, "exact", backend)
+                for row in _document_rows(doc) for v in row]
+        assert _load(doc, backend) == want
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_zero_quads_decode_to_one_zero(backend):
+    zeros = [[0, 1, 0, 1], [0, -7, 0, 3], [0, 2, 0, -5]]
+    got = _load({"order": 3, "rows": [zeros[:2], [zeros[2], 0, [1, 1, 0, 1]],
+                                      [[2, 1, 0, 1], *zeros[:2]]]}, backend)
+    quad_zeros = [got[i] for i in (0, 1, 2, 6, 7)]
+    assert quad_zeros == [0] * 5 and len(set(map(id, quad_zeros))) == 1
+    assert type(quad_zeros[0]) is (CR if backend == "exact" else complex)
+    # a zero quad and a bare 0 decode to equal values
+    bare = _load({"order": 2, "rows": [[0, 0], [0, [1, 1, 0, 1]]]}, backend)
+    quads = _load({"order": 2, "rows": [zeros[:2], [zeros[2], [1, 1, 0, 1]]]},
+                  backend)
+    assert bare == quads
+    if backend == "float":
+        assert _bits(bare) == _bits(quads)
+
+
+def test_float_spec_document_keeps_zero_signs():
+    # a float spec document takes the float pass, so -0.0 keeps its sign
+    doc = {"N": 0, "horizon": 1,
+           "coeffs": [[[1.0, -0.0]], [[-0.0, 0.0], [2, -0.0]]],
+           "forcing": [[-0.0, -0.0], 0]}
+    want = [scalar_from_json(v, "float", "float")
+            for row in _document_rows(doc) for v in row]
+    assert _bits(_load(doc, "float")) == _bits(want)
+    doc = spec_to_json(random_float_spec(1, 3, random.Random(3)))
+    want = [scalar_from_json(v, "float", "float")
+            for row in _document_rows(doc) for v in row]
+    assert _bits(_load(doc, "float")) == _bits(want)
+
+
+_QUADS = [[1, 2, 0, 1], [0, 1, 0, 1]]
+_EVERY = (None, "exact", "float")
+
+
+@pytest.mark.parametrize("scalar, message, backends", [
+    ([0, 0, 0, 1], "zero denominator in scalar [0, 0, 0, 1]", _EVERY),
+    ([1, 0, 0, 1], "zero denominator in scalar [1, 0, 0, 1]", _EVERY),
+    ([1, True, 0, 1], "invalid scalar [1, True, 0, 1]" + _EXPECTED, _EVERY),
+    ([1, 1, 0.5, 1], "invalid scalar [1, 1, 0.5, 1]" + _EXPECTED, _EVERY),
+    ([1, 2, 3], "invalid scalar [1, 2, 3]" + _EXPECTED, _EVERY),
+    ([1, 2, 3, 4, 5], "invalid scalar [1, 2, 3, 4, 5]" + _EXPECTED, _EVERY),
+    ([0.5, 1.5],
+     "document mixes exact and float scalars; use one realization", _EVERY),
+    ([10 ** 400, 1, 0, 1], "a scalar is beyond the double range", ("float",)),
+], ids=["zero-quad-zero-den", "zero-den", "bool-leaf", "float-leaf",
+        "three-ints", "five-ints", "float-pair", "huge-numerator"])
+def test_invalid_quad_documents_keep_their_errors(scalar, message, backends):
+    # the invalid scalar, after valid quads, sends the whole document to
+    # the scalar rule, which alone words the error
+    for backend in backends:
+        for doc, load in (
+                ({"order": 2, "rows": [_QUADS, [0, scalar]]},
+                 matrix_from_json),
+                ({"N": 1, "horizon": 0, "coeffs": [_QUADS[::-1]],
+                  "forcing": [scalar]}, spec_from_json)):
+            with pytest.raises(FormatError) as info:
+                load(doc, backend)
+            assert str(info.value) == message, (doc, backend)
+
+
+def test_exact_decode_speed_at_horizon_1000():
+    # an N=2 banded spec: 504,504 scalars, 500,500 of them zero quads
+    obj = spec_to_json(periodic_exact_spec(2, 1000, 3, random.Random(1000)))
+    start = time.perf_counter()
+    spec, backend = spec_from_json(obj)
+    elapsed = time.perf_counter() - start
+    assert backend == "exact" and spec.horizon == 1000
+    assert elapsed < 1.0, f"h=1000 exact spec decode took {elapsed:.2f}s"
