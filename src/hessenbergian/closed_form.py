@@ -27,17 +27,26 @@ arrays once per call.  :func:`_sum_block` multiplies the rows a
 block shares once, on one-element arrays, and then, for each of the b
 free rows, doubles every prefix into its superdiagonal child and its
 standard child (ascending m) with one gather and one array product per
-row.  Every term is still the left-to-right product 1*c_1*...*c_n of
-its own factors, formed by numpy's array product, so a float term has
-the same bits as when the whole block decodes every row; shared tables
-of half products would change that association, and with it the last
-bits of the sum.  The block sums are combined in ascending order with
-compensated accumulation.  numpy is imported by that kernel alone;
-no other code in the package loads it.
-Each call makes one set of block-sized buffers and every block writes
-into them, products out of place between two of them: a fresh array
-per row of a 2^16-term block is about 1 MB, which the allocator would
-map and unmap each time.
+row.  The column each child takes depends only on the block's free
+bits, except for the standard child of prefix 0, which takes the
+column that the shared rows leave; so each order builds one intp
+column table per free row, and one for row n, once for all of its
+blocks (:func:`_column_tables`), and each block writes its shared
+column into the one placeholder entry of each table before it
+gathers.  If the shared rows hold a zero factor, every term of the
+block is zero, and the block adds exactly 0 without a gather or a
+product; the zero flags of the other terms are doubled and gathered
+only when a free row or row n holds a zero.  Every term is still the
+left-to-right product 1*c_1*...*c_n of its own factors, formed by
+numpy's array product, so a float term has the same bits as when the
+whole block decodes every row; shared tables of half products would
+change that association, and with it the last bits of the sum.  The
+block sums are combined in ascending order with compensated
+accumulation.  numpy is imported by that kernel alone; no other code
+in the package loads it.  Each call makes one set of block-sized
+buffers and every block writes into them, products out of place
+between two of them: a fresh array per row of a 2^16-term block is
+about 1 MB, which the allocator would map and unmap each time.
 
 An exact matrix converts its stored rows once, by
 :func:`gaussian_rows`, as the recurrence does, and
@@ -99,68 +108,98 @@ def chi(matrix: HessenbergMatrix, m: int):
     return value
 
 
-def _sum_block(rows, zeros, n: int, start: int, stop: int,
-               buffers) -> complex:
-    # The terms m in [start, stop), a power-of-two block whose m share
-    # every bit above the lowest `free`, built down the prefix tree one
-    # factor row at a time; rows[i-1] is signed row i, a complex128
-    # array.  Every intermediate is written into the first k entries of
-    # `buffers` (see _float_sums), k the number of prefixes so far.
+def _column_tables(n: int, free: int) -> list:
+    # The 0-based column each term takes at the last `free` factor rows
+    # of order n, and at row n, in a block of 2^free consecutive m:
+    # one intp array per row, built by doubling the prefixes as
+    # _sum_block does.  At a free row i prefix p's superdiagonal child
+    # takes column i and its standard child column last[p], the row of
+    # p's last standard factor, which the free bits fix for every p but
+    # 0; row n takes last[p] alone.  Prefix 0's column comes from the
+    # rows the block shares, so it is the one placeholder, entry 1 of
+    # each free row's table and entry 0 of row n's, which _sum_block
+    # writes.
     import numpy as np
 
-    (prod, spare_prod), (last, spare_last), cols_buf, picked_buf, \
-        (dead, spare_dead) = buffers
-    free = (stop - start).bit_length() - 1
+    last = np.zeros(1, np.intp)  # entry 0 is the placeholder
+    tables = []
+    for i in range(n - free, n):
+        row = np.full_like(last, i)
+        tables.append(np.column_stack((row, last)).ravel())
+        last = np.column_stack((last, row)).ravel()
+    tables.append(last)
+    return tables
+
+
+def _sum_block(rows, zeros, n: int, start: int, tables,
+               buffers) -> complex:
+    # The terms m in [start, start + 2^free), a block whose m share
+    # every bit above the lowest `free`, built down the prefix tree one
+    # factor row at a time; rows[i-1] is signed row i, a complex128
+    # array, and zeros[i-1] its zero flags, or None when it has no
+    # zero.  `tables` are _column_tables(n, free).  Every intermediate
+    # is written into the first k entries of `buffers` (see
+    # _float_sums), k the number of prefixes so far.
+    import numpy as np
+
+    (prod, spare_prod), picked_buf, dead_pair = buffers
+    free = len(tables) - 1
+    # the shared rows' columns; `last` is the column of the next
+    # standard factor: the row of the last standard factor, 0 if none
+    shared = []
+    last = 0
+    for i in range(1, n - free):
+        if (start >> (n - 1 - i)) & 1:
+            shared.append(last)
+            last = i
+        else:
+            shared.append(i)
+    # a zero factor that every term shares: the block sums to exactly 0
+    if any(z is not None and z[col] for z, col in zip(zeros, shared)):
+        return 0j
+    for table in tables[:-1]:
+        table[1] = last
+    tables[-1][0] = last
+    # dead flags mark the prefixes with a zero factor, needed only when
+    # a row past the shared ones holds a zero
+    track = any(z is not None for z in zeros[n - free - 1:n])
+    if track:
+        dead, spare_dead = dead_pair
+        dead[0] = False
     k = 1
     prod[0] = 1
-    # 0-based column of each prefix's next standard factor: the row of
-    # its last standard factor, 0 when it has none
-    last[0] = 0
-    dead[0] = False  # the prefixes with a zero factor
     # an overflowing product becomes inf or nan in the value, not a warning
     with np.errstate(all="ignore"):
-        for i in range(1, n + 1):
-            if i == n:
-                cols = last[:k]
-            elif i < n - free:  # a bit that the whole block shares
-                if (start >> (n - 1 - i)) & 1:
-                    cols = last[:1]
-                    last, spare_last = spare_last, last
-                    last[0] = i
-                else:
-                    cols = cols_buf[:1]
-                    cols[0] = i
-            else:  # every prefix doubles: superdiagonal child, then standard
-                pairs = cols_buf[:2 * k].reshape(k, 2)
-                pairs[:, 0] = i
-                pairs[:, 1] = last[:k]
-                pairs = spare_last[:2 * k].reshape(k, 2)
-                pairs[:, 0] = last[:k]
-                pairs[:, 1] = i
-                last, spare_last = spare_last, last
-                spare_prod[:2 * k].reshape(k, 2)[:] = prod[:k, None]
+        # out of place: numpy's in-place product of one-element arrays
+        # rounds complex values differently from its product of longer
+        # ones, and the block sums must not depend on how many rows the
+        # block shares.  The output is the spare buffer, never an
+        # operand, so numpy runs prod times the factor in that order;
+        # its complex product does not commute in the last bit
+        for row, col in zip(rows, shared):
+            np.multiply(prod[:1], row[col:col + 1], out=spare_prod[:1])
+            prod, spare_prod = spare_prod, prod
+        for i, cols in enumerate(tables, start=n - free):
+            if i < n:  # every prefix doubles: superdiagonal, then standard
+                # two strided copies: about half the time of one
+                # broadcast copy into a (k, 2) view
+                spare_prod[0:2 * k:2] = spare_prod[1:2 * k:2] = prod[:k]
                 prod, spare_prod = spare_prod, prod
-                spare_dead[:2 * k].reshape(k, 2)[:] = dead[:k, None]
-                dead, spare_dead = spare_dead, dead
+                if track:
+                    spare_dead[0:2 * k:2] = spare_dead[1:2 * k:2] = dead[:k]
+                    dead, spare_dead = spare_dead, dead
                 k *= 2
-                cols = cols_buf[:k]
             # the indices are in range; "clip" spares np.take the
             # buffered copy that its default mode makes with out=
             picked = np.take(rows[i - 1], cols, out=picked_buf[:k],
                              mode="clip")
-            # out of place: numpy's in-place product of one-element
-            # arrays rounds complex values differently from its product
-            # of longer ones, and the block sums must not depend on how
-            # many rows the block shares.  The output is the spare
-            # buffer, never an operand, so numpy runs prod times picked
-            # in that order; its complex product does not commute in the
-            # last bit
             np.multiply(prod[:k], picked, out=spare_prod[:k])
             prod, spare_prod = spare_prod, prod
-            if zeros[i - 1] is not None:
+            if track and zeros[i - 1] is not None:
                 np.take(zeros[i - 1], cols, out=spare_dead[:k], mode="clip")
                 np.logical_or(dead[:k], spare_dead[:k], out=dead[:k])
-        np.copyto(prod[:k], 0, where=dead[:k])
+        if track:
+            np.copyto(prod[:k], 0, where=dead[:k])
         return prod[:k].sum().item()
 
 
@@ -202,22 +241,23 @@ def _float_sums(crows: tuple, orders) -> list:
     # matrix, as complex128 arrays: the rows past k and row k's
     # superdiagonal are never read, so each sum has the bits of H_k's
     # own signed rows.  Every block of every order writes into one set
-    # of buffers, made here (see the module docstring): product, last
-    # and dead pairs, then the cols and the picked factors
+    # of buffers, made here (see the module docstring): the product
+    # pair, the picked factors and the dead pair; each order builds its
+    # column tables once, for all of its blocks
     import numpy as np
 
     crows = [np.array(row, np.complex128) for row in crows]
     block = _BLOCK
     size = min(block, 1 << (max(orders) - 1))
     buffers = (np.empty((2, size), np.complex128),
-               np.empty((2, size), np.intp), np.empty(size, np.intp),
                np.empty(size, np.complex128), np.empty((2, size), bool))
     zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     sums = []
     for k in orders:
         total = 1 << (k - 1)  # the terms of order k
-        sums.append(_kahan_sum(_sum_block(crows, zeros, k, start,
-                                          min(start + block, total), buffers)
+        tables = _column_tables(k, min(block, total).bit_length() - 1)
+        sums.append(_kahan_sum(_sum_block(crows, zeros, k, start, tables,
+                                          buffers)
                                for start in range(0, total, block)))
     return sums
 
@@ -231,7 +271,9 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     the recurrence, so a zero entry never turns an overflowing product
     into NaN.  A float-backed matrix sums its order-n terms alone, in
     _BLOCK-sized blocks of ascending m, combined in ascending order;
-    rows with no zero entry skip the zero bookkeeping.  An exact matrix
+    a block whose shared rows hold a zero factor adds 0 without a
+    product, and the other blocks flag zero factors only when a row
+    they double over holds a zero.  An exact matrix
     takes the last prefix of :func:`closed_form_prefixes`, the one walk
     of :func:`_gaussian_sums`, which never enters the terms under a
     zero factor.

@@ -20,14 +20,19 @@ why products over the signed-factor view need no separate sign.
 
 Since r_1 is m's most significant digit, the SEPs whose indices share
 their leading bits share their leading factors.  :func:`fold_seps`
-visits every SEP that way, down the prefix tree of m in ascending m,
-folding an accumulator over the rows so that each prefix is built once
-from its parent's; :func:`enumerate_seps` and the symbolic expansion
-(:func:`expand_symbolic`, :func:`expansion_lines`) are folds over it, so
-each term's factor tuple or text is its parent prefix's plus one factor
-and nothing is decoded per term.  :func:`tau` and :func:`decode_columns`
-decode one index on its own, and stay the reference the walk is checked
-against.  :class:`BitArray` is the one validator of a 0/1 sequence:
+visits every SEP that way, depth first down the prefix tree of m in
+ascending m, folding an accumulator over the rows so that each prefix
+is built once from its parent's; :func:`enumerate_seps` and
+:func:`expand_symbolic` are folds over it, so each term's factor tuple
+is its parent prefix's plus one factor and nothing is decoded per
+term.  :func:`expansion_lines`, the text ``expand`` prints, builds the
+same tree eagerly and level by level instead, one pass per row over
+parallel lists of text, sign and column, each line still its parent
+prefix's text plus one factor's label; :func:`fold_seps` stays the
+independent reference it is checked against.  :func:`tau` and
+:func:`decode_columns` decode one index on its own, and stay the
+reference the walk is checked against.  :class:`BitArray` is the one
+validator of a 0/1 sequence:
 :func:`decode_columns` passes a raw sequence through it and checks the
 last bit; integer arguments and the expansion cap go through the rules
 in :mod:`errors`.  The module imports nothing numeric, and its value
@@ -206,29 +211,52 @@ class SymbolicTerm(_Frozen):
     __str__ = render
 
 
-def _expansion(order: int, step, initial):
+def _check_expansion(order: int) -> None:
     # the order, then the cap, are checked before any term is built
     _check_order_cap(order, EXPANSION_CAP, OrderTooLargeForExpansion,
                      "EXPANSION_CAP")
-    return fold_seps(order, step, initial)
 
 
 def expand_symbolic(order: int) -> List[SymbolicTerm]:
     """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
+    _check_expansion(order)
     return [SymbolicTerm(sign, pairs) for _, sign, pairs in
-            _expansion(order, _add_pair, ())]
+            fold_seps(order, _add_pair, ())]
 
 
-def expansion_lines(order: int) -> Iterator[str]:
-    """The rendered terms of :func:`expand_symbolic`, lazily; each
-    line's text is its parent prefix's text plus one factor."""
-    terms = _expansion(order, lambda text, i, col: text + labels[i][col], "")
+def expansion_lines(order: int) -> List[str]:
+    """The rendered terms of :func:`expand_symbolic`, as a list.
+
+    The lines are built level by level, breadth first: one pass per row
+    over parallel lists of each prefix's text, sign and column of its
+    next standard factor, in ascending m, so each line's text is its
+    parent prefix's text plus one factor's label.
+    """
+    _check_expansion(order)
     # each factor's label is formatted once, so a step appends a string
-    # instead of formatting two ints; the table is built once _expansion
-    # has checked the order, and the walk reads it only when iterated
+    # instead of formatting two ints
     labels = [[f"h({i},{col})" for col in range(i + 2)]
               for i in range(order + 1)]
-    return (("+" if sign > 0 else "-") + text for _, sign, text in terms)
+    texts, signs, lasts = [""], ["+"], [1]
+    for i in range(1, order):
+        row, superdiagonal = labels[i], labels[i][i + 1]
+        next_texts, next_signs, next_lasts = [], [], []
+        add_text, add_sign = next_texts.append, next_signs.append
+        add_last = next_lasts.append
+        # the superdiagonal child (r_i = 0, at 2m) flips the sign and
+        # keeps the next standard column; the standard child (r_i = 1,
+        # at 2m + 1) takes that column, and its next one is i + 1
+        for text, sign, last in zip(texts, signs, lasts):
+            add_text(text + superdiagonal)
+            add_text(text + row[last])
+            add_sign("-" if sign == "+" else "+")
+            add_sign(sign)
+            add_last(last)
+            add_last(i + 1)
+        texts, signs, lasts = next_texts, next_signs, next_lasts
+    row = labels[order]  # the last row takes its standard factor alone
+    return [sign + text + row[last]
+            for text, sign, last in zip(texts, signs, lasts)]
 
 
 def _add_pair(pairs: tuple, i: int, col: int) -> tuple:

@@ -26,8 +26,11 @@ import runpy
 import sys
 from fractions import Fraction
 
-# sha256 of the stdout of `expand --order 16`, pinned byte for byte
+# sha256 of the stdout of `expand --order 16`, and of the same command
+# with `--limit 3`, pinned byte for byte
 EXPAND_16 = "c6bcb0e23f99f1445f5df25ed2e11eee52a39043c52ab1cdb5075ae4dbaa04c8"
+EXPAND_16_LIMIT_3 = (
+    "61b7a308fe1f91c5b1264cf388ebc00998bfe6e157ffbc0f845a2e983582d8a0")
 INIT = "1,2/3-i"
 
 
@@ -73,9 +76,12 @@ def run_checks(outdir: str) -> None:
 
     check(len(run_module("expand", "--order", "3").splitlines()) == 4,
           "expand --order 3 prints 4 terms")
-    expanded = run_module("expand", "--order", "16").encode()
-    check(hashlib.sha256(expanded).hexdigest() == EXPAND_16,
-          "expand --order 16 text")
+    for extra, digest in (((), EXPAND_16),
+                          (("--limit", "3"), EXPAND_16_LIMIT_3)):
+        argv = ("expand", "--order", "16", *extra)
+        expanded = run_module(*argv).encode()
+        check(hashlib.sha256(expanded).hexdigest() == digest,
+              f"{' '.join(argv)} text")
 
     spec_path = os.path.join(outdir, "spec.json")
     run("spec.json", "gen", "--family", "random", "--N", "2", "--horizon", "8")

@@ -312,6 +312,19 @@ def test_expand_prints_the_rendered_terms(capsys):
             assert out == "\n".join(terms[:limit]) + "\n"
 
 
+@pytest.mark.parametrize("limit, digest", [
+    ((), "c6bcb0e23f99f1445f5df25ed2e11eee52a39043c52ab1cdb5075ae4dbaa04c8"),
+    (("--limit", "3"),
+     "61b7a308fe1f91c5b1264cf388ebc00998bfe6e157ffbc0f845a2e983582d8a0"),
+], ids=["all", "limit-3"])
+def test_expand_order_16_bytes_are_pinned(capsys, limit, digest):
+    # sha256 of the stdout, pinned byte for byte: every line of the
+    # largest expansion under the cap, and its first three
+    code, out, err = run_cli(capsys, "expand", "--order", "16", *limit)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_expand_cap_and_bad_order(capsys):
     code, _, err = run_cli(capsys, "expand", "--order", "17")
     assert code == 3 and err.startswith("error: ")

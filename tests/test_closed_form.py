@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -313,6 +314,82 @@ def test_reused_buffers_carry_nothing_between_orders_or_blocks():
     assert [repr(v) for v in got[1:]] == [
         repr(det_closed_form(leading_submatrix(m, k))) for k in range(1, 19)]
     assert repr(got[-1]) == repr(_per_term_sum(m))
+
+
+def test_order_22_value_at_the_default_block_is_pinned():
+    # 32 blocks of 2^16 terms that share 5 rows each: the repr pins
+    # every bit of the float kernel at the default block size
+    assert closed_form._BLOCK == 1 << 16
+    m = random_float_matrix(22, random.Random(22))
+    assert repr(det_closed_form(m)) == (
+        "(0.22970767247159418+0.5570882478942893j)")
+
+
+def test_order_19_prefixes_at_the_default_block_are_pinned():
+    # orders 18 and 19 span 2 and 4 blocks; h(2,2) = 0 sits in a row
+    # that order 19's blocks share and kills its last block, and about
+    # one entry in seven of rows 5-19 is a zero that the free rows and
+    # the last row meet; sha256 of every prefix's repr, one a line
+    rng = random.Random(19)
+    m = make_matrix(19, [
+        0j if (i, j) == (2, 2) or i > 4 and rng.random() < 0.15 else
+        complex(rng.random(), rng.random())
+        for i in range(1, 20) for j in range(1, row_length(19, i) + 1)])
+    text = "\n".join(map(repr, closed_form_prefixes(m)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "115371f91c50db7fe4d8a2853c0b8349364e03fac06c4ad39922a1b31bf9230b")
+
+
+@pytest.mark.parametrize("block", [4, 64])
+def test_dead_blocks_add_zero_without_a_product(monkeypatch, block):
+    # a block whose shared rows hold a zero factor sums to exactly
+    # +0+0j: it gathers nothing and multiplies nothing, and the value
+    # keeps the bits of the per-term decode
+    monkeypatch.setattr(closed_form, "_BLOCK", block)
+    rng = random.Random(block + 3)
+    matrices = [_float_matrix_with_zeros(order, rng)
+                for order in range(8, 13) for _ in range(2)]
+    wants = [repr(_per_term_sum(m)) for m in matrices]
+    calls = []
+
+    def spy(real):
+        def counted(*args, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+        return counted
+
+    blocks = []
+    sum_block = closed_form._sum_block
+
+    def counted_block(rows, zeros, n, start, *rest):
+        before = len(calls)
+        value = sum_block(rows, zeros, n, start, *rest)
+        blocks.append((start, len(calls) - before, value))
+        return value
+
+    monkeypatch.setattr(np, "multiply", spy(np.multiply))
+    monkeypatch.setattr(np, "take", spy(np.take))
+    monkeypatch.setattr(closed_form, "_sum_block", counted_block)
+    dead_blocks = live_blocks = 0
+    for m, want in zip(matrices, wants):
+        blocks.clear()
+        assert repr(det_closed_form(m)) == want
+        n = m.order
+        shared = n - 1 - (block.bit_length() - 1)
+        rows = signed_rows(m)
+        starts = {start: factors.columns[:shared]
+                  for start, factors in enumerate_seps(n)
+                  if start % block == 0}
+        assert [start for start, _, _ in blocks] == sorted(starts)
+        for start, count, value in blocks:
+            if any(row[col - 1] == 0
+                   for row, col in zip(rows, starts[start])):
+                dead_blocks += 1
+                assert count == 0 and repr(value) == "0j"
+            else:
+                live_blocks += 1
+                assert count > 0
+    assert dead_blocks and live_blocks
 
 
 @pytest.mark.parametrize("block", [4, 64])
