@@ -28,6 +28,14 @@ a float ``solve`` by a closed method, and ``bench`` timing ``closed``.
 Every other command, float ``det`` by the recurrence or the Leibniz
 oracle and float ``solve`` by a recurrence method or forward included,
 runs without it.
+
+``det`` reads a matrix document of at least ``_SPLIT_READ_CHARS``
+characters on two cores where it can: :mod:`split_read` forks one child
+that parses and decodes the second half of the rows.  Its values are
+bit for bit those of the one-process read, which reads every document
+the split does not take and words every error, so stdout, stderr and
+the exit code do not depend on the path.  No option selects it, and no
+other command, nor ``det`` on a shorter document, loads it.
 """
 
 from __future__ import annotations
@@ -53,6 +61,10 @@ if TYPE_CHECKING:
     from .matrix import HessenbergMatrix
 
 BENCH_METHODS = ("recurrence", "closed")
+
+# a matrix document at least this long is read on two cores where it
+# can be (see split_read); below it the fork costs more than it saves
+_SPLIT_READ_CHARS = 1_000_000
 
 
 _ERROR_CHARS = 160
@@ -305,8 +317,13 @@ def _det_kernel(method: str, args):
 def cmd_det(args) -> str:
     from .formats import dump_text, matrix_from_json, parse_text
 
-    matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
-                                       args.backend)
+    text = _read(args.matrix)
+    read = None
+    if len(text) >= _SPLIT_READ_CHARS:
+        from .split_read import read_float_matrix
+
+        read = read_float_matrix(text, args.backend)
+    matrix, backend = read or matrix_from_json(parse_text(text), args.backend)
     value = _det_kernel(args.method, args)(matrix)
     return dump_text({"backend": backend, "value": _result_to_json(value)})
 

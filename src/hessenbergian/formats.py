@@ -28,7 +28,9 @@ float, each part is rounded once and a bare v becomes ``complex(v)``.
 Every quad with two zero numerators decodes to one shared zero of the
 backend.  The values are, bit for bit and type for type, what the
 scalar rule gives each scalar, and :func:`matrix_to_json` writes a
-float value back as ``[z.real, z.imag]``.  Any other document (a float
+float value back as ``[z.real, z.imag]``.  :mod:`split_read` runs the
+same decode on each half of a large float matrix document, one half in
+a forked child, and builds the same rows.  Any other document (a float
 document read as exact, a bare bool, a value beyond the double range
 read as float, or any invalid scalar) takes the scalar rule, which
 alone words the decode errors.  No document is read or written with

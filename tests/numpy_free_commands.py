@@ -5,13 +5,16 @@ Usage: python tests/numpy_free_commands.py OUTDIR
 Puts None in ``sys.modules["numpy"]``, so any import of numpy fails,
 and then runs expand, sep, gen, exact ``solve`` by the forward and the
 ratio methods, exact ``det`` by every method, float ``det`` by the
-recurrence and the Leibniz oracle, float ``solve`` by the recurrence
-methods and forward, and ``bench --methods recurrence``, writing each
-output into OUTDIR.  Only the float closed form needs numpy.  The expand commands run as ``python -m hessenbergian``
-does, through the package's ``__main__``; the others call
-``cli.main``.  Exits 0 when every check holds, else 1 with the failed
-check on stderr.  The file has no ``test_`` prefix, so pytest does not
-collect it: CI runs it on an interpreter that has no numpy, and
+recurrence and the Leibniz oracle, a float ``det`` on an order-400
+document past ``cli._SPLIT_READ_CHARS``, which this one-thread process
+reads on two cores, float ``solve`` by the recurrence methods and
+forward, and ``bench --methods recurrence``, writing each output into
+OUTDIR.  Only the float closed form needs numpy.  The expand commands
+run as ``python -m hessenbergian`` does, through the package's
+``__main__``; the others call ``cli.main``.  Exits 0 when every check
+holds, else 1 with the failed check on stderr.  The file has no
+``test_`` prefix, so pytest does not collect it: CI runs it on an
+interpreter that has no numpy, and
 ``test_cli.test_numpy_free_commands_run_without_numpy`` runs it in a
 child process.
 """
@@ -128,6 +131,42 @@ def run_checks(outdir: str) -> None:
             check(run(f"{name}-float-{method}.json", "det", path,
                       "--backend", "float", "--method", method) == want,
                   f"det {name} --backend float --method {method}")
+
+    # a float document past the threshold: this process runs one thread,
+    # so det reads the second half of the rows in a forked child
+    from random import Random
+
+    from hessenbergian.cli import (_SPLIT_READ_CHARS, _result_to_json,
+                                   random_float_matrix)
+    from hessenbergian.determinants import det_recurrence
+    from hessenbergian.formats import dump_text, matrix_to_json
+
+    matrix = random_float_matrix(400, Random(400))
+    path = os.path.join(outdir, "m400.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_text(matrix_to_json(matrix)))
+    check(os.path.getsize(path) >= _SPLIT_READ_CHARS,
+          "the order-400 document is past the threshold")
+    want = dump_text({"backend": "float",
+                      "value": _result_to_json(det_recurrence(matrix))}) + "\n"
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(fork())
+        return forks[-1]
+
+    os.fork = counted_fork
+    try:
+        check(run("m400-det.json", "det", path) == want,
+              "float det of the order-400 document")
+    finally:
+        os.fork = fork
+    check(len(forks) == 1, "det read the order-400 document on two cores")
+    try:
+        os.waitpid(-1, os.WNOHANG)
+        check(False, "det left a child behind")
+    except ChildProcessError:
+        pass
 
     # the random spec read as float: every recurrence method agrees with
     # forward substitution to rounding

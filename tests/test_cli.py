@@ -799,6 +799,47 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
     assert proc.stdout == proc.stderr == ""
 
 
+def test_split_read_cases_pass():
+    # the two-process read forks only in a process with one thread, and
+    # numpy's BLAS pool gives this one more; the cases run in a child
+    # pytest that imports no numpy
+    tests = Path(__file__).parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(tests / "split_read_cases.py")],
+        capture_output=True, text=True, cwd=tests.parent, env=child_env())
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-1000:]
+    assert " passed" in proc.stdout and " failed" not in proc.stdout
+
+
+def test_only_a_large_det_loads_split_read(tmp_path, matrix_file,
+                                           alpha_spec_file):
+    # below the threshold, and in every other command, the module that
+    # forks is neither loaded nor compiled
+    from hessenbergian.cli import _SPLIT_READ_CHARS, random_float_matrix
+    from hessenbergian.formats import matrix_to_json
+
+    large = tmp_path / "large.json"
+    large.write_text(dump_text(matrix_to_json(
+        random_float_matrix(250, random.Random(250)))))
+    assert large.stat().st_size >= _SPLIT_READ_CHARS
+    env = child_env()
+    for argv, loads in (
+            (["det", matrix_file, "--backend", "float"], False),
+            (["solve", alpha_spec_file, "--init", "1"], False),
+            (["gen", "--family", "random", "--N", "1", "--horizon", "3"],
+             False),
+            (["expand", "--order", "3"], False),
+            (["sep", "--order", "3", "--index", "2"], False),
+            (["det", str(large)], True)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "hessenbergian",
+             *argv], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (argv, proc.stderr[-300:])
+        modules = _imported_modules(proc.stderr)
+        assert ("hessenbergian.split_read" in modules) == loads, argv
+
+
 @pytest.fixture
 def float_200_file(tmp_path):
     from hessenbergian.cli import random_float_matrix
