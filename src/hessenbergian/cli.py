@@ -10,10 +10,12 @@ backend tag; benchmarks are CSV.  Every error path prints a single
 exits 2 (usage, parse or validation problems, or a float result that is
 infinite or NaN and so has no strict-JSON form) or 3 (a size cap was
 exceeded, including the int/str digit limit of an integer read or
-written; the message names the cap).  Identical inputs and seed produce
-byte-identical output.  A command runs with the cyclic garbage collector
-off, since the data it builds holds no cycles, and :func:`main` gives
-the caller's collector setting back however the command ends.
+written; the message names the cap).  An interrupt (Ctrl-C) is not an
+input, so it has its own code: one ``error: interrupted`` line and exit
+130.  Identical inputs and seed produce byte-identical output.  A
+command runs with the cyclic garbage collector off, since the data it
+builds holds no cycles, and :func:`main` gives the caller's collector
+setting back however the command ends.
 
 At load time the module imports only :mod:`errors`, which owns the
 parser's defaults, realization names and method names.  Every
@@ -494,6 +496,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     except SystemExit as exc:  # --help: 0; _Parser.error wrote its line: 2
         return exc.code or 0
+    except KeyboardInterrupt:  # not an input, so not 2 or 3
+        _fail("interrupted")
+        return 130
     except SizeCapExceeded as exc:
         _fail(exc)
         return 3

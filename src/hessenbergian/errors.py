@@ -11,7 +11,8 @@ The module also owns the names of the two realizations, ``EXACT`` and
 the Leibniz oracle; and the helpers that error messages share:
 :func:`_cut`, which bounds an echoed token, and the digit-limit message;
 and :class:`_Frozen`, the base of the immutable value types of
-:mod:`ldevc` and :mod:`sep_codec`.
+:mod:`matrix`, :mod:`ldevc` and :mod:`sep_codec`, which alone sets their
+fields.
 It imports nothing numeric, so the CLI's argument parser and the
 numpy-free modules use it without loading numpy.
 """
@@ -43,13 +44,22 @@ def _cut(text: str, limit: int = _ECHO_CHARS, show=str) -> str:
 
 class _Frozen:
     """Base of the package's immutable value types, which hold their
-    fields in ``__slots__`` and set them in ``__init__`` through
-    ``object.__setattr__``.  Two values are equal when their classes are
-    the same and their fields are equal in slot order, and hash as the
-    tuple of their fields; repr and the errors on assignment and
-    deletion read as those of a frozen dataclass."""
+    fields in ``__slots__``.  ``__init__`` takes the fields in slot
+    order, as a frozen dataclass does, and sets them (a wrong count is a
+    TypeError); a type that validates its arguments does so in its own
+    ``__init__``, then calls this one once.  Two values are equal when
+    their classes are the same and their fields are equal in slot order,
+    and hash as the tuple of their fields; repr and the errors on
+    assignment and deletion read as those of a frozen dataclass."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__qualname__} takes "
+                            f"{len(self.__slots__)} fields, got {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

@@ -30,13 +30,16 @@ backend.  The values are, bit for bit and type for type, what the
 scalar rule gives each scalar, and :func:`matrix_to_json` writes a
 float value back as ``[z.real, z.imag]``.  :mod:`split_read` runs the
 same decode on each half of a large float matrix document, one half in
-a forked child, and builds the same rows.  Any other document (a float
-document read as exact, a bare bool, a value beyond the double range
-read as float, or any invalid scalar) takes the scalar rule, which
-alone words the decode errors.  No document is read or written with
-numpy.  The loaders import :mod:`matrix` and :mod:`ldevc` where they
-build a matrix or a spec, so a command that reads one loads only its
-module, and one that only writes JSON loads neither.
+a forked child, and builds the same rows; it checks its first half
+through :func:`_matrix_document`, the one check of a matrix document's
+keys, order, rows and realizations, which :func:`matrix_from_json`
+runs too.  Any other document (a float document read as exact, a bare
+bool, a value beyond the double range read as float, or any invalid
+scalar) takes the scalar rule, which alone words the decode errors.
+No document is read or written with numpy.  The loaders import
+:mod:`matrix` and :mod:`ldevc` where they build a matrix or a spec, so
+a command that reads one loads only its module, and one that only
+writes JSON loads neither.
 
 A matrix document is ``{"order": n, "rows": [[...], ...]}`` with row i
 holding min(i+1, n) scalars.  An equation-spec document is
@@ -156,18 +159,26 @@ def _realizations(scalars, backend):
     return mode, backend or mode
 
 
-def matrix_from_json(obj, backend=None):
-    """Decode a matrix document into ``backend`` (default: the document's
-    own realization); returns (matrix, backend)."""
-    from .matrix import HessenbergMatrix
-
+def _matrix_document(obj, backend):
+    """(order, rows, mode, backend) of a matrix document, the rows not
+    yet decoded: the one check of its keys, its integer order, its rows
+    (a list of lists) and its realizations."""
     _require_keys(obj, ("order", "rows"), "matrix")
     if not _is_int(obj["order"]):
         raise FormatError(f"matrix order must be an integer, got {obj['order']!r}")
     rows = obj["rows"]
     _require_rows(rows, "matrix rows")
-    mode, backend = _realizations(chain.from_iterable(rows), backend)
-    return HessenbergMatrix(obj["order"], _rows(rows, mode, backend)), backend
+    return (obj["order"], rows,
+            *_realizations(chain.from_iterable(rows), backend))
+
+
+def matrix_from_json(obj, backend=None):
+    """Decode a matrix document into ``backend`` (default: the document's
+    own realization); returns (matrix, backend)."""
+    from .matrix import HessenbergMatrix
+
+    order, rows, mode, backend = _matrix_document(obj, backend)
+    return HessenbergMatrix(order, _rows(rows, mode, backend)), backend
 
 
 def _rows(rows, mode, backend):

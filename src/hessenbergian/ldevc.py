@@ -51,19 +51,23 @@ the rows after the first by -a_{r,N+r} instead would only move the sign
 (-1)^n into the rows, and negation is exact in both realizations (in
 floating point only the sign of a zero part can differ).
 
-Each row is divided by its own lead, and the matrix constructor alone
-picks the realization: one float or complex value makes the whole
-matrix float, each exact entry rounded once.
+Each row is divided by its own lead and built in that lead's
+realization: the superdiagonal 1 is the int 1 beside an exact lead and
+the ``complex`` 1 beside a float one, so the rows of a float spec reach
+the matrix constructor all ``complex`` and are taken as they are.  A
+spec that mixes realizations is settled by the constructor: one float or
+complex value makes the whole matrix float, each exact entry rounded
+once.
 
 The method names, :data:`GENERAL_METHODS`, belong to :mod:`errors`,
 where the CLI's argument parser reads them without this module, which
 re-exports them.  The spec type and :func:`solve_forward` need neither
 the matrix nor the determinant module; the functions that build and
 evaluate the monic matrix import them.  The spec and the solution
-bundle are plain ``__slots__`` classes on :class:`errors._Frozen`, so
-the module loads no ``dataclasses``.  numpy loads only for the
-closed methods on a float matrix; every other method and spec solves
-without it.
+bundle are plain ``__slots__`` classes on :class:`errors._Frozen`,
+which sets their fields, so the module loads no ``dataclasses``.  numpy
+loads only for the closed methods on a float matrix; every other method
+and spec solves without it.
 """
 
 from __future__ import annotations
@@ -114,10 +118,7 @@ class LdevcSpec(_Frozen):
                 raise IrregularOrder(
                     f"leading coefficient a[{n},{index_N + n}] is zero")
             frozen.append(tuple(row))
-        object.__setattr__(self, "index_N", index_N)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "coeffs", tuple(frozen))
-        object.__setattr__(self, "forcing", tuple(forcing))
+        super().__init__(index_N, horizon, tuple(frozen), tuple(forcing))
 
     def leading(self, n: int):
         """a_{n,N+n}, the coefficient of y_n in row n."""
@@ -145,7 +146,9 @@ def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
     """The order-(n+1) solution matrix with row r divided by a_{r,N+r}.
 
     Matrix row r+1 holds first_column[r] and a_{r,N..N+r-1}, then, for
-    r < n, the superdiagonal a_{r,N+r} / a_{r,N+r}, which is exactly 1.
+    r < n, the superdiagonal a_{r,N+r} / a_{r,N+r}, which is exactly 1:
+    the int 1 for an exact lead, the ``complex`` 1 for a float one, so
+    the rows of a float spec reach the constructor all ``complex``.
     """
     from .matrix import HessenbergMatrix
 
@@ -159,7 +162,7 @@ def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
             # a zero stays a zero the recurrence skips
             row = [v * inv if v else v for v in row]
         if r < n:
-            row.append(1)
+            row.append(1 if is_exact(lead) else 1 + 0j)
         rows.append(row)
     return HessenbergMatrix(n + 1, rows)
 
@@ -291,14 +294,6 @@ class SolutionBundle(_Frozen):
     particulars: Tuple
     generals: Tuple
     init: Tuple
-
-    def __init__(self, index_N: int, fundamentals: Tuple[Tuple, ...],
-                 particulars: Tuple, generals: Tuple, init: Tuple):
-        object.__setattr__(self, "index_N", index_N)
-        object.__setattr__(self, "fundamentals", fundamentals)
-        object.__setattr__(self, "particulars", particulars)
-        object.__setattr__(self, "generals", generals)
-        object.__setattr__(self, "init", init)
 
 
 def _values_agree(a, b) -> bool:

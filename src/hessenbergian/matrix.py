@@ -11,10 +11,13 @@ immutable by type.  One float or complex entry makes every entry a
 Python ``complex``, exact entries rounded once by ``complex(x)``; an
 exact entry beyond the double range is then a FormatError, worded as
 the decoder words it.  Rows whose entries are all ``complex`` already,
-as the float decoder gives them, are taken as they are after the one
-type scan.  Otherwise every row holds the entries themselves.  No
-matrix loads numpy: an exact array row's numpy scalars become Python
-scalars through the numpy a caller that passes one has already loaded.
+as the float decoder and the float solution rows of :mod:`ldevc` give
+them, are taken as they are after the one type scan.  Otherwise every
+row holds the entries themselves.  No matrix loads numpy: an exact
+array row's numpy scalars become Python scalars through the numpy a
+caller that passes one has already loaded.  A matrix is a value type on
+:class:`errors._Frozen`, which sets its two fields once the constructor
+has checked them.
 
 Both exact kernels, the recurrence and the closed form, convert the
 stored rows once, by :func:`gaussian_rows`, apply c_{i,i+1} = -h_{i,i+1}
@@ -31,7 +34,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import FormatError, WrongEntryCount, _check_int
+from .errors import FormatError, WrongEntryCount, _check_int, _Frozen
 from .scalars import ComplexRational, exact_parts
 
 
@@ -45,11 +48,13 @@ def entry_count(order: int) -> int:
     return sum(row_length(order, i) for i in range(1, order + 1))
 
 
-class HessenbergMatrix:
+class HessenbergMatrix(_Frozen):
     """Immutable lower Hessenberg matrix of a given order.
 
     ``rows[i-1]`` holds the stored entries of row i.  Use
     :func:`make_matrix` to build one from a flat row-major entry list.
+    Equality, hashing and immutability are those of
+    :class:`errors._Frozen`; the repr names the order alone.
     """
 
     __slots__ = ("order", "rows")
@@ -85,24 +90,12 @@ class HessenbergMatrix:
             np = sys.modules.get("numpy")  # loaded if a row is an array
             frozen = tuple(tuple(row.tolist() if np and isinstance(
                 row, np.ndarray) else row) for row in rows)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rows", frozen)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HessenbergMatrix is immutable")
+        super().__init__(order, frozen)
 
     @property
     def is_float_backed(self) -> bool:
         """True when the rows hold Python ``complex`` values."""
         return type(self.rows[0][0]) is complex
-
-    def __eq__(self, other):
-        if not isinstance(other, HessenbergMatrix):
-            return NotImplemented
-        return self.order == other.order and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.order, self.rows))
 
     def __repr__(self):
         return f"HessenbergMatrix(order={self.order})"

@@ -36,7 +36,8 @@ validator of a 0/1 sequence:
 :func:`decode_columns` passes a raw sequence through it and checks the
 last bit; integer arguments and the expansion cap go through the rules
 in :mod:`errors`.  The module imports nothing numeric, and its value
-types are plain ``__slots__`` classes on :class:`errors._Frozen`, not
+types are plain ``__slots__`` classes on :class:`errors._Frozen`, which
+sets their fields (:class:`BitArray` checks its arguments first), not
 dataclasses: ``expand`` runs on it without loading numpy or
 ``dataclasses``.
 """
@@ -73,8 +74,7 @@ class BitArray(_Frozen):
             raise InvalidOrder(f"expected {order} bits, got {len(bits)}")
         if not all(_is_int(b) and b in (0, 1) for b in bits):
             raise InvalidOrder("bits must be 0 or 1")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "bits", bits)
+        super().__init__(order, bits)
 
 
 class SepFactors(_Frozen):
@@ -84,11 +84,6 @@ class SepFactors(_Frozen):
     order: int
     columns: Tuple[int, ...]
     sign: int
-
-    def __init__(self, order: int, columns: Tuple[int, ...], sign: int):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "sign", sign)
 
 
 def sep_count(order: int) -> int:
@@ -199,10 +194,6 @@ class SymbolicTerm(_Frozen):
     __slots__ = ("sign", "factors")
     sign: int
     factors: Tuple[Tuple[int, int], ...]
-
-    def __init__(self, sign: int, factors: Tuple[Tuple[int, int], ...]):
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "factors", factors)
 
     def render(self) -> str:
         head = "+" if self.sign > 0 else "-"

@@ -16,21 +16,22 @@ both parse only if the cut falls between two rows of the ``rows``
 list, and then their rows joined are the document's rows: the tail
 closes exactly the three lists that it opens, so no key follows the
 cut.  json reads every number on its own, so each double keeps its
-bits.  This process runs every check :func:`formats.matrix_from_json`
-runs on its half (keys, rows that are a list of lists, the realization
-of the first scalar that is not a bare integer, and the backend; the
-matrix constructor refuses an order that is not an integer), the child
-checks that its rows are lists, and both decode with
-:func:`formats._decode_rows`.  Any other outcome returns
-None, and the caller reads the whole text in one process, which alone
-words every error: a fragment that does not parse (a NaN token, an
-integer past the digit limit, a cut inside a string), a decode that
-returns None, a matrix the constructor refuses, or a child that fails.
-The child is reaped before this module returns or raises, killed first
-where it has not finished.  It loads nothing and writes only to its
-pipe: its rows go back as ``marshal`` bytes (tuples of ``complex``,
-which ``marshal`` carries exactly), and it leaves by ``os._exit``
-whatever happens.
+bits.  This process checks its half through
+:func:`formats._matrix_document`, the one check that
+:func:`formats.matrix_from_json` runs (keys, an integer order, rows that
+are a list of lists, the realization of the first scalar that is not a
+bare integer, and the backend), and goes on only when the realization
+and the backend are both float; the child checks that its rows are
+lists, and both decode with :func:`formats._decode_rows`.  Any other
+outcome returns None, and the caller reads the whole text in one
+process, which alone words every error: a fragment that does not parse
+(a NaN token, an integer past the digit limit, a cut inside a string),
+a decode that returns None, a matrix the constructor refuses, or a
+child that fails.  The child is reaped before this module returns or
+raises, killed first where it has not finished.  It loads nothing and
+writes only to its pipe: its rows go back as ``marshal`` bytes (tuples
+of ``complex``, which ``marshal`` carries exactly), and it leaves by
+``os._exit`` whatever happens.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ import os
 import re
 import signal
 import threading
-from itertools import chain
 
 from .errors import FLOAT
-from .formats import (_decode_rows, _realizations, _require_keys,
-                      _require_rows, parse_text)
+from .formats import (_decode_rows, _matrix_document, _require_rows,
+                      parse_text)
 from .matrix import HessenbergMatrix
 
 # the start of every document dump_text(matrix_to_json(m)) writes for
@@ -96,8 +96,14 @@ def read_float_matrix(text: str, backend):
     status = None
     try:
         with open(read_fd, "rb") as pipe:
-            head = _head(body[:cut] + "]]]}", backend)
-            if head is None:
+            try:  # the head, checked as a whole document is
+                order, rows, mode, backend = _matrix_document(
+                    parse_text(body[:cut] + "]]]}"), backend)
+                rows = mode == backend == FLOAT and _decode_rows(
+                    rows, FLOAT, FLOAT)
+            except Exception:  # the one-process read words whatever went wrong
+                return None
+            if not rows:  # not float, or not decoded in one pass
                 return None
             payload = pipe.read()
         status = os.waitpid(pid, 0)[1]
@@ -107,7 +113,6 @@ def read_float_matrix(text: str, backend):
             os.waitpid(pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         return None
-    order, rows = head
     try:
         tail = marshal.loads(payload)
         return (None if tail is None
@@ -128,19 +133,3 @@ def _tail_child(tail: str, write_fd: int) -> None:
         status = 0
     finally:
         os._exit(status)
-
-
-def _head(head: str, backend):
-    """(order, rows) of the head, checked as matrix_from_json checks a
-    document and decoded; None if any check or the decode fails."""
-    try:
-        obj = parse_text(head)
-        _require_keys(obj, ("order", "rows"), "matrix")
-        order, rows = obj["order"], obj["rows"]
-        _require_rows(rows, "matrix rows")
-        if _realizations(chain.from_iterable(rows), backend) != (FLOAT, FLOAT):
-            return None
-        rows = _decode_rows(rows, FLOAT, FLOAT)
-    except Exception:  # the one-process read words whatever went wrong
-        return None
-    return None if rows is None else (order, rows)

@@ -501,6 +501,58 @@ def test_det_zero_parts_print_alike_on_every_method(capsys, tmp_path, rows,
         assert out == f'{{"backend":"float","value":{value}}}\n', method
 
 
+# sha256 of `solve --backend float --init 1,2` stdout on a gen spec
+# (--N 2 --horizon 12, seed 0): the float solution rows reach the
+# matrix constructor all complex, and every printed bit stays the same
+_FLOAT_SOLVE_SHA256 = {
+    ("random", "ratio-recurrence"):
+        "81fe13c9a297062acded93fac19eb497452cd9cedb1a952a23042a799aad7206",
+    ("random", "ratio-closed"):
+        "ba85cc9827df23ff280cdc10f2d0a5cd4edcfb13965436c7f3d0d0c1a255841c",
+    ("random", "reduced-recurrence"):
+        "81fe13c9a297062acded93fac19eb497452cd9cedb1a952a23042a799aad7206",
+    ("random", "reduced-closed"):
+        "ba85cc9827df23ff280cdc10f2d0a5cd4edcfb13965436c7f3d0d0c1a255841c",
+    ("random", "forward"):
+        "459497ec629e98b47156a5194e6a92dc83dc3e32edef798324da973096ad5ffc",
+    ("periodic", "ratio-recurrence"):
+        "18f936bed769c27a1dda1a7986f34488c26f69b7eef9640e89dfa909a6e7214e",
+    ("periodic", "ratio-closed"):
+        "13e989036b8d4746bc4628fd4169a4e42ad9bf02c954138941438aaa76ef7e4b",
+    ("periodic", "reduced-recurrence"):
+        "18f936bed769c27a1dda1a7986f34488c26f69b7eef9640e89dfa909a6e7214e",
+    ("periodic", "reduced-closed"):
+        "13e989036b8d4746bc4628fd4169a4e42ad9bf02c954138941438aaa76ef7e4b",
+    ("periodic", "forward"):
+        "8b8ef2fc69b8f8464b5464fef680c2a989f0dff3a8db59ab752f04969b4a4b70",
+    ("constant", "ratio-recurrence"):
+        "0b49427b581735e6de814c729afa1a0d773f30236217187431807828dcbacbfb",
+    ("constant", "ratio-closed"):
+        "0b49427b581735e6de814c729afa1a0d773f30236217187431807828dcbacbfb",
+    ("constant", "reduced-recurrence"):
+        "0b49427b581735e6de814c729afa1a0d773f30236217187431807828dcbacbfb",
+    ("constant", "reduced-closed"):
+        "0b49427b581735e6de814c729afa1a0d773f30236217187431807828dcbacbfb",
+    ("constant", "forward"):
+        "0b49427b581735e6de814c729afa1a0d773f30236217187431807828dcbacbfb",
+}
+
+
+@pytest.mark.parametrize("family, method", list(_FLOAT_SOLVE_SHA256),
+                         ids=[f"{f}-{m}" for f, m in _FLOAT_SOLVE_SHA256])
+def test_float_solve_output_is_pinned(capsys, tmp_path, family, method):
+    path = tmp_path / "spec.json"
+    params = {"random": [], "periodic": ["--params", "3"],
+              "constant": ["--params", "2,-1"]}[family]
+    assert run_cli(capsys, "gen", "--family", family, "--N", "2",
+                   "--horizon", "12", *params, "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "solve", str(path), "--init", "1,2",
+                             "--method", method, "--backend", "float")
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == _FLOAT_SOLVE_SHA256[family, method]
+
+
 def test_solve_unbounded_spec_no_init(capsys, tmp_path):
     path = tmp_path / "n0.json"
     path.write_text(json.dumps(
@@ -897,6 +949,22 @@ def test_main_gives_back_the_callers_collector_setting(
     (gc.enable if enabled else gc.disable)()
     code, _, _ = run_cli(capsys, *argv)
     assert code == exit_code
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["collecting", "disabled"])
+def test_an_interrupt_prints_one_error_line_and_exits_130(
+        capsys, collector, monkeypatch, matrix_file, enabled):
+    # an interrupt is not an input, so neither 2 nor 3; the caller's
+    # collector setting comes back as on every other way out
+    def interrupt(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("hessenbergian.cli.cmd_det", interrupt)
+    (gc.enable if enabled else gc.disable)()
+    assert run_cli(capsys, "det", matrix_file) == (
+        130, "", "error: interrupted\n")
     assert gc.isenabled() is enabled
 
 

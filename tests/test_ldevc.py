@@ -15,7 +15,10 @@ from hessenbergian import (ComplexRational, IndexOutOfRange, InvalidOrder,
                            WrongInitLength, fundamental_solution,
                            general_solution, general_solutions,
                            particular_solution, solve_bundle, solve_forward)
-from hessenbergian import ldevc
+from hessenbergian import ldevc, matrix
+from hessenbergian.cli import generate_spec
+from hessenbergian.errors import FLOAT
+from hessenbergian.formats import convert_spec
 from hessenbergian.ldevc import GENERAL_METHODS
 
 F = Fraction
@@ -93,6 +96,27 @@ def test_solution_matrix_structure():
     g_column = ldevc._general_first_column(spec, 1, (F(1, 2),))
     assert g_column == [12, F(29, 2)]
     assert rows(g_column) == [[4, 1], [F(29, 22), F(7, 11)]]
+
+
+@pytest.mark.parametrize("family, params", [
+    ("random", ""), ("periodic", "3"), ("constant", "2,-1")])
+def test_float_solution_rows_are_all_complex(monkeypatch, family, params):
+    # a float spec's rows reach the constructor in the realization of
+    # their leads, superdiagonal 1 included, so it converts none of them
+    spec = convert_spec(generate_spec(family, params, 2, 12, 0), FLOAT)
+    built = []
+    constructor = matrix.HessenbergMatrix
+
+    def spy(order, rows):
+        built.append(rows)
+        return constructor(order, rows)
+
+    monkeypatch.setattr(matrix, "HessenbergMatrix", spy)
+    solve_bundle(spec, (1 + 0j, 2 + 0j))
+    # N fundamentals, the particular and the general matrix
+    assert len(built) == 4
+    assert {type(v) for rows in built for row in rows for v in row} == {
+        complex}
 
 
 def test_row_zero_ratios():
