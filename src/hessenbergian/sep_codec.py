@@ -19,33 +19,29 @@ The SEP's permutation sign equals (-1)^(number of zero bits), which is
 why products over the signed-factor view need no separate sign.
 
 Since r_1 is m's most significant digit, the SEPs whose indices share
-their leading bits share their leading factors.  :func:`fold_seps`
-visits every SEP that way, depth first down the prefix tree of m in
-ascending m, folding an accumulator over the rows so that each prefix
-is built once from its parent's; :func:`enumerate_seps` and
-:func:`expand_symbolic` are folds over it, so each term's factor tuple
-is its parent prefix's plus one factor and nothing is decoded per
-term.  :func:`expansion_lines`, the text ``expand`` prints, builds the
-same tree eagerly and level by level instead, one pass per row over
-parallel lists of text, sign and column, each line still its parent
-prefix's text plus one factor's label; :func:`fold_seps` stays the
-independent reference it is checked against.  :func:`tau` and
-:func:`decode_columns` decode one index on its own, and stay the
-reference the walk is checked against.  :class:`BitArray` is the one
-validator of a 0/1 sequence:
-:func:`decode_columns` passes a raw sequence through it and checks the
-last bit; integer arguments and the expansion cap go through the rules
-in :mod:`errors`.  The module imports nothing numeric, and its value
-types are plain ``__slots__`` classes on :class:`errors._Frozen`, which
-sets their fields (:class:`BitArray` checks its arguments first), not
-dataclasses: ``expand`` runs on it without loading numpy or
-``dataclasses``.
+their leading bits share their leading factors.  :func:`tau` and
+:func:`decode_columns` are the one reference of the rule: they decode
+one index on its own, and :func:`enumerate_seps` is that decode for
+every index in ascending m.  Both forms of the symbolic expansion, the
+terms of :func:`expand_symbolic` and the lines ``expand`` prints,
+:func:`expansion_lines`, come from one builder, which makes every term
+eagerly and level by level down the prefix tree of m: one pass per row
+over parallel lists of label, sign and column, each term its parent
+prefix's label plus one factor's.  The label of a factor is data to
+it: a ``(row, column)`` pair, or the text of :func:`_label`, which
+:meth:`SymbolicTerm.render` formats with too.  :class:`BitArray` is
+the one validator of a 0/1 sequence: :func:`decode_columns` passes a
+raw sequence through it and checks the last bit; integer arguments and
+the expansion cap go through the rules in :mod:`errors`.  The module
+imports nothing numeric, and its value types are plain ``__slots__``
+classes on :class:`errors._Frozen`, which sets their fields
+(:class:`BitArray` checks its arguments first), not dataclasses:
+``expand`` runs on it without loading numpy or ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Iterator, List, Sequence, Tuple, TypeVar,
-                    Union)
+from typing import Callable, Iterator, List, Sequence, Tuple, Union
 
 from .errors import (InvalidOrder, InvalidSep, NotInRangeSet,
                      OrderTooLargeForExpansion, _check_int, _check_order_cap,
@@ -55,8 +51,6 @@ from .errors import (InvalidOrder, InvalidSep, NotInRangeSet,
 SepIndex = int
 
 EXPANSION_CAP = 16
-
-Acc = TypeVar("Acc")
 
 
 class BitArray(_Frozen):
@@ -111,16 +105,14 @@ def decode_columns(r: Union[BitArray, Sequence[int]]) -> SepFactors:
     order, bits = r.order, r.bits
     columns = []
     zrun = 0
-    zeros = 0
     for i, bit in enumerate(bits, start=1):
         if bit == 0:
             columns.append(i + 1)
             zrun += 1
-            zeros += 1
         else:
             columns.append(i - zrun)
             zrun = 0
-    sign = -1 if zeros & 1 else 1
+    sign = -1 if bits.count(0) & 1 else 1
     return SepFactors(order, tuple(columns), sign)
 
 
@@ -145,46 +137,14 @@ def encode_sep(p: Union[SepFactors, Sequence[int]]) -> BitArray:
     return BitArray(n, bits)
 
 
-def fold_seps(order: int, step: Callable[[Acc, int, int], Acc],
-              initial: Acc) -> Iterator[Tuple[SepIndex, int, Acc]]:
-    """Yield (m, sign, acc) for every SEP, in ascending m, where acc is
-    step(...step(step(initial, 1, pi_1), 2, pi_2)..., n, pi_n).
-
-    The walk runs down the prefix tree of m: r_i is digit n-1-i of m, so
-    the SEPs that share m's leading bits share their leading factors,
-    and each prefix's accumulator is folded once, from its parent's.
-    The walk keeps an explicit stack, so any order works, and it is
-    lazy, so callers may stop early.
-    """
-    n = order
-    sep_count(n)  # refuses an invalid order
-    # (row i done, m prefix, sign, column of the next standard factor, acc)
-    stack = [(0, 0, 1, 1, initial)]
-    while stack:
-        i, m, sign, last, acc = stack.pop()
-        i += 1
-        if i == n:
-            yield m, sign, step(acc, n, last)
-            continue
-        # the standard child (r_i = 1) goes under the superdiagonal one
-        # (r_i = 0), so the smaller m comes out first
-        stack.append((i, 2 * m + 1, sign, i + 1, step(acc, i, last)))
-        stack.append((i, 2 * m, -sign, last, step(acc, i, i + 1)))
-
-
 def enumerate_seps(order: int) -> Iterator[Tuple[SepIndex, SepFactors]]:
     """Yield (m, decode_columns(tau(order, m))) for ascending m.
 
-    Exactly 2^(order-1) items, folded down the prefix tree by
-    :func:`fold_seps`; nothing is materialized, so callers may stop
-    early.
+    Exactly 2^(order-1) items, each index decoded on its own; nothing
+    is materialized, so any order streams and callers may stop early.
     """
-    for m, sign, columns in fold_seps(order, _add_column, ()):
-        yield m, SepFactors(order, columns, sign)
-
-
-def _add_column(columns: Tuple[int, ...], i: int, col: int):
-    return columns + (col,)
+    for m in range(sep_count(order)):
+        yield m, decode_columns(tau(order, m))
 
 
 class SymbolicTerm(_Frozen):
@@ -197,58 +157,67 @@ class SymbolicTerm(_Frozen):
 
     def render(self) -> str:
         head = "+" if self.sign > 0 else "-"
-        return head + "".join(f"h({i},{j})" for i, j in self.factors)
+        return head + "".join(_label(i, j) for i, j in self.factors)
 
     __str__ = render
 
 
-def _check_expansion(order: int) -> None:
-    # the order, then the cap, are checked before any term is built
+def _label(i: int, j: int) -> str:
+    """The text of factor (i, j) in a rendered term."""
+    return f"h({i},{j})"
+
+
+def _pair(i: int, j: int) -> Tuple[Tuple[int, int]]:
+    return ((i, j),)
+
+
+def _expansion(order: int, label: Callable[[int, int], Sequence]
+               ) -> Iterator[Tuple[int, Sequence]]:
+    """(sign, label) of every term, in ascending m, where a term's label
+    is the concatenation of label(i, pi_i) over its rows.
+
+    The terms are built level by level, breadth first: one pass per row
+    over parallel lists of each prefix's label, sign and column of its
+    next standard factor, in ascending m, so each term's label is its
+    parent prefix's plus one factor's.  The order and the cap are
+    checked before any label is made.
+    """
     _check_order_cap(order, EXPANSION_CAP, OrderTooLargeForExpansion,
                      "EXPANSION_CAP")
-
-
-def expand_symbolic(order: int) -> List[SymbolicTerm]:
-    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
-    _check_expansion(order)
-    return [SymbolicTerm(sign, pairs) for _, sign, pairs in
-            fold_seps(order, _add_pair, ())]
-
-
-def expansion_lines(order: int) -> List[str]:
-    """The rendered terms of :func:`expand_symbolic`, as a list.
-
-    The lines are built level by level, breadth first: one pass per row
-    over parallel lists of each prefix's text, sign and column of its
-    next standard factor, in ascending m, so each line's text is its
-    parent prefix's text plus one factor's label.
-    """
-    _check_expansion(order)
-    # each factor's label is formatted once, so a step appends a string
-    # instead of formatting two ints
-    labels = [[f"h({i},{col})" for col in range(i + 2)]
+    # each factor's label is made once, so a step appends it instead of
+    # making it again
+    labels = [[label(i, col) for col in range(i + 2)]
               for i in range(order + 1)]
-    texts, signs, lasts = [""], ["+"], [1]
+    # the root prefix has the empty label of the label's type
+    prefixes, signs, lasts = [labels[0][0][:0]], [1], [1]
     for i in range(1, order):
         row, superdiagonal = labels[i], labels[i][i + 1]
-        next_texts, next_signs, next_lasts = [], [], []
-        add_text, add_sign = next_texts.append, next_signs.append
+        next_prefixes, next_signs, next_lasts = [], [], []
+        add_prefix, add_sign = next_prefixes.append, next_signs.append
         add_last = next_lasts.append
         # the superdiagonal child (r_i = 0, at 2m) flips the sign and
         # keeps the next standard column; the standard child (r_i = 1,
         # at 2m + 1) takes that column, and its next one is i + 1
-        for text, sign, last in zip(texts, signs, lasts):
-            add_text(text + superdiagonal)
-            add_text(text + row[last])
-            add_sign("-" if sign == "+" else "+")
+        for prefix, sign, last in zip(prefixes, signs, lasts):
+            add_prefix(prefix + superdiagonal)
+            add_prefix(prefix + row[last])
+            add_sign(-sign)
             add_sign(sign)
             add_last(last)
             add_last(i + 1)
-        texts, signs, lasts = next_texts, next_signs, next_lasts
+        prefixes, signs, lasts = next_prefixes, next_signs, next_lasts
     row = labels[order]  # the last row takes its standard factor alone
-    return [sign + text + row[last]
-            for text, sign, last in zip(texts, signs, lasts)]
+    return zip(signs, [prefix + row[last]
+                       for prefix, last in zip(prefixes, lasts)])
 
 
-def _add_pair(pairs: tuple, i: int, col: int) -> tuple:
-    return pairs + ((i, col),)
+def expand_symbolic(order: int) -> List[SymbolicTerm]:
+    """All 2^(n-1) signed terms of det(H_n), in ascending index order."""
+    return [SymbolicTerm(sign, pairs)
+            for sign, pairs in _expansion(order, _pair)]
+
+
+def expansion_lines(order: int) -> List[str]:
+    """The rendered terms of :func:`expand_symbolic`, as a list."""
+    return [("+" if sign > 0 else "-") + text
+            for sign, text in _expansion(order, _label)]

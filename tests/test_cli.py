@@ -330,6 +330,10 @@ def test_expand_cap_and_bad_order(capsys):
     assert code == 3 and err.startswith("error: ")
     code, _, err = run_cli(capsys, "expand", "--order", "0")
     assert code == 2 and err.startswith("error: ")
+    # far above the cap: refused before any line is built
+    code, out, err = run_cli(capsys, "expand", "--order", "1000000000")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sep_golden(capsys):

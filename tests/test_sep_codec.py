@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -208,7 +209,8 @@ def test_enumeration_equals_per_index_decode():
 
 
 def test_enumeration_streams_at_any_order():
-    # the walk keeps an explicit stack, so its depth is not Python's
+    # each index is decoded on its own and nothing is materialized, so
+    # the first item comes at once at an order far past any recursion
     m, first = next(enumerate_seps(3000))
     assert m == 0
     assert first == decode_columns((0,) * 2999 + (1,))
@@ -224,6 +226,44 @@ def test_expansion_lines_equal_rendered_terms():
         sep_codec.expansion_lines(17)  # refused before any line
     with pytest.raises(InvalidOrder):
         sep_codec.expansion_lines(0)
+
+
+def test_expansion_matches_the_per_index_decode():
+    # the expansion has no walk of its own to be checked against: term
+    # m is decode_columns(tau(n, m)), and line m is that term rendered
+    for n in range(1, 13):
+        terms = expand_symbolic(n)
+        lines = sep_codec.expansion_lines(n)
+        assert len(terms) == len(lines) == sep_count(n)
+        for m, (term, line) in enumerate(zip(terms, lines)):
+            factors = decode_columns(tau(n, m))
+            assert term.sign == factors.sign
+            assert term.factors == tuple(enumerate(factors.columns, 1))
+            assert line == term.render()
+
+
+def test_expand_symbolic_order_16_is_pinned():
+    # sha256 of the repr of every term under the cap
+    terms = expand_symbolic(16)
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == (
+        "7146690b185d1f3025e56b0e0786d765b25e089a3169accbf98c7cc02645375d")
+
+
+def test_expansion_refuses_before_it_builds_anything():
+    # an order far above the cap is refused at once; order 17's label
+    # table is too cheap to tell whether the check runs first.  The
+    # builder is asked first, with a label that fails the test, so a
+    # check moved after the label table fails here instead of hanging
+    def label(i, j):
+        raise AssertionError(f"label ({i}, {j}) made before the cap check")
+
+    with pytest.raises(OrderTooLargeForExpansion):
+        sep_codec._expansion(10**9, label)
+    for expand in (expand_symbolic, sep_codec.expansion_lines):
+        start = time.perf_counter()
+        with pytest.raises(OrderTooLargeForExpansion):
+            expand(10**9)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_expansion_text_budget_at_order_16():
