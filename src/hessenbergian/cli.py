@@ -31,20 +31,22 @@ command loads and compiles only what it runs: ``expand`` and ``sep``
 run on :mod:`sep_codec` alone, ``gen`` and ``solve`` on :mod:`ldevc`,
 ``det --method closed`` on :mod:`closed_form` without
 :mod:`determinants`, and only ``bench`` loads ``statistics``.  A float
-``det`` loads neither ``fractions`` nor :mod:`scalars`.  numpy
+``det`` or ``solve`` loads neither ``fractions`` nor :mod:`scalars`.  numpy
 loads only for the float closed form: a float ``det --method closed``,
 a float ``solve`` by a closed method, and ``bench`` timing ``closed``.
 Every other command, float ``det`` by the recurrence or the Leibniz
 oracle and float ``solve`` by a recurrence method or forward included,
 runs without it.
 
-``det`` reads a matrix document of at least ``_SPLIT_READ_CHARS``
-characters on two cores where it can: :mod:`split_read` forks one child
-that parses and decodes the second half of the rows.  Its values are
-bit for bit those of the one-process read, which reads every document
+``det --method recurrence`` evaluates a matrix document of at least
+``_SPLIT_READ_CHARS`` characters on two cores where it can:
+:mod:`split_read` forks one child that parses and decodes the head rows
+and runs the recurrence over them, and this process resumes the same
+loop from the child's state over the tail rows it has read.  Its value
+is bit for bit that of the one-process read, which reads every document
 the split does not take and words every error, so stdout, stderr and
 the exit code do not depend on the path.  No option selects it, and no
-other command, nor ``det`` on a shorter document, loads it.
+other command or method, nor ``det`` on a shorter document, loads it.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ if TYPE_CHECKING:
 
 BENCH_METHODS = ("recurrence", "closed")
 
-# a matrix document at least this long is read on two cores where it
-# can be (see split_read); below it the fork costs more than it saves
+# the recurrence runs on two cores over a matrix document at least this
+# long where it can (see split_read); below it the fork costs more than
+# it saves (ROADMAP item 11)
 _SPLIT_READ_CHARS = 1_000_000
 
 
@@ -331,13 +334,14 @@ def cmd_det(args) -> str:
     from .formats import dump_text, matrix_from_json, parse_text
 
     text = _read(args.matrix)
-    read = None
-    if len(text) >= _SPLIT_READ_CHARS:
-        from .split_read import read_float_matrix
+    value, backend = None, FLOAT
+    if args.method == "recurrence" and len(text) >= _SPLIT_READ_CHARS:
+        from .split_read import det_float
 
-        read = read_float_matrix(text, args.backend)
-    matrix, backend = read or matrix_from_json(parse_text(text), args.backend)
-    value = _det_kernel(args.method, args)(matrix)
+        value = det_float(text, args.backend)
+    if value is None:
+        matrix, backend = matrix_from_json(parse_text(text), args.backend)
+        value = _det_kernel(args.method, args)(matrix)
     return dump_text({"backend": backend, "value": _result_to_json(value)})
 
 

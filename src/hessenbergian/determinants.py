@@ -29,7 +29,11 @@ Two routes live here:
   its q_k still advances, so a zero entry times an infinite q_k never
   turns the sum into NaN via 0*inf; the mathematically correct term
   there is 0.  Every sum starts from 0j, so every zero part of a float
-  prefix is +0.0, as in the closed form and the oracle.
+  prefix is +0.0, as in the closed form and the oracle.  Row j reads
+  nothing above it but the running q_k, det(H_{j-1}) and the
+  superdiagonal h_{j-1,j}, so the loop, :func:`_float_prefixes`, resumes
+  from that state: :mod:`split_read` runs it over the head rows of a
+  large document in one process and over the tail rows in another.
 
   An exact matrix runs the same loop fraction-free, on the Gaussian
   integers that :func:`gaussian_rows` converts the stored rows to, as
@@ -74,17 +78,28 @@ def det_prefixes(matrix: HessenbergMatrix) -> list:
     if not matrix.is_float_backed:
         parts, scales, kind = gaussian_rows(matrix.rows)
         return exact_prefixes(_gaussian_prefixes(parts), scales, kind)
-    rows = matrix.rows
     dets = [1 + 0j]
-    q = []  # q_{k+1} of column k, 0-based
-    for j, row in enumerate(rows):  # 0-based row j gives det(H_{j+1})
-        if j:  # the signed superdiagonal c = -h_{j-1,j}
-            q = list(map(mul, q, repeat(-rows[j - 1][j])))
-        q.append(dets[j])
+    _float_prefixes(matrix.rows, [], dets)
+    return dets
+
+
+def _float_prefixes(rows, q: list, dets: list, prev=None) -> tuple:
+    """The float recurrence over ``rows``, resumed from the state that
+    the m rows above them left: q, the running q_k of their columns
+    (empty for m = 0); ``dets``, whose last entry is det(H_m); and
+    ``prev``, the superdiagonal h_{m,m+1} of row m (None for m = 0).
+    Appends det(H_{m+1}), ... to ``dets`` and returns the state after
+    the last row, ``(q, prev)``, so a pass cut anywhere and resumed
+    computes every value that one pass does, bit for bit."""
+    for row in rows:
+        if prev is not None:  # the signed superdiagonal c = -h_{j-1,j}
+            q = list(map(mul, q, repeat(-prev)))
+        q.append(dets[-1])
         # a zero h_{j,k} adds nothing; the superdiagonal h_{j,j+1}, last
         # of the nonzero entries, meets no q and map drops it
         dets.append(sum(map(mul, compress(row, row), compress(q, row)), 0j))
-    return dets
+        prev = row[-1]
+    return q, prev
 
 
 def _scale(q: tuple, s: tuple) -> tuple:

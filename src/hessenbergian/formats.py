@@ -31,13 +31,14 @@ Every quad with two zero numerators decodes to one shared zero of the
 backend.  The values are, bit for bit and type for type, what the
 scalar rule gives each scalar, and :func:`matrix_to_json` writes a
 float value back as ``[z.real, z.imag]``.  :mod:`split_read` runs the
-same decode on each half of a large float matrix document, one half in
-a forked child, and builds the same rows; it checks its first half
-through :func:`_matrix_document`, the one check of a matrix document's
-keys, order, rows and realizations, which :func:`matrix_from_json`
-runs too.  Any other document (a bare bool, a value beyond the double
-range, or any invalid scalar) takes the scalar rule, which alone words
-the decode errors.
+same decode on each row of a large float matrix document as it parses
+the row in place, the head rows in a forked child, and so builds the
+same rows; it reads the order token with the same scanner and goes on
+only with the keys, order, rows and realization that
+:func:`_matrix_document`, the one check that :func:`matrix_from_json`
+runs, accepts.  Any other document (a bare bool, a value beyond the
+double range, or any invalid scalar) takes the scalar rule, which alone
+words the decode errors.
 No document is read or written with numpy.  The loaders import
 :mod:`matrix` and :mod:`ldevc` where they build a matrix or a spec, so
 a command that reads one loads only its module, and one that only

@@ -65,20 +65,21 @@ re-exports them.  The spec type and :func:`solve_forward` need neither
 the matrix nor the determinant module; the functions that build and
 evaluate the monic matrix import them.  The spec and the solution
 bundle are plain ``__slots__`` classes on :class:`errors._Frozen`,
-which sets their fields, so the module loads no ``dataclasses``.  numpy
-loads only for the closed methods on a float matrix; every other method
-and spec solves without it.
+which sets their fields, so the module loads no ``dataclasses``.
+``fractions`` and :mod:`scalars` load only where an exact value is built
+or checked, once per call of a solver (:func:`_exact_rules`), so a float
+spec solves without them.  numpy loads only for the closed methods on a
+float matrix; every other method and spec solves without it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import truediv
 from typing import TYPE_CHECKING, Tuple
 
 from .errors import (DEFAULT_CLOSED_FORM_CAP, GENERAL_METHODS,
                      IrregularOrder, LinearityViolation, WrongEntryCount,
                      WrongInitLength, _check_int, _Frozen)
-from .scalars import is_exact
 
 if TYPE_CHECKING:
     from .matrix import HessenbergMatrix
@@ -128,13 +129,28 @@ class LdevcSpec(_Frozen):
         return f"LdevcSpec(N={self.index_N}, horizon={self.horizon})"
 
 
-def _divide(num, den):
-    # int/int must not fall through to float division on the exact path;
-    # every other exact pair already divides through Fraction or
-    # ComplexRational
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
+def _exact_rules(spec: LdevcSpec) -> tuple:
+    """``(is_exact, divide)`` for the values of ``spec``.  ``fractions``
+    and :mod:`scalars` load once per call, and only where some leading
+    coefficient is not ``complex``: every lead of a float spec is, and
+    its matrix and every value solved from it are float, so it builds
+    and checks no exact value.  ``divide(num, den)`` is num / den, but
+    an int pair goes through Fraction, so that it does not fall through
+    to float division on the exact path; every other exact pair already
+    divides through Fraction or ComplexRational."""
+    if all(isinstance(row[spec.index_N + n], complex)
+           for n, row in enumerate(spec.coeffs)):
+        return (lambda value: False), truediv
+    from fractions import Fraction
+
+    from .scalars import is_exact
+
+    def divide(num, den):
+        if isinstance(num, int) and isinstance(den, int):
+            return Fraction(num, den)
+        return num / den
+
+    return is_exact, divide
 
 
 def _check_method(method: str):
@@ -152,11 +168,12 @@ def _monic_matrix(spec: LdevcSpec, n: int, first_column) -> HessenbergMatrix:
     """
     from .matrix import HessenbergMatrix
 
+    is_exact, divide = _exact_rules(spec)
     N = spec.index_N
     rows = []
     for r in range(n + 1):
         lead = spec.leading(r)
-        inv = _divide(1, lead)  # one division per row, then products
+        inv = divide(1, lead)  # one division per row, then products
         row = [first_column[r], *spec.coeffs[r][N:N + r]]
         if inv != 1:  # a monic row stays as it is
             # a zero stays a zero the recurrence skips
@@ -271,6 +288,7 @@ def solve_forward(spec: LdevcSpec, init) -> list:
     """Row-by-row substitution, solving each row for its leading
     unknown; the independent reference for every other route."""
     init = _check_init(spec, init)
+    divide = _exact_rules(spec)[1]
     N = spec.index_N
     values = []
     for n in range(spec.horizon + 1):
@@ -279,7 +297,7 @@ def solve_forward(spec: LdevcSpec, init) -> list:
         for idx in range(N + n):
             y = init[idx] if idx < N else values[idx - N]
             acc = acc - row[idx] * y
-        values.append(_divide(acc, spec.leading(n)))
+        values.append(divide(acc, spec.leading(n)))
     return values
 
 
@@ -296,7 +314,7 @@ class SolutionBundle(_Frozen):
     init: Tuple
 
 
-def _values_agree(a, b) -> bool:
+def _values_agree(a, b, is_exact) -> bool:
     if is_exact(a) and is_exact(b):
         return a == b
     fa, fb = complex(a), complex(b)
@@ -316,11 +334,12 @@ def solve_bundle(spec: LdevcSpec, init) -> SolutionBundle:
         for i in range(spec.index_N))
     particulars = tuple(_solutions(spec, h, spec.forcing))
     generals = tuple(general_solutions(spec, init))
+    is_exact = _exact_rules(spec)[0]
     for n in range(h + 1):
         expected = particulars[n]
         for k, y in enumerate(init):
             expected = expected + fundamentals[k][n] * y
-        if not _values_agree(generals[n], expected):
+        if not _values_agree(generals[n], expected, is_exact):
             raise LinearityViolation(
                 f"linearity identity violated at row {n}: "
                 f"{generals[n]!r} != {expected!r}")

@@ -30,13 +30,15 @@ over parallel lists of label, sign and column, each term its parent
 prefix's label plus one factor's.  The label of a factor is data to
 it: a ``(row, column)`` pair, or the text of :func:`_label`, which
 :meth:`SymbolicTerm.render` formats with too.  :class:`BitArray` is
-the one validator of a 0/1 sequence: :func:`decode_columns` passes a
-raw sequence through it and checks the last bit; integer arguments and
-the expansion cap go through the rules in :mod:`errors`.  The module
-imports nothing numeric, and its value types are plain ``__slots__``
-classes on :class:`errors._Frozen`, which sets their fields
-(:class:`BitArray` checks its arguments first), not dataclasses:
-``expand`` runs on it without loading numpy or ``dataclasses``.
+the one validator of a 0/1 sequence from outside: :func:`decode_columns`
+passes a raw sequence through it and checks the last bit, while
+:func:`tau` sets the fields of the bits it has just built without a
+second check.  Integer arguments and the expansion cap go through the
+rules in :mod:`errors`.  The module imports nothing numeric, and its
+value types are plain ``__slots__`` classes on :class:`errors._Frozen`,
+which sets their fields (:class:`BitArray` checks its arguments first),
+not dataclasses: ``expand`` runs on it without loading numpy or
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -91,7 +93,10 @@ def tau(order: int, m: SepIndex) -> BitArray:
     first), then the fixed final 1."""
     _check_int(m, f"order-{order} index", 0, sep_count(order) - 1)
     bits = tuple((m >> (order - 1 - i)) & 1 for i in range(1, order)) + (1,)
-    return BitArray(order, bits)
+    # order bits of 0 or 1 by construction: set, not validated again
+    r = object.__new__(BitArray)
+    _Frozen.__init__(r, order, bits)
+    return r
 
 
 def decode_columns(r: Union[BitArray, Sequence[int]]) -> SepFactors:

@@ -6,10 +6,10 @@ Puts None in ``sys.modules["numpy"]``, so any import of numpy fails,
 and then runs expand, sep, gen, exact ``solve`` by the forward and the
 ratio methods, exact ``det`` by every method, float ``det`` by the
 recurrence and the Leibniz oracle, a float ``det`` on an order-400
-document past ``cli._SPLIT_READ_CHARS``, which this one-thread process
-reads on two cores, float ``solve`` by the recurrence methods and
-forward, and ``bench --methods recurrence``, writing each output into
-OUTDIR.  Only the float closed form needs numpy.  The expand commands
+document past ``cli._SPLIT_READ_CHARS``, whose recurrence this
+one-thread process runs on two cores, float ``solve`` by the recurrence
+methods and forward, and ``bench --methods recurrence``, writing each
+output into OUTDIR.  Only the float closed form needs numpy.  The expand commands
 run as ``python -m hessenbergian`` does, through the package's
 ``__main__``; the others call ``cli.main``.  Exits 0 when every check
 holds, else 1 with the failed check on stderr.  The file has no
@@ -133,7 +133,7 @@ def run_checks(outdir: str) -> None:
                   f"det {name} --backend float --method {method}")
 
     # a float document past the threshold: this process runs one thread,
-    # so det reads the second half of the rows in a forked child
+    # so det runs the recurrence over the head rows in a forked child
     from random import Random
 
     from hessenbergian.cli import (_SPLIT_READ_CHARS, _result_to_json,
@@ -161,7 +161,7 @@ def run_checks(outdir: str) -> None:
               "float det of the order-400 document")
     finally:
         os.fork = fork
-    check(len(forks) == 1, "det read the order-400 document on two cores")
+    check(len(forks) == 1, "det ran the order-400 document on two cores")
     try:
         os.waitpid(-1, os.WNOHANG)
         check(False, "det left a child behind")

@@ -1,4 +1,4 @@
-"""The two-process read of ``det``, checked where it can run.
+"""The two-process determinant of ``det``, checked where it can run.
 
 Usage: python -m pytest tests/split_read_cases.py
 
@@ -6,15 +6,19 @@ Usage: python -m pytest tests/split_read_cases.py
 Tier-1 process cannot: numpy, which other test modules import, starts a
 BLAS thread pool.  So this module has no ``test_`` prefix and pytest
 does not collect it in Tier-1; ``test_cli.test_split_read_cases_pass``
-runs it in a child pytest that imports no numpy.  Every test forces the
-split on by setting the threshold to 0 and spies on ``os.fork``; "off"
-is the same call with one usable CPU, so that every document is read in
-one process.  After every call no child of this process is left.
+runs it in a child pytest that imports no numpy.  Every command test
+forces the split on by setting the threshold to 0 and spies on
+``os.fork``; "off" is the same call with one usable CPU, so that every
+document is read in one process.  After every call no child of this
+process is left.  One property checks the loop that both processes run:
+resumed at any row, from the state the child sends, it gives the
+prefixes of one pass.
 """
 
 import contextlib
 import io
 import json
+import marshal
 import os
 import re
 import sys
@@ -27,6 +31,7 @@ from hypothesis import strategies as st
 
 import hessenbergian.cli as cli
 import hessenbergian.split_read as split_read
+from hessenbergian.determinants import _float_prefixes, det_recurrence
 from hessenbergian.formats import (dump_text, matrix_from_json,
                                    matrix_to_json, parse_text)
 from hessenbergian.matrix import HessenbergMatrix, row_length
@@ -92,12 +97,35 @@ def first_half(text: str, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def past_the_cut(text: str, old: str, new: str) -> str:
+    # the first `old` after the row boundary where the split cuts
+    cut = text.find("]],[[", int(len(text) * split_read._HEAD_SHARE))
+    at = text.index(old, cut + len("]],[["))
+    return text[:at] + new + text[at + len(old):]
+
+
 # one value of every number matrix_text writes, and the first pair of
 # its rows past the middle
 _BASE = matrix_text(12)
 _PAIR = "[11.5,-2.0]"
 _LIMIT = "9" * 5000  # past the default int/str digit limit of 4300
+_EXACT = dump_text(matrix_to_json(HessenbergMatrix(12, [
+    [Fraction(i, j + 1) for j in range(row_length(12, i))]
+    for i in range(1, 13)])))
 
+
+def int_head() -> str:
+    # rows 1-8 of ints past 2**53, each a bare int but the first and the
+    # last, int pairs: the canonical start and a row boundary need lists
+    # there; the split cuts right after row 8, before the float pairs
+    rows = json.loads(_BASE)["rows"]
+    for i in range(8):
+        ints = [2 ** 53 + 1 + 3 * i + j for j in range(i + 2)]
+        rows[i] = [[ints[0], 0], *ints[1:-1], [ints[-1], 0]]
+    text = dump_text({"order": 12, "rows": rows})
+    cut = text.find("]],[[", int(len(text) * split_read._HEAD_SHARE))
+    assert text[cut:].startswith("]],[[9.5,")
+    return text
 
 
 def rows_under_two_keys() -> str:
@@ -133,9 +161,7 @@ _LOOKALIKES = [
      [], True),
     ("a duplicate order", _BASE[:-1] + ',"order":12.5,"rows":[[[1]],[[2]]]}',
      [], True),
-    ("an exact document", dump_text(matrix_to_json(HessenbergMatrix(12, [
-        [Fraction(i, j + 1) for j in range(row_length(12, i))]
-        for i in range(1, 13)]))), [], True),
+    ("an exact document", _EXACT, [], True),
     ("reordered keys", json.dumps({"rows": json.loads(_BASE)["rows"],
                                    "order": 12}, separators=(",", ":")),
      [], False),
@@ -146,9 +172,26 @@ _LOOKALIKES = [
      second_half(_BASE, "11.5", _LIMIT), [], True),
     ("a short row past the middle", second_half(_BASE, _PAIR + ",", ""), [],
      True),
+    ("a short row before the middle", first_half(_BASE, "[2.5,0.0],", ""),
+     [], True),
     ("a wrong order", _BASE.replace('"order":12', '"order":13'), [], True),
+    ("an extra last row",
+     _BASE[:-2] + _BASE[_BASE.rindex("]],[[") + 2:-2] + "]}", [], True),
+    ("an order with a leading zero",
+     _BASE.replace('"order":12', '"order":012'), [], True),
+    ("whitespace between two rows past the cut",
+     past_the_cut(_BASE, "]],[[", "]], [["), [], True),
+    ("a head of bare ints, its first float pair in the tail", int_head(),
+     [], True),
     ("read as exact", _BASE, ["--backend", "exact"], False),
     ("read as float", _BASE, ["--backend", "float"], True),
+    # only the recurrence runs on two cores; the exact closed form and a
+    # capped float one load no numpy, which would start a thread pool
+    ("the closed form", _EXACT, ["--method", "closed"], False),
+    ("the closed form past its cap", _BASE,
+     ["--method", "closed", "--closed-form-cap", "11"], False),
+    ("the Leibniz oracle", _BASE,
+     ["--method", "leibniz", "--oracle-cap", "12"], False),
 ]
 
 
@@ -204,84 +247,123 @@ def documents(draw):
     return dump_text(doc)
 
 
-def parts(matrix):
-    return [[(type(z), repr(z.real), repr(z.imag)) for z in row]
-            for row in matrix.rows]
+def printed(out: str):
+    # the backend and the repr of both parts of the printed value
+    if not out:
+        return None
+    doc = json.loads(out)
+    return doc["backend"], [repr(part) for part in doc["value"]]
 
 
 @given(documents())
 @settings(deadline=None, max_examples=60)
-def test_the_split_builds_the_rows_one_process_builds(tmp_path_factory,
-                                                       text):
+def test_the_split_prints_what_one_process_prints(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("doc") / "m.json"
     path.write_text(text)
-    built = []
+    argv = ["det", str(path)]
+    values, det_float = [], split_read.det_float
 
-    def kernel(method, args):
-        return lambda matrix: built.append(matrix) or 0j
+    def spy_det(*args):
+        values.append(det_float(*args))
+        return values[-1]
 
     spy = Fork()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "fork", spy)
         mp.setattr(cli, "_SPLIT_READ_CHARS", 0)
-        mp.setattr(cli, "_det_kernel", kernel)
-        code, out, err = run(["det", str(path)])
-    assert (code, err) == (0, "")
-    # the canonical shape, with a row boundary past the middle
+        mp.setattr(split_read, "det_float", spy_det)
+        code, out, err = run(argv)
+        forks = spy.calls
+        one_cpu(mp)
+        one = run(argv)
+    assert (code, err, printed(out)) == (one[0], one[2], printed(one[1]))
+    # the canonical shape, with a row boundary past the cut
     canonical = r'\{"order":\d+,"rows":\[\[\[.*\]\]\]\}'
-    assert spy.calls == (re.fullmatch(canonical, text) is not None
-                         and text.find("]],[[", len(text) // 2) >= 0)
-    want, backend = matrix_from_json(parse_text(text))
-    assert json.loads(out)["backend"] == backend
-    assert built[0].order == want.order
-    assert parts(built[0]) == parts(want)
+    cut = int(len(text) * split_read._HEAD_SHARE)
+    assert forks == (re.fullmatch(canonical, text) is not None
+                     and text.find("]],[[", cut) >= 0)
+    # each document is a well-formed float one, so where the split forks
+    # it computes the value, the recurrence's on the one-process matrix
+    if forks:
+        want = det_recurrence(matrix_from_json(parse_text(text))[0])
+        assert repr(values[0]) == repr(want)
 
 
-def child_fails(monkeypatch, how):
-    # split_read's _require_rows, failing only in the child
-    parent, require_rows = os.getpid(), split_read._require_rows
+# an entry: any finite complex, overflow to inf and nan included, or 0j
+_ENTRIES = st.one_of(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                     st.just(0j))
 
-    def require(rows, what):
-        if os.getpid() != parent:
+
+@st.composite
+def float_rows(draw):
+    """The rows of a float matrix of order 1 to 16."""
+    order = draw(st.integers(1, 16))
+    return [tuple(draw(st.lists(_ENTRIES, min_size=k, max_size=k)))
+            for k in (row_length(order, i) for i in range(1, order + 1))]
+
+
+def reprs(values):
+    return [repr(v) for v in values]
+
+
+@given(float_rows())
+@settings(deadline=None)
+def test_the_recurrence_resumed_at_any_cut_gives_one_pass(rows):
+    whole = [1 + 0j]
+    _float_prefixes(rows, [], whole)
+    for cut in range(len(rows) + 1):
+        head = [1 + 0j]
+        state = _float_prefixes(rows[:cut], [], head)
+        q, prev = marshal.loads(marshal.dumps(state))  # as the child sends it
+        tail = [head[-1]]
+        _float_prefixes(rows[cut:], q, tail, prev)
+        assert reprs(head + tail[1:]) == reprs(whole)
+
+
+def fails_in(monkeypatch, where, how):
+    # split_read's _float_rows, failing only in the child or only here
+    parent, float_rows = os.getpid(), split_read._float_rows
+
+    def rows(*args):
+        if (os.getpid() == parent) == (where == "parent"):
             how()
-        return require_rows(rows, what)
+        return float_rows(*args)
 
-    monkeypatch.setattr(split_read, "_require_rows", require)
-
-
-def child_raises():
-    raise RuntimeError("the child fails")
+    monkeypatch.setattr(split_read, "_float_rows", rows)
 
 
-def child_exits():
+def raises():
+    raise RuntimeError("the read fails")
+
+
+def exits():
     os._exit(1)
 
 
-@pytest.mark.parametrize("how", [child_raises, child_exits])
-def test_a_failed_child_falls_back(tmp_path, monkeypatch, fork, how):
+@pytest.mark.parametrize("where, how", [("child", raises), ("child", exits),
+                                        ("parent", raises)])
+def test_a_failure_falls_back_after_one_fork(tmp_path, monkeypatch, fork,
+                                             where, how):
     path = tmp_path / "m.json"
     path.write_text(_BASE)
     with monkeypatch.context() as mp:
         one_cpu(mp)
         want = run(["det", str(path)])
-    child_fails(monkeypatch, how)
+    fails_in(monkeypatch, where, how)
     assert run(["det", str(path)]) == want
     assert fork.calls == 1
 
 
 def test_an_interrupt_reaps_the_child(tmp_path, monkeypatch, fork):
-    # the interrupt comes while this process parses the head, the child
+    # the interrupt comes while this process reads the tail, the child
     # forked and perhaps still running; run() checks no child is left
     path = tmp_path / "m.json"
     path.write_text(_BASE)
-    parent = os.getpid()
 
-    def interrupt(text):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        return parse_text(text)
+    def interrupt():
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(split_read, "parse_text", interrupt)
+    fails_in(monkeypatch, "parent", interrupt)
     assert run(["det", str(path)]) == (130, "", "error: interrupted\n")
     assert fork.calls == 1
 

@@ -829,11 +829,11 @@ _STARTUP = [
     (["solve", "{spec}", "--init", "1", "--method", "forward"], None,
      0, 1, 0, 0, 0, 1, 1),
     (["solve", "{spec}", "--init", "1", "--backend", "float"], None,
-     0, 1, 0, 1, 0, 1, 1),
+     0, 1, 0, 1, 0, 0, 0),
     (["solve", "{spec}", "--init", "1", "--backend", "float",
-      "--method", "ratio-closed"], None, 0, 1, 0, 0, 1, 1, 1),
+      "--method", "ratio-closed"], None, 0, 1, 0, 0, 1, 0, 0),
     (["solve", "{spec}", "--init", "1", "--backend", "float",
-      "--method", "forward"], None, 0, 1, 0, 0, 0, 1, 1),
+      "--method", "forward"], None, 0, 1, 0, 0, 0, 0, 0),
     (["bench", "--orders", "3", "--reps", "1"], None, 1, 0, 0, 1, 1, 1, 0),
     (["bench", "--orders", "3", "--reps", "1", "--methods", "recurrence"],
      None, 1, 0, 0, 1, 0, 1, 0),
@@ -870,9 +870,9 @@ def test_numpy_free_commands_run_without_numpy(tmp_path):
 
 
 def test_split_read_cases_pass():
-    # the two-process read forks only in a process with one thread, and
-    # numpy's BLAS pool gives this one more; the cases run in a child
-    # pytest that imports no numpy
+    # the two-process determinant forks only in a process with one
+    # thread, and numpy's BLAS pool gives this one more; the cases run
+    # in a child pytest that imports no numpy
     tests = Path(__file__).parent
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",

@@ -28,6 +28,19 @@ def test_tau_index_out_of_range():
         tau(0, 0)
 
 
+def test_tau_builds_what_the_validator_accepts():
+    # tau sets its fields without BitArray's check: every value it builds
+    # passes that check as it is, and the check still refuses bad bits
+    for n in range(1, 11):
+        for m in range(sep_count(n)):
+            r = tau(n, m)
+            assert type(r) is BitArray and r == BitArray(n, r.bits)
+            assert hash(r) == hash(BitArray(n, r.bits))
+    for order, bits in ((3, (0, 2, 1)), (3, (0, 1)), (2, (1, True))):
+        with pytest.raises(InvalidOrder):
+            BitArray(order, bits)
+
+
 def test_codec_values_are_frozen_records():
     # equal and hashed by their fields in order, with a field-by-field
     # repr; no field can be set or deleted, and no other attribute added
