@@ -38,15 +38,18 @@ Every other command, float ``det`` by the recurrence or the Leibniz
 oracle and float ``solve`` by a recurrence method or forward included,
 runs without it.
 
-``det --method recurrence`` evaluates a matrix document of at least
-``_SPLIT_READ_CHARS`` characters on two cores where it can:
-:mod:`split_read` forks one child that parses and decodes the head rows
-and runs the recurrence over them, and this process resumes the same
-loop from the child's state over the tail rows it has read.  Its value
-is bit for bit that of the one-process read, which reads every document
-the split does not take and words every error, so stdout, stderr and
-the exit code do not depend on the path.  No option selects it, and no
-other command or method, nor ``det`` on a shorter document, loads it.
+``det --method recurrence`` evaluates a regular file of at least
+``_SPLIT_READ_CHARS`` bytes on two cores where it can, before any of
+its text is read: :mod:`split_read` forks one child that reads, parses
+and decodes the head rows from its own byte range of the file and runs
+the recurrence over them, and this process reads the tail rows from the
+rest and resumes the same loop from the child's state.  Neither process
+holds the file's text, only a chunk of it at a time.  Its value is bit
+for bit that of the one-process read, :func:`_read` of the whole file,
+which reads every file the split does not take, a pipe included, and
+words every error, so stdout, stderr and the exit code do not depend on
+the path.  No option selects it, and no other command or method, nor
+``det`` on a shorter file, loads it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ from __future__ import annotations
 import argparse
 import cmath
 import gc
+import os
+import stat
 import sys
 from functools import partial
 from itertools import islice
@@ -73,10 +78,10 @@ if TYPE_CHECKING:
 
 BENCH_METHODS = ("recurrence", "closed")
 
-# the recurrence runs on two cores over a matrix document at least this
-# long where it can (see split_read); below it the fork costs more than
-# it saves (ROADMAP item 11)
-_SPLIT_READ_CHARS = 1_000_000
+# the recurrence runs on two cores over a matrix file of at least this
+# many bytes where it can (see split_read); below it the fork costs more
+# than it saves (ROADMAP item 11)
+_SPLIT_READ_CHARS = 650_000
 
 
 _ERROR_CHARS = 160
@@ -330,17 +335,28 @@ def _det_kernel(method: str, args):
     return partial(det_leibniz, oracle_cap=args.oracle_cap)
 
 
+def _splits(path: str) -> bool:
+    # a regular file at least _SPLIT_READ_CHARS bytes long, which
+    # split_read reads by byte ranges; a pipe, a terminal or a path that
+    # does not stat is read by _read alone, once
+    try:
+        info = os.stat(path)
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return False
+    return stat.S_ISREG(info.st_mode) and info.st_size >= _SPLIT_READ_CHARS
+
+
 def cmd_det(args) -> str:
     from .formats import dump_text, matrix_from_json, parse_text
 
-    text = _read(args.matrix)
     value, backend = None, FLOAT
-    if args.method == "recurrence" and len(text) >= _SPLIT_READ_CHARS:
+    if args.method == "recurrence" and _splits(args.matrix):
         from .split_read import det_float
 
-        value = det_float(text, args.backend)
+        value = det_float(args.matrix, args.backend)
     if value is None:
-        matrix, backend = matrix_from_json(parse_text(text), args.backend)
+        matrix, backend = matrix_from_json(parse_text(_read(args.matrix)),
+                                           args.backend)
         value = _det_kernel(args.method, args)(matrix)
     return dump_text({"backend": backend, "value": _result_to_json(value)})
 

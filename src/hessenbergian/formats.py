@@ -31,10 +31,10 @@ Every quad with two zero numerators decodes to one shared zero of the
 backend.  The values are, bit for bit and type for type, what the
 scalar rule gives each scalar, and :func:`matrix_to_json` writes a
 float value back as ``[z.real, z.imag]``.  :mod:`split_read` runs the
-same decode on each row of a large float matrix document as it parses
-the row in place, the head rows in a forked child, and so builds the
-same rows; it reads the order token with the same scanner and goes on
-only with the keys, order, rows and realization that
+same decode on the rows of each chunk of a large float matrix file as it
+reads the chunk, the head rows in a forked child, and so builds the same
+rows; it reads the order token with the same scanner and goes on only
+with the keys, order, rows and realization that
 :func:`_matrix_document`, the one check that :func:`matrix_from_json`
 runs, accepts.  Any other document (a bare bool, a value beyond the
 double range, or any invalid scalar) takes the scalar rule, which alone

@@ -74,6 +74,7 @@ float matrix; every other method and spec solves without it.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import truediv
 from typing import TYPE_CHECKING, Tuple
 
@@ -286,17 +287,27 @@ def general_solutions(spec: LdevcSpec, init,
 
 def solve_forward(spec: LdevcSpec, init) -> list:
     """Row-by-row substitution, solving each row for its leading
-    unknown; the independent reference for every other route."""
+    unknown; the independent reference for every other route.
+
+    Where neither the spec nor ``init`` holds a float or complex value,
+    a zero a_{n,k} is skipped, since its term is an exact 0, so a banded
+    spec costs O(h N) products; in floating point 0 * y is NaN for an
+    infinite y and can carry a -0.0 into the sum, so there every term is
+    kept."""
     init = _check_init(spec, init)
     divide = _exact_rules(spec)[1]
+    kinds = set(map(type, chain(init, spec.forcing,
+                                chain.from_iterable(spec.coeffs))))
+    keep_zeros = any(issubclass(kind, (float, complex)) for kind in kinds)
     N = spec.index_N
     values = []
     for n in range(spec.horizon + 1):
         acc = spec.forcing[n]
         row = spec.coeffs[n]
         for idx in range(N + n):
-            y = init[idx] if idx < N else values[idx - N]
-            acc = acc - row[idx] * y
+            if keep_zeros or row[idx]:
+                y = init[idx] if idx < N else values[idx - N]
+                acc = acc - row[idx] * y
         values.append(divide(acc, spec.leading(n)))
     return values
 

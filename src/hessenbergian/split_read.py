@@ -1,52 +1,69 @@
-"""The two-process determinant of a large float matrix document.
+"""The two-process determinant of a large float matrix file.
 
-``cli.cmd_det`` hands a document of at least ``cli._SPLIT_READ_CHARS``
-characters, for ``det --method recurrence``, to :func:`det_float`, which
+``cli.cmd_det`` hands the path of a regular file of at least
+``cli._SPLIT_READ_CHARS`` bytes, for ``det --method recurrence``, to
+:func:`det_float` before it reads any text, and :func:`det_float`
 evaluates the recurrence on two cores.  Row j of the recurrence reads
 nothing above it but the running q_k, det(H_{j-1}) and the
 superdiagonal h_{j-1,j} (see :mod:`determinants`), so one forked child
-parses, decodes and checks the head rows and runs the float recurrence
-over them, and sends only that state down its pipe, about as many
-values as it has rows, while this process parses, decodes and checks
-the tail rows.  This process then resumes the same loop,
+reads, parses, decodes and checks the head rows and runs the float
+recurrence over them, and sends only that state down its pipe, about as
+many values as it has rows, while this process reads, parses, decodes
+and checks the tail rows.  This process then resumes the same loop,
 :func:`determinants._float_prefixes`, from the child's state, so the
 value is bit for bit that of :func:`determinants.det_recurrence` on the
-matrix the one-process read builds.  No row crosses the pipe, and no
-half-document string or parse tree is built: both processes parse the
-one text in place, one row at a time, with
-``json.JSONDecoder.raw_decode``, and decode each row as it is parsed
-with :func:`formats._decode_rows`, the one float decode rule.
+matrix the one-process read builds.  No row crosses the pipe.
+
+No process reads the whole file.  This process reads a few bytes at
+each end of it and the window where it cuts it, all with ``os.pread``,
+and then each process reads only its own byte range, in chunks of
+``_CHUNK`` bytes.  Every chunk must be ASCII, so its bytes are its
+characters.  The rows of a chunk end at the last row boundary ``]],[[``
+in it: they are parsed one at a time with ``json.JSONDecoder.raw_decode``
+and decoded together with :func:`formats._decode_rows`, the one float
+decode rule, and the rest of the chunk, part of a row, is carried into
+the next chunk.  So a process holds at most one chunk of text plus the
+row that runs past it, and the parsed and decoded rows of one chunk.
+The child runs the loop over each chunk's rows as they are decoded and
+keeps none of them, only the state; this process keeps its decoded tail
+rows, which wait for the child's state.  So the command's peak memory
+exceeds that of a command that reads no file by about the decoded tail
+rows, 40 bytes a stored entry (a ``complex`` and its slot in a row),
+and not by the text: ``tests/split_read_cases.py`` checks that the
+excess stays under the file's size.
 
 It runs only on the shape that ``dump_text(matrix_to_json(m))`` writes,
 ``{"order":N,"rows":[[[`` ... ``]]]}`` with trailing whitespace
 allowed, read as float, and only where ``os.fork`` exists, the process
 runs one thread as the OS counts them (CPython 3.12+ warns on a fork
 beside any other thread, a native pool such as a BLAS library's
-included) and at least two CPUs are usable.  The text is cut at the
-first row boundary ``]],[[`` at or after ``_HEAD_SHARE`` of its length.
-The child reads the order token with the JSON scanner and then the rows
-in order from the start of the ``rows`` list; the head holds them only
-if one of them ends exactly at the cut, each followed by a comma.  This
-process reads the rows from just past the cut, each followed by a comma,
-up to one that ends where the closing ``]}`` starts.  So, when both
-succeed, the text is ``{"order":N,"rows":[`` and then the rows, which is
-a matrix document with exactly the keys ``order`` and ``rows``.  Both
-decode every row as float, and the first scalar, a list by the
-canonical start and then decoded as a pair, names the float
-realization, as :func:`formats._matrix_document` reads it.  The child
-checks the length of each head row against the order, and this process
-checks the tail rows once the child has said where they start, and
-that the rows number the order, as the matrix constructor does.  Any
-other outcome returns None, and the caller reads the whole
-text in one process, which alone words every error: a text that does
-not parse (a NaN token, an integer past the digit limit, whitespace
-between rows, a cut inside a string), a row that does not decode as
-float, an exact document, a wrong order or row length, or a child that
-fails.  The child is reaped before this module returns or raises,
-killed first where it has not finished.  It loads nothing and writes
-only to its pipe: its state goes as ``marshal`` bytes (``complex``
-values, which ``marshal`` carries exactly), and it leaves by
-``os._exit`` whatever happens.
+included) and at least two CPUs are usable.  This process checks the
+start of the file and its end, then cuts it at the first row boundary
+``]],[[`` at or after ``_HEAD_SHARE`` of its length, short of trailing
+whitespace.  The child reads the order token with the JSON scanner and
+then the rows in order from the start of the ``rows`` list; the head
+holds them only if one of them ends exactly at the cut, each followed by
+a comma.  This process reads the rows from just past the cut, each
+followed by a comma, up to one that ends where the closing ``]}``
+starts.  So, when both succeed, the text is ``{"order":N,"rows":[`` and
+then the rows, which is a matrix document with exactly the keys
+``order`` and ``rows``.  Both decode every row as float, and the first
+scalar, a list by the canonical start and then decoded as a pair, names
+the float realization, as :func:`formats._matrix_document` reads it.
+The child checks the length of each head row against the order, and
+this process checks the tail rows once the child has said where they
+start, and that the rows number the order, as the matrix constructor
+does.  Any other outcome returns None, and the caller reads the whole
+file in one process, which alone words every error: a byte that is not
+ASCII (a UTF-8 byte order mark included), a text that does not parse (a
+NaN token, an integer past the digit limit, whitespace between rows, a
+cut inside a string), a row that does not decode as float, an exact
+document, a wrong order or row length, a file that changes while it is
+read, or a child that fails.  The child is reaped before this module
+returns or raises, killed first where it has not finished, and the file
+is closed.  The child loads nothing and writes only to its pipe: its
+state goes as ``marshal`` bytes (``complex`` values, which ``marshal``
+carries exactly), and it leaves by ``os._exit`` whatever happens.
 """
 
 from __future__ import annotations
@@ -64,12 +81,16 @@ from .formats import _decode_rows, _refuse_constant
 
 # the start of every document dump_text(matrix_to_json(m)) writes for
 # a matrix of order 2 or more, and json's whitespace
-_CANONICAL_START = re.compile(r'\{"order":\d+,"rows":\[\[\[')
-_JSON_SPACE = " \t\n\r"
-_ROW_BOUNDARY = "]],[["
+_CANONICAL_START = re.compile(rb'\{"order":\d+,"rows":\[\[\[')
+_JSON_SPACE = b" \t\n\r"
+_ROW_BOUNDARY = b"]],[["
+# the bytes read at each end of the file to check its start and its end
+_EDGE = 64
+# the bytes each process reads at a time (ROADMAP item 11)
+_CHUNK = 64 * 1024
 # the share of the text the child takes: it also runs the recurrence
-# over its rows while this process parses the rest (ROADMAP item 11)
-_HEAD_SHARE = 0.45
+# over its rows while this process reads the rest (ROADMAP item 11)
+_HEAD_SHARE = 0.47
 
 
 def _threads() -> int:
@@ -88,18 +109,38 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def det_float(text: str, backend):
-    """``det_recurrence`` of the float matrix document ``text``, computed
-    on two cores, or None where the two-process path does not apply or
-    does not succeed."""
+def det_float(path, backend):
+    """``det_recurrence`` of the float matrix document in the regular
+    file at ``path``, computed on two cores, or None where the
+    two-process path does not apply or does not succeed."""
     if (backend not in (None, FLOAT) or not hasattr(os, "fork")
             or _threads() != 1 or _usable_cpus() < 2):
         return None
-    body = text.rstrip(_JSON_SPACE)
-    if not (_CANONICAL_START.match(body) and body.endswith("]]]}")):
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
         return None
-    cut = body.find(_ROW_BOUNDARY, int(len(body) * _HEAD_SHARE))
-    if cut < 0:
+    try:
+        return _det_file(fd)
+    finally:
+        os.close(fd)
+
+
+def _det_file(fd: int):
+    """:func:`det_float` on the open file ``fd``."""
+    try:
+        size = os.fstat(fd).st_size
+        head = os.pread(fd, _EDGE, 0)
+        tail = os.pread(fd, _EDGE, max(size - _EDGE, 0))
+        start = _CANONICAL_START.match(head)
+        body = tail.rstrip(_JSON_SPACE)  # the end of the text, up to }
+        if not (start and body.endswith(b"]]]}")):
+            return None
+        end = size - len(tail) + len(body)
+        cut = _cut(fd, int(end * _HEAD_SHARE), end)
+    except OSError:
+        return None
+    if cut is None:
         return None
     read_fd, write_fd = os.pipe()
     try:
@@ -110,16 +151,17 @@ def det_float(text: str, backend):
         return None
     if pid == 0:
         os.close(read_fd)
-        _head_child(body, cut + 2, write_fd)
+        _head_child(fd, head[:start.end()].decode("ascii"), cut + 2,
+                    write_fd)
     os.close(write_fd)
     status = None
     try:
         with open(read_fd, "rb") as pipe:
+            rows = []
             try:  # the tail, up to the closing ]}
-                tail = _float_rows(body, cut + 3, len(body) - 2)
+                for chunk in _row_chunks(fd, cut + 3, end - 2):
+                    rows += chunk
             except Exception:  # the one-process read words whatever went wrong
-                return None
-            if tail is None:
                 return None
             payload = pipe.read()
         status = os.waitpid(pid, 0)[1]
@@ -130,52 +172,89 @@ def det_float(text: str, backend):
     if os.waitstatus_to_exitcode(status) != 0:
         return None
     order, m, q, det, prev = marshal.loads(payload)
-    if m + len(tail) != order or any(len(row) != min(i + 1, order)
-                                     for i, row in enumerate(tail, m + 1)):
+    if m + len(rows) != order or any(len(row) != min(i + 1, order)
+                                     for i, row in enumerate(rows, m + 1)):
         return None
     dets = [det]
-    _float_prefixes(tail, q, dets, prev)
+    _float_prefixes(rows, q, dets, prev)
     return dets[-1]
 
 
-def _float_rows(body: str, pos: int, end: int):
-    """The rows of ``body`` from ``pos`` up to the one that ends at
-    ``end``, each followed by a comma, parsed one at a time and decoded
-    as float, or None where they do not read so."""
+def _cut(fd: int, pos: int, end: int):
+    """The offset of the first row boundary in the file at or after
+    ``pos`` that ends by ``end``, read a window at a time, or None."""
+    while pos + len(_ROW_BOUNDARY) <= end:
+        window = os.pread(fd, min(_CHUNK, end - pos), pos)
+        at = window.find(_ROW_BOUNDARY)
+        if at >= 0:
+            return pos + at
+        if len(window) < len(_ROW_BOUNDARY):  # the file got shorter
+            return None
+        # the next window starts where a boundary cut by this one would
+        pos += len(window) - len(_ROW_BOUNDARY) + 1
+    return None
+
+
+def _row_chunks(fd: int, pos: int, end: int):
+    """The rows in bytes ``pos`` to ``end`` of the file, each followed
+    by a comma but the last, which ends at ``end``: for each chunk read,
+    the float rows that end in it.  ValueError (or the parser's error)
+    where they do not read so."""
     scan = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
-    rows = []
-    while True:
-        row, pos = scan(body, pos)
-        decoded = type(row) is list and _decode_rows([row], FLOAT, FLOAT)
+    carried = []  # the text of the row that the chunks so far end inside
+    while pos < end:
+        data = os.pread(fd, min(_CHUNK, end - pos), pos)
+        if not data or not data.isascii():
+            raise ValueError("not a chunk of ASCII text")
+        pos += len(data)
+        piece = data.decode("ascii")
+        # the rows end with the range, or else at the last boundary
+        stop = len(piece)
+        if pos < end:
+            stop = data.rfind(_ROW_BOUNDARY) + 2
+            if stop < 2:  # no boundary: a row runs on past this chunk
+                carried.append(piece)
+                continue
+        text = "".join([*carried, piece[:stop]])
+        carried = [piece[stop + 1:]]
+        rows, at = [], 0
+        while True:
+            row, at = scan(text, at)
+            rows.append(row)
+            if at == len(text):
+                break
+            if text[at] != ",":
+                raise ValueError("rows not followed by a comma")
+            at += 1
+        decoded = (all(type(row) is list for row in rows)
+                   and _decode_rows(rows, FLOAT, FLOAT))
         if not decoded:
-            return None
-        rows.append(decoded[0])
-        if pos == end:
-            return rows
-        if body[pos] != ",":
-            return None
-        pos += 1
+            raise ValueError("rows that do not decode as float")
+        yield decoded
 
 
-def _head_child(body: str, end: int, write_fd: int) -> None:
-    """The child: read the order and the head rows, which end at
-    ``end``, run the recurrence over them, send its state down the pipe
-    as ``(order, m, q, det(H_m), h_{m,m+1})``, and leave by
-    os._exit, 0 only if all of it ran."""
+def _head_child(fd: int, head: str, end: int, write_fd: int) -> None:
+    """The child: read the order from ``head``, the canonical start,
+    and the head rows, which end at ``end``; run the recurrence over
+    each chunk of them as it is decoded; send its state down the pipe as
+    ``(order, m, q, det(H_m), h_{m,m+1})``; and leave by os._exit, 0
+    only if all of it ran."""
     status = 1
     try:
         scan = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
-        order, pos = scan(body, len('{"order":'))
-        rows_at = pos + len(',"rows":[')
-        rows = (type(order) is int and body.startswith(',"rows":[', pos)
-                and _float_rows(body, rows_at, end))
-        if rows and len(rows) < order and all(
-                len(row) == i + 1 for i, row in enumerate(rows, 1)):
-            dets = [1 + 0j]
-            q, prev = _float_prefixes(rows, [], dets)
+        order, pos = scan(head, len('{"order":'))
+        if type(order) is not int or not head.startswith(',"rows":[', pos):
+            return
+        m, q, prev, dets = 0, [], None, [1 + 0j]
+        for rows in _row_chunks(fd, len(head) - 2, end):
+            if any(len(row) != i + 1 for i, row in enumerate(rows, m + 1)):
+                return
+            m += len(rows)
+            q, prev = _float_prefixes(rows, q, dets, prev)
+            del dets[:-1]
+        if 0 < m < order:
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(
-                    (order, len(rows), q, dets[-1], prev)))
+                pipe.write(marshal.dumps((order, m, q, dets[-1], prev)))
             status = 0
     finally:
         os._exit(status)

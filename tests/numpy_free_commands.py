@@ -6,8 +6,9 @@ Puts None in ``sys.modules["numpy"]``, so any import of numpy fails,
 and then runs expand, sep, gen, exact ``solve`` by the forward and the
 ratio methods, exact ``det`` by every method, float ``det`` by the
 recurrence and the Leibniz oracle, a float ``det`` on an order-400
-document past ``cli._SPLIT_READ_CHARS``, whose recurrence this
-one-thread process runs on two cores, float ``solve`` by the recurrence
+file past ``cli._SPLIT_READ_CHARS`` bytes, whose recurrence this
+one-thread process runs on two cores, each process reading its own byte
+range of the file, float ``solve`` by the recurrence
 methods and forward, and ``bench --methods recurrence``, writing each
 output into OUTDIR.  Only the float closed form needs numpy.  The expand commands
 run as ``python -m hessenbergian`` does, through the package's

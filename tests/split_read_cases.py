@@ -10,9 +10,12 @@ runs it in a child pytest that imports no numpy.  Every command test
 forces the split on by setting the threshold to 0 and spies on
 ``os.fork``; "off" is the same call with one usable CPU, so that every
 document is read in one process.  After every call no child of this
-process is left.  One property checks the loop that both processes run:
-resumed at any row, from the state the child sends, it gives the
-prefixes of one pass.
+process is left and no file descriptor is left open.  One property
+checks the loop that both processes run: resumed at any row, from the
+state the child sends, it gives the prefixes of one pass; another cuts
+the file into chunks of 7 bytes and up, so that chunk edges fall inside
+numbers and inside row boundaries and rows span several chunks.  The
+last test measures the peak memory of the command in a child process.
 """
 
 import contextlib
@@ -21,9 +24,11 @@ import json
 import marshal
 import os
 import re
+import subprocess
 import sys
 import threading
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -68,12 +73,18 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def open_fds() -> int:
+    return len(os.listdir("/dev/fd"))
+
+
 def run(argv) -> tuple:
     """(exit code, stdout, stderr) of cli.main(argv)."""
     out, err = io.StringIO(), io.StringIO()
+    fds = open_fds()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     no_child_left()
+    assert open_fds() == fds
     return code, out.getvalue(), err.getvalue()
 
 
@@ -87,8 +98,8 @@ def matrix_text(order: int) -> str:
         for i in range(1, order + 1)])))
 
 
-def second_half(text: str, old: str, new: str) -> str:
-    # the first `old` past the middle replaced by `new`
+def second_half(text, old, new):
+    # the first `old` past the middle replaced by `new`, in str or bytes
     at = text.index(old, len(text) // 2)
     return text[:at] + new + text[at + len(old):]
 
@@ -97,11 +108,22 @@ def first_half(text: str, old: str, new: str) -> str:
     return text.replace(old, new, 1)
 
 
+def the_cut(text: str) -> int:
+    # where the split cuts an ASCII text with no trailing whitespace
+    return text.find("]],[[", int(len(text) * split_read._HEAD_SHARE))
+
+
 def past_the_cut(text: str, old: str, new: str) -> str:
     # the first `old` after the row boundary where the split cuts
-    cut = text.find("]],[[", int(len(text) * split_read._HEAD_SHARE))
-    at = text.index(old, cut + len("]],[["))
+    at = text.index(old, the_cut(text) + len("]],[["))
     return text[:at] + new + text[at + len(old):]
+
+
+def before_the_cut(text: str, new: str) -> str:
+    # `new` inside the last number of the head, in the window the
+    # split reads to find its cut
+    at = the_cut(text) - 1
+    return text[:at] + new + text[at:]
 
 
 # one value of every number matrix_text writes, and the first pair of
@@ -115,17 +137,17 @@ _EXACT = dump_text(matrix_to_json(HessenbergMatrix(12, [
 
 
 def int_head() -> str:
-    # rows 1-8 of ints past 2**53, each a bare int but the first and the
-    # last, int pairs: the canonical start and a row boundary need lists
-    # there; the split cuts right after row 8, before the float pairs
+    # the first rows of ints past 2**53, each a bare int but the first
+    # and the last, int pairs: the canonical start and a row boundary
+    # need lists there; as many rows as leave no float before the cut
     rows = json.loads(_BASE)["rows"]
-    for i in range(8):
+    for i in range(11):
         ints = [2 ** 53 + 1 + 3 * i + j for j in range(i + 2)]
         rows[i] = [[ints[0], 0], *ints[1:-1], [ints[-1], 0]]
-    text = dump_text({"order": 12, "rows": rows})
-    cut = text.find("]],[[", int(len(text) * split_read._HEAD_SHARE))
-    assert text[cut:].startswith("]],[[9.5,")
-    return text
+        text = dump_text({"order": 12, "rows": rows})
+        if "." not in text[:the_cut(text)]:
+            return text
+    raise AssertionError("a float row before the cut")
 
 
 def rows_under_two_keys() -> str:
@@ -183,6 +205,19 @@ _LOOKALIKES = [
      past_the_cut(_BASE, "]],[[", "]], [["), [], True),
     ("a head of bare ints, its first float pair in the tail", int_head(),
      [], True),
+    # the split reads bytes, and takes ASCII only
+    ("a non-ASCII character before the middle",
+     first_half(_BASE, "1.5", "1.\u00e95"), [], True),
+    ("a byte that is not UTF-8 past the middle",
+     second_half(_BASE.encode(), b"11.5", b"11.\xff5"), [], True),
+    ("a non-ASCII character in the cut window",
+     before_the_cut(_BASE, "\u00e9"), [], True),
+    ("a UTF-8 byte order mark", "\ufeff" + _BASE, [], False),
+    ("trailing whitespace longer than the end window",
+     _BASE + " \t\r\n" * split_read._EDGE, [], False),
+    ("a file cut short", _BASE[:-1], [], False),
+    ("a last scalar that is a bare int",
+     _BASE[:_BASE.rindex(",[")] + ",7]]}", [], False),
     ("read as exact", _BASE, ["--backend", "exact"], False),
     ("read as float", _BASE, ["--backend", "float"], True),
     # only the recurrence runs on two cores; the exact closed form and a
@@ -200,7 +235,7 @@ _LOOKALIKES = [
 def test_lookalikes_print_what_one_process_prints(tmp_path, monkeypatch, fork,
                                                   name, text, extra, forks):
     path = tmp_path / "m.json"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     argv = ["det", str(path), *extra]
     split = run(argv)
     assert fork.calls == forks
@@ -217,6 +252,8 @@ def test_a_canonical_document_is_read_without_the_one_process_path(
     def refuse(*args):
         raise AssertionError("the one-process read ran")
 
+    # nor is the whole file read into one text
+    monkeypatch.setattr(cli, "_read", refuse)
     monkeypatch.setattr("hessenbergian.formats.matrix_from_json", refuse)
     code, out, err = run(["det", str(path)])
     assert (code, err, fork.calls) == (0, "", 1)
@@ -321,15 +358,15 @@ def test_the_recurrence_resumed_at_any_cut_gives_one_pass(rows):
 
 
 def fails_in(monkeypatch, where, how):
-    # split_read's _float_rows, failing only in the child or only here
-    parent, float_rows = os.getpid(), split_read._float_rows
+    # split_read's _row_chunks, failing only in the child or only here
+    parent, row_chunks = os.getpid(), split_read._row_chunks
 
     def rows(*args):
         if (os.getpid() == parent) == (where == "parent"):
             how()
-        return float_rows(*args)
+        return row_chunks(*args)
 
-    monkeypatch.setattr(split_read, "_float_rows", rows)
+    monkeypatch.setattr(split_read, "_row_chunks", rows)
 
 
 def raises():
@@ -398,3 +435,107 @@ def test_no_fork_without_os_fork(tmp_path, monkeypatch, fork):
     monkeypatch.delattr(os, "fork")
     assert run(["det", str(path)]) == want
     assert fork.calls == 1  # the first run only
+
+
+def random_part(rng: Random) -> float:
+    # a double of any length in the text: signed zeros, small ints, and
+    # mantissas of up to 17 digits over the whole exponent range
+    return rng.choice((-0.0, 0.0, float(rng.randint(-9, 9)), rng.random(),
+                       rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300)))
+
+
+@given(st.integers(3, 24), st.integers(0, 2 ** 32),
+       st.one_of(st.integers(7, 64), st.integers(65, 4096)))
+@settings(deadline=None, max_examples=60)
+def test_any_chunk_size_gives_the_bits_of_one_process(tmp_path_factory,
+                                                      order, seed, chunk):
+    # chunk edges fall inside numbers and inside ]],[[, and at 7 bytes
+    # every row spans several chunks
+    rng = Random(seed)
+    text = dump_text(matrix_to_json(HessenbergMatrix(order, [
+        [complex(random_part(rng), random_part(rng))
+         for _ in range(row_length(order, i))]
+        for i in range(1, order + 1)])))
+    path = tmp_path_factory.mktemp("doc") / "m.json"
+    path.write_text(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(split_read, "_CHUNK", chunk)
+        fds = open_fds()
+        value = split_read.det_float(str(path), None)
+        no_child_left()
+        assert open_fds() == fds
+    # the split takes every such document with a row boundary past its cut
+    assert (value is not None) == (the_cut(text) >= 0)
+    if value is not None:
+        want = det_recurrence(matrix_from_json(parse_text(text))[0])
+        assert repr(value) == repr(want)
+
+
+def test_a_fifo_is_read_once_and_never_split(tmp_path, monkeypatch, fork):
+    # past the threshold too: a pipe can be read only once, by cli._read
+    text = matrix_text(12)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    want = run(["det", str(path)])
+    assert fork.calls == 1
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reads, read = [], cli._read
+
+    def counted_read(name):
+        reads.append(name)
+        return read(name)
+
+    monkeypatch.setattr(cli, "_read", counted_read)
+    writer = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; open(sys.argv[1], 'w').write(sys.argv[2])",
+         str(fifo), text])
+    try:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["det", str(fifo)])
+    finally:
+        assert writer.wait(10) == 0
+    no_child_left()
+    assert (code, out.getvalue(), err.getvalue()) == want
+    assert (reads, fork.calls) == ([str(fifo)], 1)
+
+
+# starts `python -m hessenbergian ...` and prints its exit code and max
+# RSS, read by os.wait4 as perfbench/launcher.py reads it.  A child's max
+# RSS counts the pages of the process that forked it until exec, so the
+# command is started from this small process and not from pytest.
+_LAUNCHER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def max_rss(*argv) -> int:
+    """The peak RSS in bytes of ``python -m hessenbergian ARGV`` and
+    the children it reaps, as perfbench's ``peak_rss_mb`` reads it."""
+    code, rss = map(int, subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m",
+         "hessenbergian", *argv],
+        capture_output=True, text=True, check=True).stdout.split())
+    assert code == 0, argv
+    return rss if sys.platform == "darwin" else rss * 1024  # Linux: KiB
+
+
+def test_det_of_a_large_file_holds_no_copy_of_its_text(tmp_path):
+    # the command holds its decoded tail rows, about 40 bytes a stored
+    # entry, as many as the text spends on one, and a chunk at a time,
+    # but neither process holds the text; a command that reads no file
+    # (sep) sets the floor
+    path = tmp_path / "m.json"
+    path.write_text(dump_text(matrix_to_json(
+        cli.random_float_matrix(400, Random(400)))))
+    size = path.stat().st_size
+    assert size >= cli._SPLIT_READ_CHARS
+    det = max_rss("det", str(path))
+    sep = max_rss("sep", "--order", "1", "--index", "0")
+    assert det - sep < 1.0 * size, (det, sep, size)

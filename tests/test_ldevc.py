@@ -438,6 +438,22 @@ def test_fundamentals_keep_the_sign_of_zero():
         assert math.copysign(1, v.real) == math.copysign(1, v.imag) == 1
 
 
+def test_forward_keeps_every_term_of_a_float_spec():
+    # a zero coefficient's term is not skipped in floating point: times
+    # y_{-1} = -2 it turns the -0.0 real part of g_0 into +0.0, and
+    # times the overflowed y_1 it makes y_2 NaN
+    spec = LdevcSpec(1, 2, [[0j, 1 + 0j], [0j, 0j, 1e-308 + 0j],
+                            [0j, 0j, 0j, 1 + 0j]],
+                     [complex(-0.0, -0.0), 1e308 + 0j, 2 + 0j])
+    y0, y1, y2 = solve_forward(spec, [-2 + 0j])
+    assert repr(y0) == repr(complex(0.0, -0.0))
+    assert y1 == complex(math.inf, 0)
+    assert cmath.isnan(y2)
+    # the same zeros in an exact spec add nothing
+    exact = LdevcSpec(1, 1, [[0, 1], [0, 0, F(1, 3)]], [F(1, 2), 2])
+    assert solve_forward(exact, [-2]) == [F(1, 2), 6]
+
+
 @pytest.mark.parametrize("make_spec", [random_exact_spec, random_float_spec],
                          ids=["exact", "float"])
 def test_single_solution_equals_every_solution(make_spec):
