@@ -21,32 +21,38 @@ superdiagonal child takes c_{i,i+1} and its standard child the next
 standard factor.
 
 A float-backed matrix sums its terms in ascending m, in fixed-size
-blocks of 2^b consecutive m, gathered from a signed copy of its rows
+blocks of 2^16 consecutive m, from a signed copy of its rows
 (:func:`signed_rows`), which :func:`_float_sums` turns into complex128
-arrays once per call.  :func:`_sum_block` multiplies the rows a
-block shares once, on one-element arrays, and then, for each of the b
-free rows, doubles every prefix into its superdiagonal child and its
-standard child (ascending m) with one gather and one array product per
-row.  The column each child takes depends only on the block's free
-bits, except for the standard child of prefix 0, which takes the
-column that the shared rows leave; so each order builds one intp
-column table per free row, and one for row n, once for all of its
-blocks (:func:`_column_tables`), and each block writes its shared
-column into the one placeholder entry of each table before it
-gathers.  If the shared rows hold a zero factor, every term of the
-block is zero, and the block adds exactly 0 without a gather or a
-product; the zero flags of the other terms are doubled and gathered
-only when a free row or row n holds a zero.  Every term is still the
-left-to-right product 1*c_1*...*c_n of its own factors, formed by
-numpy's array product, so a float term has the same bits as when the
-whole block decodes every row; shared tables of half products would
-change that association, and with it the last bits of the sum.  The
-block sums are combined in ascending order with compensated
-accumulation.  numpy is imported by that kernel alone; no other code
-in the package loads it.  Each call makes one set of block-sized
-buffers and every block writes into them, products out of place
-between two of them: a fresh array per row of a 2^16-term block is
-about 1 MB, which the allocator would map and unmap each time.
+arrays once per call.  Each block's terms are formed in sub-blocks of
+2^b consecutive m (:func:`_sub_block_terms`), which multiply the rows
+they share once, on one-element arrays, and then, for each of the b
+free rows, write every prefix's two children straight into their slots
+(ascending m) with two array products: the superdiagonal children
+times the one factor c_{i,i+1}, and the standard children times a
+table of their factors.  The factor a standard child takes depends
+only on the free bits, except for the standard child of prefix 0,
+which takes the column that the shared rows leave; so each order
+fills one factor table per free row, and one for row n, once for all
+of its sub-blocks (:func:`_factor_tables`), and each sub-block
+writes its shared column's factors into the one placeholder entry of
+each table.  If the shared rows hold a zero factor, every term of the
+sub-block is zero, and it adds exactly 0 without a product; the zero
+flags of the other terms are tracked only when a free row or row n
+holds a zero.  Every term is still the left-to-right product
+1*c_1*...*c_n of its own factors, formed by numpy's array product, so a
+float term has the same bits as when the whole block decodes every
+row; shared tables of half products would change that association, and
+with it the last bits of the sum.  :func:`_sum_block` adds a block's
+sub-block sums in the tree in which numpy's pairwise sum adds a
+power-of-two length, so each block sum has the bits of numpy's sum of
+the whole block, and the block sums are combined in ascending order
+with compensated accumulation.  numpy is imported by that kernel
+alone; no other code in the package loads it.  Each call makes one set
+of sub-block-sized buffers and every sub-block writes into them,
+products out of place between two of them.  Sub-blocks of 2^15 terms
+keep those buffers, the factor tables among them, near 2 MB, and they
+were the fastest size measured: a smaller one makes more numpy calls
+per term.
 
 An exact matrix converts its stored rows once, by
 :func:`gaussian_rows`, as the recurrence does, and
@@ -86,6 +92,9 @@ from .matrix import (HessenbergMatrix, exact_prefixes, gaussian_rows,
                      signed_rows)
 
 _BLOCK = 1 << 16  # a power of two: a block's m share their high bits
+# the terms formed at once, a power of two; the fastest of 2^13 to 2^16
+# (ROADMAP item 11)
+_SUB_BLOCK = 1 << 15
 
 
 def chi(matrix: HessenbergMatrix, m: int):
@@ -108,41 +117,45 @@ def chi(matrix: HessenbergMatrix, m: int):
     return value
 
 
-def _column_tables(n: int, free: int) -> list:
-    # The 0-based column each term takes at the last `free` factor rows
-    # of order n, and at row n, in a block of 2^free consecutive m:
-    # one intp array per row, built by doubling the prefixes as
-    # _sum_block does.  At a free row i prefix p's superdiagonal child
-    # takes column i and its standard child column last[p], the row of
-    # p's last standard factor, which the free bits fix for every p but
-    # 0; row n takes last[p] alone.  Prefix 0's column comes from the
-    # rows the block shares, so it is the one placeholder, entry 1 of
-    # each free row's table and entry 0 of row n's, which _sum_block
-    # writes.
-    import numpy as np
-
-    last = np.zeros(1, np.intp)  # entry 0 is the placeholder
+def _factor_tables(rows, zeros, n: int, free: int, buffers) -> list:
+    # The factor each prefix's standard child takes at the last `free`
+    # factor rows of order n, in a sub-block of 2^free consecutive m,
+    # and at row n, with its zero flags (None for a row with no zero):
+    # one (factors, flags) pair of views into `buffers` per row, indexed
+    # by the prefixes before that row's doubling.  The next standard
+    # factor sits in the column of the row of the last standard factor,
+    # so prefix p > 0 takes, at row i, the 0-based column i-1-b, where b
+    # is the number of trailing zero bits of p; prefix 0's column comes
+    # from the rows the sub-block shares, so entry 0 of each table is
+    # the one placeholder, which _sub_block_terms writes.
+    _, _, factor_buf, flag_buf, _ = buffers
     tables = []
-    for i in range(n - free, n):
-        row = np.full_like(last, i)
-        tables.append(np.column_stack((row, last)).ravel())
-        last = np.column_stack((last, row)).ravel()
-    tables.append(last)
+    for j, i in enumerate(range(n - free, n + 1)):
+        row, zero = rows[i - 1], zeros[i - 1]
+        at = slice((1 << j) - 1, (2 << j) - 1)  # 2^j prefixes
+        factors = factor_buf[at]
+        flags = None if zero is None else flag_buf[at]
+        for b in range(j):  # the p with b trailing zero bits
+            factors[1 << b::2 << b] = row[i - 1 - b]
+            if flags is not None:
+                flags[1 << b::2 << b] = zero[i - 1 - b]
+        tables.append((factors, flags))
     return tables
 
 
-def _sum_block(rows, zeros, n: int, start: int, tables,
-               buffers) -> complex:
-    # The terms m in [start, start + 2^free), a block whose m share
-    # every bit above the lowest `free`, built down the prefix tree one
-    # factor row at a time; rows[i-1] is signed row i, a complex128
-    # array, and zeros[i-1] its zero flags, or None when it has no
-    # zero.  `tables` are _column_tables(n, free).  Every intermediate
-    # is written into the first k entries of `buffers` (see
-    # _float_sums), k the number of prefixes so far.
+def _sub_block_terms(rows, zeros, n: int, start: int, tables, buffers):
+    # The terms m in [start, start + 2^free), whose m share every bit
+    # above the lowest `free`, built down the prefix tree one factor
+    # row at a time, or None if a row they all share holds a zero;
+    # rows[i-1] is signed row i, a complex128 array, and zeros[i-1] its
+    # zero flags, or None when it has no zero.  `tables` are
+    # _factor_tables(rows, zeros, n, free, buffers).  Every intermediate
+    # is written into the first k entries of the product and dead pairs
+    # of `buffers` (see _float_sums), k the number of prefixes so far,
+    # and the terms are a view of one of them.
     import numpy as np
 
-    (prod, spare_prod), picked_buf, dead_pair = buffers
+    (prod, spare_prod), (dead, spare_dead), *_ = buffers
     free = len(tables) - 1
     # the shared rows' columns; `last` is the column of the next
     # standard factor: the row of the last standard factor, 0 if none
@@ -154,53 +167,87 @@ def _sum_block(rows, zeros, n: int, start: int, tables,
             last = i
         else:
             shared.append(i)
-    # a zero factor that every term shares: the block sums to exactly 0
+    # a zero factor that every term shares: every term is exactly 0
     if any(z is not None and z[col] for z, col in zip(zeros, shared)):
-        return 0j
-    for table in tables[:-1]:
-        table[1] = last
-    tables[-1][0] = last
+        return None
+    for i, (factors, flags) in enumerate(tables, start=n - free):
+        factors[0] = rows[i - 1][last]
+        if flags is not None:
+            flags[0] = zeros[i - 1][last]
     # dead flags mark the prefixes with a zero factor, needed only when
     # a row past the shared ones holds a zero
-    track = any(z is not None for z in zeros[n - free - 1:n])
-    if track:
-        dead, spare_dead = dead_pair
-        dead[0] = False
-    k = 1
+    track = any(flags is not None for _, flags in tables)
+    dead[0] = False
     prod[0] = 1
-    # an overflowing product becomes inf or nan in the value, not a warning
-    with np.errstate(all="ignore"):
-        # out of place: numpy's in-place product of one-element arrays
-        # rounds complex values differently from its product of longer
-        # ones, and the block sums must not depend on how many rows the
-        # block shares.  The output is the spare buffer, never an
-        # operand, so numpy runs prod times the factor in that order;
-        # its complex product does not commute in the last bit
-        for row, col in zip(rows, shared):
-            np.multiply(prod[:1], row[col:col + 1], out=spare_prod[:1])
-            prod, spare_prod = spare_prod, prod
-        for i, cols in enumerate(tables, start=n - free):
-            if i < n:  # every prefix doubles: superdiagonal, then standard
-                # two strided copies: about half the time of one
-                # broadcast copy into a (k, 2) view
-                spare_prod[0:2 * k:2] = spare_prod[1:2 * k:2] = prod[:k]
-                prod, spare_prod = spare_prod, prod
-                if track:
-                    spare_dead[0:2 * k:2] = spare_dead[1:2 * k:2] = dead[:k]
-                    dead, spare_dead = spare_dead, dead
-                k *= 2
-            # the indices are in range; "clip" spares np.take the
-            # buffered copy that its default mode makes with out=
-            picked = np.take(rows[i - 1], cols, out=picked_buf[:k],
-                             mode="clip")
-            np.multiply(prod[:k], picked, out=spare_prod[:k])
-            prod, spare_prod = spare_prod, prod
-            if track and zeros[i - 1] is not None:
-                np.take(zeros[i - 1], cols, out=spare_dead[:k], mode="clip")
-                np.logical_or(dead[:k], spare_dead[:k], out=dead[:k])
+    # out of place: numpy's in-place product of one-element arrays
+    # rounds complex values differently from its product of longer ones,
+    # and the terms must not depend on how many rows the sub-block
+    # shares.  The output is the spare buffer, never an operand, so
+    # numpy runs prod times the factor in that order; its complex
+    # product does not commute in the last bit
+    for row, col in zip(rows, shared):
+        np.multiply(prod[:1], row[col:col + 1], out=spare_prod[:1])
+        prod, spare_prod = spare_prod, prod
+    k = 1
+    for i, (factors, flags) in enumerate(tables[:-1], start=n - free):
+        # prefix p's superdiagonal child goes to slot 2p, times the one
+        # factor c_{i,i+1} as a stride-0 operand, and its standard child
+        # to slot 2p+1, so the children stay in ascending m
+        row = rows[i - 1]
+        np.multiply(prod[:k], row[i:i + 1], out=spare_prod[0:2 * k:2])
+        np.multiply(prod[:k], factors, out=spare_prod[1:2 * k:2])
+        prod, spare_prod = spare_prod, prod
         if track:
-            np.copyto(prod[:k], 0, where=dead[:k])
-        return prod[:k].sum().item()
+            zero = zeros[i - 1]
+            if zero is None:
+                spare_dead[0:2 * k:2] = spare_dead[1:2 * k:2] = dead[:k]
+            else:
+                np.logical_or(dead[:k], zero[i:i + 1],
+                              out=spare_dead[0:2 * k:2])
+                np.logical_or(dead[:k], flags, out=spare_dead[1:2 * k:2])
+            dead, spare_dead = spare_dead, dead
+        k *= 2
+    factors, flags = tables[-1]  # row n takes its standard factor alone
+    np.multiply(prod[:k], factors, out=spare_prod[:k])
+    prod = spare_prod
+    if track:
+        if flags is not None:
+            np.logical_or(dead[:k], flags, out=dead[:k])
+        np.copyto(prod[:k], 0, where=dead[:k])
+    return prod[:k]
+
+
+def _sum_block(rows, zeros, n: int, start: int, stop: int, tables,
+               buffers) -> complex:
+    # The terms m in [start, stop), a block, formed in sub-blocks of
+    # 2^free terms (`tables` are _factor_tables(..., free, buffers))
+    # and summed with the bits of numpy's sum of the whole block.  That
+    # sum is pairwise: it halves a power-of-two length down to 64 terms
+    # and sums each such leaf in four interleaved runs.  So sub-blocks
+    # of at least 64 terms are summed alone and their sums added in the
+    # halving tree, left to right, and smaller ones are copied into one
+    # leaf, the last buffer, which is summed when it is full
+    leaf = buffers[-1]
+    sub = len(tables[-1][0])
+    unit = min(stop - start, max(sub, len(leaf)))
+    sums = []  # the open subtrees of the halving tree, left to right
+    for count, first in enumerate(range(start, stop, unit), start=1):
+        if sub < unit:
+            for at in range(0, unit, sub):
+                terms = _sub_block_terms(rows, zeros, n, first + at, tables,
+                                         buffers)
+                leaf[at:at + sub] = 0 if terms is None else terms
+            value = leaf[:unit].sum().item()
+        else:
+            terms = _sub_block_terms(rows, zeros, n, first, tables, buffers)
+            value = 0j if terms is None else terms.sum().item()
+        while not count & 1:  # close each subtree this unit completes
+            value = sums.pop() + value
+            count >>= 1
+        sums.append(value)
+    # numpy's sum adds its pairwise sum to +0j, as each unit's sum did,
+    # so the two can differ only in the sign of a zero
+    return 0j + sums[0]
 
 
 def _gaussian_sums(rows: tuple) -> list:
@@ -240,25 +287,32 @@ def _float_sums(crows: tuple, orders) -> list:
     # det(H_k) for each k in orders, from the signed rows of the whole
     # matrix, as complex128 arrays: the rows past k and row k's
     # superdiagonal are never read, so each sum has the bits of H_k's
-    # own signed rows.  Every block of every order writes into one set
-    # of buffers, made here (see the module docstring): the product
-    # pair, the picked factors and the dead pair; each order builds its
-    # column tables once, for all of its blocks
+    # own signed rows.  Every sub-block of every order writes into one
+    # set of sub-block-sized buffers, made here (see the module
+    # docstring): the product pair, the dead pair, the factor tables
+    # and their zero flags, which each order fills once for all of its
+    # sub-blocks, and the 64-term leaf of _sum_block
     import numpy as np
 
     crows = [np.array(row, np.complex128) for row in crows]
     block = _BLOCK
-    size = min(block, 1 << (max(orders) - 1))
-    buffers = (np.empty((2, size), np.complex128),
-               np.empty(size, np.complex128), np.empty((2, size), bool))
+    size = min(_SUB_BLOCK, block, 1 << (max(orders) - 1))
+    buffers = (np.empty((2, size), np.complex128), np.empty((2, size), bool),
+               np.empty(2 * size, np.complex128), np.empty(2 * size, bool),
+               np.empty(64, np.complex128))
     zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     sums = []
-    for k in orders:
-        total = 1 << (k - 1)  # the terms of order k
-        tables = _column_tables(k, min(block, total).bit_length() - 1)
-        sums.append(_kahan_sum(_sum_block(crows, zeros, k, start, tables,
-                                          buffers)
-                               for start in range(0, total, block)))
+    # an overflowing product becomes inf or nan in the value, not a warning
+    with np.errstate(all="ignore"):
+        for k in orders:
+            total = 1 << (k - 1)  # the terms of order k
+            step = min(block, total)
+            tables = _factor_tables(crows, zeros, k,
+                                    min(size, step).bit_length() - 1, buffers)
+            sums.append(_kahan_sum(
+                _sum_block(crows, zeros, k, start, start + step, tables,
+                           buffers)
+                for start in range(0, total, step)))
     return sums
 
 
@@ -270,10 +324,11 @@ def det_closed_form(matrix: HessenbergMatrix, *,
     A term with a zero factor adds exactly 0 on both realizations, as in
     the recurrence, so a zero entry never turns an overflowing product
     into NaN.  A float-backed matrix sums its order-n terms alone, in
-    _BLOCK-sized blocks of ascending m, combined in ascending order;
-    a block whose shared rows hold a zero factor adds 0 without a
-    product, and the other blocks flag zero factors only when a row
-    they double over holds a zero.  An exact matrix
+    _BLOCK-sized blocks of ascending m, combined in ascending order,
+    each formed in _SUB_BLOCK-sized sub-blocks and summed as numpy sums
+    the whole block; a sub-block whose shared rows hold a zero factor
+    adds 0 without a product, and the others flag zero factors only
+    when a row they double over holds a zero.  An exact matrix
     takes the last prefix of :func:`closed_form_prefixes`, the one walk
     of :func:`_gaussian_sums`, which never enters the terms under a
     zero factor.

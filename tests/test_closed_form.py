@@ -298,6 +298,83 @@ def test_float_kernel_bits_equal_per_term_decode(monkeypatch, block):
         assert repr(det_closed_form(m)) == repr(_per_term_sum(m))
 
 
+@pytest.mark.parametrize("block, sub", [(64, 1), (64, 4), (64, 16),
+                                        (64, 64), (256, 4), (256, 64)])
+def test_sub_block_sums_equal_per_term_decode(monkeypatch, block, sub):
+    # the terms are formed in sub-blocks and each block is still summed
+    # as numpy sums it whole: sub-blocks smaller than its 64-term leaf
+    # fill one leaf, and larger sums meet in its halving tree (at 256,
+    # four 64-term leaves); order 12 spans 32 blocks of 64 terms
+    monkeypatch.setattr(closed_form, "_BLOCK", block)
+    monkeypatch.setattr(closed_form, "_SUB_BLOCK", sub)
+    rng = random.Random(block + sub)
+    matrices = [_overflow_matrix()] + [
+        matrix for order in range(1, 13)
+        for matrix in (random_float_matrix(order, rng),
+                       _float_matrix_with_zeros(order, rng),
+                       _float_matrix_with_signed_zeros(order, rng))]
+    for m in matrices:
+        assert repr(det_closed_form(m)) == repr(_per_term_sum(m))
+    m = _float_matrix_with_zeros(12, rng)
+    assert [repr(v) for v in closed_form_prefixes(m)[1:]] == [
+        repr(_per_term_sum(leading_submatrix(m, k))) for k in range(1, 13)]
+
+
+def _bits(values):
+    # the bytes of complex128 values with every nan made one nan: a
+    # nan's sign bit is not kept across layouts, and no repr shows it
+    parts = np.array(values, np.complex128).view(np.float64).copy()
+    parts[np.isnan(parts)] = np.nan
+    return parts.tobytes()
+
+
+def _awkward_values(rng, size, scale=300, special=(np.inf, -np.inf, np.nan)):
+    # values of magnitude 10^-scale to 10^scale, with signed zeros,
+    # subnormals and `special` in about a third of the parts
+    special = np.array([*special, 0.0, -0.0, 5e-324, -2.5e-310])
+    parts = (rng.standard_normal(2 * size)
+             * 10.0 ** rng.integers(-scale, scale + 1, 2 * size))
+    pick = rng.random(2 * size) < 0.3
+    parts[pick] = rng.choice(special, pick.sum())
+    return parts.view(np.complex128)
+
+
+def test_numpy_keeps_the_bits_the_float_kernel_relies_on():
+    # _sub_block_terms writes each product into a strided slot of its
+    # output, with the superdiagonal factor as a stride-0 operand, and
+    # _sum_block adds the sums of a block's halves as numpy's pairwise
+    # sum does; each must give the bits of the contiguous operation,
+    # or the closed form's values change with its block sizes
+    rng = np.random.default_rng(34)
+    with np.errstate(all="ignore"):
+        for size in (1, 2, 3, 7, 8, 64, 1000, 4097):
+            a = _awkward_values(rng, size)
+            b = _awkward_values(rng, size)
+            out = np.empty(2 * size, np.complex128)
+            for slots in (out[0::2], out[1::2]):
+                np.multiply(a, b, out=slots)
+                assert _bits(slots) == _bits(np.multiply(a, b)), (
+                    "numpy's complex product into a strided out= view "
+                    "differs from its contiguous product; _sum_block's "
+                    "sub-blocks (_sub_block_terms) rely on them being equal")
+                np.multiply(a, b[3 % size:3 % size + 1], out=slots)
+                assert _bits(slots) == _bits(
+                    np.multiply(a, np.full(size, b[3 % size]))), (
+                    "numpy's complex product by a stride-0 factor differs "
+                    "from its contiguous product; _sum_block's sub-blocks "
+                    "(_sub_block_terms) rely on them being equal")
+        for size in (128, 256, 1 << 12, 1 << 16):
+            # finite, so that each sum rounds many times
+            for _ in range(5):
+                a = _awkward_values(rng, size, scale=3, special=())
+                half = size // 2
+                whole = a.sum().item()
+                halves = 0j + (a[:half].sum().item() + a[half:].sum().item())
+                assert repr(whole) == repr(halves), (
+                    "numpy's sum of a power-of-two length is not the sum "
+                    "of its halves' sums; _sum_block relies on it")
+
+
 def test_reused_buffers_carry_nothing_between_orders_or_blocks():
     # at the default block size, order 18 spans two full blocks and
     # every smaller order a slice of the same buffers; zeros only in the
@@ -340,12 +417,29 @@ def test_order_19_prefixes_at_the_default_block_are_pinned():
         "115371f91c50db7fe4d8a2853c0b8349364e03fac06c4ad39922a1b31bf9230b")
 
 
-@pytest.mark.parametrize("block", [4, 64])
-def test_dead_blocks_add_zero_without_a_product(monkeypatch, block):
+def test_order_24_value_at_the_default_sizes_is_pinned():
+    # 128 blocks of 2^16 terms, each formed in two sub-blocks of 2^15;
+    # the repr is the value of the kernel that formed every block whole
+    assert closed_form._BLOCK == 1 << 16
+    assert closed_form._SUB_BLOCK == 1 << 15
+    m = random_float_matrix(24, random.Random(24))
+    assert repr(det_closed_form(m)) == (
+        "(0.007405291516356143-0.006075400737754349j)")
+
+
+@pytest.mark.parametrize("block, sub", [(4, None), (64, None), (64, 4),
+                                        (64, 16)],
+                         ids=["4", "64", "64-sub4", "64-sub16"])
+def test_dead_blocks_add_zero_without_a_product(monkeypatch, block, sub):
     # a block whose shared rows hold a zero factor sums to exactly
     # +0+0j: it gathers nothing and multiplies nothing, and the value
-    # keeps the bits of the per-term decode
+    # keeps the bits of the per-term decode.  So does a sub-block whose
+    # shared rows hold a zero inside a live block; with the default
+    # sub-block size every block is one sub-block
     monkeypatch.setattr(closed_form, "_BLOCK", block)
+    if sub is not None:
+        monkeypatch.setattr(closed_form, "_SUB_BLOCK", sub)
+    sub = min(block, closed_form._SUB_BLOCK)
     rng = random.Random(block + 3)
     matrices = [_float_matrix_with_zeros(order, rng)
                 for order in range(8, 13) for _ in range(2)]
@@ -358,38 +452,59 @@ def test_dead_blocks_add_zero_without_a_product(monkeypatch, block):
             return real(*args, **kwargs)
         return counted
 
+    def counted(record, real):
+        def call(rows, zeros, n, start, *rest):
+            before = len(calls)
+            value = real(rows, zeros, n, start, *rest)
+            record.append((start, len(calls) - before, value))
+            return value
+        return call
+
     blocks = []
-    sum_block = closed_form._sum_block
-
-    def counted_block(rows, zeros, n, start, *rest):
-        before = len(calls)
-        value = sum_block(rows, zeros, n, start, *rest)
-        blocks.append((start, len(calls) - before, value))
-        return value
-
+    subs = []
     monkeypatch.setattr(np, "multiply", spy(np.multiply))
     monkeypatch.setattr(np, "take", spy(np.take))
-    monkeypatch.setattr(closed_form, "_sum_block", counted_block)
-    dead_blocks = live_blocks = 0
+    monkeypatch.setattr(closed_form, "_sum_block",
+                        counted(blocks, closed_form._sum_block))
+    monkeypatch.setattr(closed_form, "_sub_block_terms",
+                        counted(subs, closed_form._sub_block_terms))
+
+    def dead_starts(m, size):
+        # the first m of each run of `size` terms, and whether the rows
+        # the run shares hold a zero factor
+        n = m.order
+        shared = n - 1 - (size.bit_length() - 1)
+        rows = signed_rows(m)
+        return {start: any(row[col - 1] == 0 for row, col
+                           in zip(rows, factors.columns[:shared]))
+                for start, factors in enumerate_seps(n)
+                if start % size == 0}
+
+    dead_blocks = live_blocks = dead_subs_in_live = 0
     for m, want in zip(matrices, wants):
         blocks.clear()
+        subs.clear()
         assert repr(det_closed_form(m)) == want
-        n = m.order
-        shared = n - 1 - (block.bit_length() - 1)
-        rows = signed_rows(m)
-        starts = {start: factors.columns[:shared]
-                  for start, factors in enumerate_seps(n)
-                  if start % block == 0}
-        assert [start for start, _, _ in blocks] == sorted(starts)
+        block_dead = dead_starts(m, block)
+        sub_dead = dead_starts(m, sub)
+        assert [start for start, _, _ in blocks] == sorted(block_dead)
         for start, count, value in blocks:
-            if any(row[col - 1] == 0
-                   for row, col in zip(rows, starts[start])):
+            if block_dead[start]:
                 dead_blocks += 1
                 assert count == 0 and repr(value) == "0j"
-            else:
+            else:  # multiplies unless each of its sub-blocks is dead
                 live_blocks += 1
-                assert count > 0
+                assert (count > 0) == any(not sub_dead[at] for at in
+                                          range(start, start + block, sub))
+        assert [start for start, _, _ in subs] == sorted(sub_dead)
+        for start, count, terms in subs:
+            if sub_dead[start]:
+                assert count == 0 and terms is None
+                dead_subs_in_live += not block_dead[start - start % block]
+            else:
+                assert count > 0 and terms is not None
     assert dead_blocks and live_blocks
+    assert dead_subs_in_live or sub == block
 
 
 @pytest.mark.parametrize("block", [4, 64])
