@@ -11,13 +11,13 @@ realization); a bare float forces the float realization.  One document
 must stay within a single realization: mixing four-integer and
 two-number scalars is a format error, whatever it is read into.
 
-There is one conversion rule: the loaders decode every scalar once,
-straight into their ``backend`` argument (default: the document's own
-realization, "exact" unless something float-only appeared), and return
-it with the object.  Float values go through ``complex`` first, even when
-read as exact; :func:`convert_spec` reuses the rule.  Matrix and spec
-documents of either realization, read into either backend, are decoded
-by one batched rule, :func:`_decode_rows`: one type scan over every
+The loaders decode every scalar once, straight into their ``backend``
+argument (default: the document's own realization, "exact" unless
+something float-only appeared), and return it with the object.  Float
+values go through ``complex`` first, even when read as exact;
+:func:`convert_spec` reuses the rule.  Matrix and spec documents of
+either realization, read into either backend, are decoded by one
+batched rule, :func:`_decode_rows`: one type scan over every
 scalar, then one conversion pass.  A float document read as float must
 hold finite ``[re, im]`` pairs of floats and ints, or bare floats or
 ints v read as ``[v, 0]``, and each row becomes a tuple of
@@ -30,15 +30,24 @@ read as float, each part is rounded once and a bare v becomes
 Every quad with two zero numerators decodes to one shared zero of the
 backend.  The values are, bit for bit and type for type, what the
 scalar rule gives each scalar, and :func:`matrix_to_json` writes a
-float value back as ``[z.real, z.imag]``.  :mod:`split_read` runs the
-same decode on the rows of each chunk of a large float matrix file as it
-reads the chunk, the head rows in a forked child, and so builds the same
-rows; it reads the order token with the same scanner and goes on only
-with the keys, order, rows and realization that
-:func:`_matrix_document`, the one check that :func:`matrix_from_json`
-runs, accepts.  Any other document (a bare bool, a value beyond the
-double range, or any invalid scalar) takes the scalar rule, which alone
-words the decode errors.
+float value back as ``[z.real, z.imag]``.  Any other document (a bare
+bool, a value beyond the double range, or any invalid scalar) takes the
+scalar rule, which alone words the decode errors.
+
+:mod:`split_read` reads a large float matrix file a chunk at a time, the
+head rows in a forked child, and decodes the rows of each chunk by a
+second rule, :func:`_decode_pair_rows`, which takes the text and not a
+parse tree.  It applies only to ASCII rows of ``[re, im]`` pairs of
+JSON numbers that each hold a fraction or an exponent, with no
+whitespace, the subset that ``dump_text(matrix_to_json(m))`` writes for
+a float matrix, and reads them with one JSON parse of a flat list of the
+numbers, so each value is bit for bit what :func:`_decode_rows` gives
+its pair.  A chunk of any other text returns None and takes the parser
+and :func:`_decode_rows`, as a whole document does.  :mod:`split_read`
+reads the order token with the JSON scanner and goes on only with the
+keys, order, rows and realization that :func:`_matrix_document`, the
+one check that :func:`matrix_from_json` runs, accepts.
+
 No document is read or written with numpy.  The loaders import
 :mod:`matrix` and :mod:`ldevc` where they build a matrix or a spec, so
 a command that reads one loads only its module, and one that only
@@ -69,7 +78,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -284,6 +293,48 @@ def _decode_rows(rows, mode, backend):
                 for row in rows]
     except OverflowError:  # a ratio beyond the double range
         return None
+
+
+_DIGITS_AND_SIGNS = b"0123456789+-"
+_EXPONENTS_TO_POINTS = bytes.maketrans(b"eE", b"..")
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+
+
+def _decode_pair_rows(text: bytes):
+    """The float rows of ``text``, ASCII rows of [re, im] pairs of JSON
+    numbers with a fraction or an exponent, separated by commas, as
+    ``dump_text(matrix_to_json(m))`` writes them, each value bit for bit
+    what :func:`_decode_rows` gives its pair: one JSON parse of a flat
+    list of the numbers, read pairwise into ``complex``, and the rows cut
+    as the brackets say.  None where the text is not of that shape
+    (whitespace, an integer part, a bare number, any other JSON value) or
+    a value is not finite: the parser and :func:`_decode_rows` then read
+    it, or word its error."""
+    # With the digits and signs deleted and each e or E made a point, a
+    # part is one or more points, so none is empty; with the points
+    # deleted too, each row of k pairs leaves [[, then ],[, k - 1 times,
+    # and ]], and the rows are joined by commas.
+    marked = text.translate(_EXPONENTS_TO_POINTS, _DIGITS_AND_SIGNS)
+    if b"[," in marked or b",]" in marked:
+        return None
+    skeleton = marked.translate(None, b".")
+    pairs = [row.count(b"],[") + 1 for row in skeleton[2:-2].split(b"]],[[")]
+    if skeleton != b"[[" + b"]],[[".join(
+            b",],[" * (k - 1) + b"," for k in pairs) + b"]]":
+        return None
+    # Each bracket becomes whitespace: a number next to a bracket where no
+    # part belongs meets a part with no comma between, which JSON refuses.
+    # (Deleting the brackets would join the two into one number.)
+    flat = text.translate(_BRACKETS_TO_SPACES).decode("ascii")
+    try:  # the one JSON number scanner, which refuses +1, 01, .5 and 1.
+        parts = iter(json.loads(f"[{flat}]"))
+    except ValueError:
+        return None
+    values = list(map(complex, parts, parts))  # each part a float
+    if not all(map(cmath.isfinite, values)):  # a literal such as 1e400
+        return None
+    values = iter(values)
+    return [tuple(islice(values, k)) for k in pairs]
 
 
 def matrix_to_json(matrix: HessenbergMatrix) -> dict:

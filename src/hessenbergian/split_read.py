@@ -19,11 +19,17 @@ each end of it and the window where it cuts it, all with ``os.pread``,
 and then each process reads only its own byte range, in chunks of
 ``_CHUNK`` bytes.  Every chunk must be ASCII, so its bytes are its
 characters.  The rows of a chunk end at the last row boundary ``]],[[``
-in it: they are parsed one at a time with ``json.JSONDecoder.raw_decode``
-and decoded together with :func:`formats._decode_rows`, the one float
-decode rule, and the rest of the chunk, part of a row, is carried into
-the next chunk.  So a process holds at most one chunk of text plus the
-row that runs past it, and the parsed and decoded rows of one chunk.
+in it, and the rest of the chunk, part of a row, is carried into the
+next chunk.  The rows are decoded by :func:`formats._decode_pair_rows`,
+which reads the rows of ``[re, im]`` float pairs that the package writes
+with one JSON parse of a flat list of their numbers.  Where it returns
+None (whitespace, an integer or bare number, an invalid token, a value
+beyond the doubles), they are parsed one at a time with
+``json.JSONDecoder.raw_decode`` and decoded together with
+:func:`formats._decode_rows`, and either way each value has the bits
+that the one-process read gives it.  So a process holds at most one
+chunk of text plus the row that runs past it, and the parsed and decoded
+rows of one chunk.
 The child runs the loop over each chunk's rows as they are decoded and
 keeps none of them, only the state; this process keeps its decoded tail
 rows, which wait for the child's state.  So the command's peak memory
@@ -77,7 +83,7 @@ import threading
 
 from .determinants import _float_prefixes
 from .errors import FLOAT
-from .formats import _decode_rows, _refuse_constant
+from .formats import _decode_pair_rows, _decode_rows, _refuse_constant
 
 # the start of every document dump_text(matrix_to_json(m)) writes for
 # a matrix of order 2 or more, and json's whitespace
@@ -207,29 +213,31 @@ def _row_chunks(fd: int, pos: int, end: int):
         if not data or not data.isascii():
             raise ValueError("not a chunk of ASCII text")
         pos += len(data)
-        piece = data.decode("ascii")
         # the rows end with the range, or else at the last boundary
-        stop = len(piece)
+        stop = len(data)
         if pos < end:
             stop = data.rfind(_ROW_BOUNDARY) + 2
             if stop < 2:  # no boundary: a row runs on past this chunk
-                carried.append(piece)
+                carried.append(data)
                 continue
-        text = "".join([*carried, piece[:stop]])
-        carried = [piece[stop + 1:]]
-        rows, at = [], 0
-        while True:
-            row, at = scan(text, at)
-            rows.append(row)
-            if at == len(text):
-                break
-            if text[at] != ",":
-                raise ValueError("rows not followed by a comma")
-            at += 1
-        decoded = (all(type(row) is list for row in rows)
-                   and _decode_rows(rows, FLOAT, FLOAT))
-        if not decoded:
-            raise ValueError("rows that do not decode as float")
+        text = b"".join([*carried, data[:stop]])
+        carried = [data[stop + 1:]]
+        decoded = _decode_pair_rows(text)
+        if decoded is None:  # any other shape: parsed row by row
+            text = text.decode("ascii")
+            rows, at = [], 0
+            while True:
+                row, at = scan(text, at)
+                rows.append(row)
+                if at == len(text):
+                    break
+                if text[at] != ",":
+                    raise ValueError("rows not followed by a comma")
+                at += 1
+            decoded = (all(type(row) is list for row in rows)
+                       and _decode_rows(rows, FLOAT, FLOAT))
+            if not decoded:
+                raise ValueError("rows that do not decode as float")
         yield decoded
 
 

@@ -205,6 +205,28 @@ _LOOKALIKES = [
      past_the_cut(_BASE, "]],[[", "]], [["), [], True),
     ("a head of bare ints, its first float pair in the tail", int_head(),
      [], True),
+    # the pair rule refuses these chunks, and the parser and the batched
+    # decode read them as one process does
+    ("a pair regrouped past the middle",
+     second_half(_BASE, _PAIR + ",[", "[11.5],[-2.0,"), [], True),
+    ("an empty part past the middle", second_half(_BASE, "11.5", ""), [],
+     True),
+    ("+1.0 past the middle", second_half(_BASE, "11.5", "+1.0"), [], True),
+    ("01.5 past the middle", second_half(_BASE, "11.5", "01.5"), [], True),
+    (".5 past the middle", second_half(_BASE, "11.5", ".5"), [], True),
+    ("1. past the middle", second_half(_BASE, "11.5", "1."), [], True),
+    ("a lone minus past the middle", second_half(_BASE, "11.5", "-"), [],
+     True),
+    ("a 400-digit int in a pair past the middle",
+     second_half(_BASE, "11.5", "9" * 400), [], True),
+    ("a space inside a pair past the middle",
+     second_half(_BASE, "11.5,", "11.5, "), [], True),
+    ("a number between a pair and its comma",
+     second_half(_BASE, _PAIR + ",", _PAIR + "5,"), [], True),
+    ("a number before a pair whose first part is empty",
+     second_half(_BASE, ",[11.5,", ",7[,"), [], True),
+    ("a number after a pair whose second part is empty",
+     second_half(_BASE, _PAIR + ",", "[11.5,]7,"), [], True),
     # the split reads bytes, and takes ASCII only
     ("a non-ASCII character before the middle",
      first_half(_BASE, "1.5", "1.\u00e95"), [], True),
@@ -258,6 +280,45 @@ def test_a_canonical_document_is_read_without_the_one_process_path(
     code, out, err = run(["det", str(path)])
     assert (code, err, fork.calls) == (0, "", 1)
     assert json.loads(out)["backend"] == "float"
+
+
+@pytest.mark.parametrize("where", [None, "head", "tail"])
+def test_a_canonical_file_is_read_by_the_pair_rule(tmp_path, monkeypatch,
+                                                   where):
+    # Falling back to the parser and the batched decode gives the same
+    # value, only slower, so it would pass unseen: here a row given to
+    # raw_decode, or rows given to _decode_rows, fail the process that
+    # reads them, and the split returns None.  A space inside a pair of
+    # the head or of the tail shows that the spies see either process.
+    text = matrix_text(60)
+    if where == "head":
+        text = first_half(text, "1.5,", "1.5, ")
+    elif where == "tail":
+        text = past_the_cut(text, ".5,", ".5, ")
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    want = repr(det_recurrence(matrix_from_json(parse_text(text))[0]))
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def scan_no_row(self, s, idx=0):
+        # a row starts [[; the pair rule's flat list starts with [ and a
+        # space, and the order token with a digit
+        if s.startswith("[[", idx):
+            raise AssertionError("a row was parsed by raw_decode")
+        return raw_decode(self, s, idx)
+
+    def refuse(*args):
+        raise AssertionError("rows went to _decode_rows")
+
+    monkeypatch.setattr(split_read, "_CHUNK", 512)
+    assert repr(split_read.det_float(str(path), None)) == want
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", scan_no_row)
+    monkeypatch.setattr(split_read, "_decode_rows", refuse)
+    fds = open_fds()
+    value = split_read.det_float(str(path), None)
+    no_child_left()
+    assert open_fds() == fds
+    assert repr(value) == (want if where is None else "None")
 
 
 # a part: any finite double (signed zeros included) or an integer

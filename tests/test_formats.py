@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import (default_digit_limit, periodic_exact_spec,
                       random_exact_matrix, random_exact_spec,
                       random_float_matrix, random_float_spec)
-from hessenbergian import (ComplexRational, FormatError,
+from hessenbergian import (ComplexRational, FormatError, HessenbergMatrix,
                            IntegerTooLargeForJson, IrregularOrder, LdevcSpec,
                            WrongEntryCount, row_length)
 import hessenbergian.formats as formats
@@ -298,6 +298,102 @@ def test_complex_conversions_the_float_decoder_relies_on():
     for pair in ((10 ** 400, 0), (1.0, 10 ** 400)):
         with pytest.raises(OverflowError):
             complex(*pair)
+
+
+# a part as dump_text writes it, or "1e400", which it never writes and
+# json reads as inf
+_pair_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1e308, -1e308, 2 ** 1024, -(2 ** 1024) - 1, "1e400"]),
+    st.integers(-2 ** 64, 2 ** 64))
+
+
+def _rows_text(rows) -> bytes:
+    # the rows of a document as the pair rule takes them: no outer list
+    return dump_text(rows)[1:-1].replace('"1e400"', "1e400").encode()
+
+
+def _pair_rule_matches_the_batched_decode(text: bytes):
+    got = formats._decode_pair_rows(text)
+    want = formats._decode_rows(json.loads(b"[" + text + b"]"), "float",
+                                "float")
+    assert got is None or [list(map(repr, row)) for row in got] == [
+        list(map(repr, row)) for row in want]
+    return got
+
+
+@given(st.lists(st.lists(st.lists(_pair_parts, min_size=2, max_size=2),
+                         min_size=1, max_size=5), min_size=1, max_size=5))
+@example([[[-0.0, 5e-324], [2 ** 64, -(2 ** 64)]], [[1e308, -1e308]]])
+@example([[[2 ** 1024, 0.0]]])
+@example([[[1.0, "1e400"]]])
+@settings(max_examples=200)
+def test_the_pair_rule_gives_the_bits_of_the_batched_decode(rows):
+    # the pair rule reads only parts written as floats, and refuses 1e400
+    # as the batched decode does; the parser takes every other text
+    got = _pair_rule_matches_the_batched_decode(_rows_text(rows))
+    assert (got is not None) == all(
+        type(part) is float for row in rows for pair in row for part in pair)
+
+
+_finite_entries = st.one_of(
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.sampled_from([complex(-0.0, 5e-324), complex(1e308, -1e308),
+                     complex(-5e-324, -0.0), 0j]))
+
+
+@st.composite
+def _finite_float_matrices(draw):
+    order = draw(st.integers(1, 7))
+    return HessenbergMatrix(order, [
+        draw(st.lists(_finite_entries, min_size=k, max_size=k))
+        for k in (row_length(order, i) for i in range(1, order + 1))])
+
+
+@given(_finite_float_matrices())
+@settings(max_examples=100)
+def test_the_pair_rule_reads_every_finite_float_document(matrix):
+    text = _rows_text(matrix_to_json(matrix)["rows"])
+    assert _pair_rule_matches_the_batched_decode(text) is not None
+
+
+@pytest.mark.parametrize("text", [
+    "[[1.5,2.5]],[[1.5],[2.5,3.5]]",  # a pair regrouped
+    "[[1.5,2.5],[1.5,2.5,3.5]]",
+    "[[1.5,2.5], [3.5,4.5]]",  # whitespace
+    "[[1.5, 2.5]]",
+    "[[1.5,2.5],7]",  # a bare number
+    "[[1,2.5]]",  # an integer part, which the batched decode reads
+    "[[1.5,-0]]",
+    "[[[1.5,2.5]]]",  # nesting
+    '[["1.5",2.5]]',  # a string
+    "[[true,2.5]]",
+    "[[1.5,]]",  # an empty part
+    "[[,2.5]]",
+    "[[+1.0,2.5]]",  # numbers JSON refuses
+    "[[01.5,2.5]]",
+    "[[.5,2.5]]",
+    "[[1.,2.5]]",
+    "[[-,2.5]]",
+    "[[1.5,2.5e]]",
+    "[[1-2,2.5]]",
+    "[[1.5,2.5]5,[3.5,4.5]]",  # a number where no part belongs
+    "[[1.5,2.5],5[3.5,4.5]]",
+    "[[1.5,2.5]]5,[[3.5,4.5]]",
+    "5[[1.5,2.5]]",
+    "[[1.5,2.5]]5",
+    "[5[,2.5]]",  # ... next to an empty part
+    "[[1.5,]5]",
+    "[[1.5,2.5],7[,2.5]]",
+    "[[1.5,2.5]],7[[,2.5]]",
+    "[[1.5,]]7,[[2.5,3.5]]",
+    "[[1.5,2.5]]é".encode("utf-8").decode("latin-1"),  # not ASCII
+    "[[1.5," + "9" * 400 + ".0]]",  # past the doubles
+    "[[1.5,1e400]]",
+])
+def test_the_pair_rule_refuses_every_other_text(text):
+    assert formats._decode_pair_rows(text.encode("latin-1")) is None
 
 
 @pytest.fixture(scope="module")
