@@ -40,16 +40,17 @@ runs without it.
 
 ``det --method recurrence`` evaluates a regular file of at least
 ``_SPLIT_READ_CHARS`` bytes on two cores where it can, before any of
-its text is read: :mod:`split_read` forks one child that reads, parses
-and decodes the head rows from its own byte range of the file and runs
-the recurrence over them, and this process reads the tail rows from the
+its text is read: :mod:`split_read` forks one child that reads and
+decodes the head rows from its own byte range of the file and runs the
+recurrence over them, and this process reads the tail rows from the
 rest and resumes the same loop from the child's state.  Neither process
-holds the file's text, only a chunk of it at a time.  Its value is bit
-for bit that of the one-process read, :func:`_read` of the whole file,
-which reads every file the split does not take, a pipe included, and
-words every error, so stdout, stderr and the exit code do not depend on
-the path.  No option selects it, and no other command or method, nor
-``det`` on a shorter file, loads it.
+holds the file's text, only a chunk of it at a time, and each decodes
+only the rows of ``[re, im]`` float pairs that the package writes.  Its
+value is bit for bit that of the one-process read, :func:`_read` of the
+whole file, which reads every file the split does not take, a pipe and
+any other text included, and words every error, so stdout, stderr and
+the exit code do not depend on the path.  No option selects it, and no
+other command or method, nor ``det`` on a shorter file, loads it.
 """
 
 from __future__ import annotations

@@ -128,7 +128,7 @@ def _factor_tables(rows, zeros, n: int, free: int, buffers) -> list:
     # is the number of trailing zero bits of p; prefix 0's column comes
     # from the rows the sub-block shares, so entry 0 of each table is
     # the one placeholder, which _sub_block_terms writes.
-    _, _, factor_buf, flag_buf, _ = buffers
+    _, _, factor_buf, flag_buf = buffers
     tables = []
     for j, i in enumerate(range(n - free, n + 1)):
         row, zero = rows[i - 1], zeros[i - 1]
@@ -223,30 +223,21 @@ def _sum_block(rows, zeros, n: int, start: int, stop: int, tables,
     # 2^free terms (`tables` are _factor_tables(..., free, buffers))
     # and summed with the bits of numpy's sum of the whole block.  That
     # sum is pairwise: it halves a power-of-two length down to 64 terms
-    # and sums each such leaf in four interleaved runs.  So sub-blocks
-    # of at least 64 terms are summed alone and their sums added in the
-    # halving tree, left to right, and smaller ones are copied into one
-    # leaf, the last buffer, which is summed when it is full
-    leaf = buffers[-1]
+    # and sums each such leaf in four interleaved runs.  A sub-block
+    # smaller than its block holds _SUB_BLOCK terms, at least a leaf, so
+    # each sub-block is summed alone and the sums are added in the
+    # halving tree, left to right
     sub = len(tables[-1][0])
-    unit = min(stop - start, max(sub, len(leaf)))
     sums = []  # the open subtrees of the halving tree, left to right
-    for count, first in enumerate(range(start, stop, unit), start=1):
-        if sub < unit:
-            for at in range(0, unit, sub):
-                terms = _sub_block_terms(rows, zeros, n, first + at, tables,
-                                         buffers)
-                leaf[at:at + sub] = 0 if terms is None else terms
-            value = leaf[:unit].sum().item()
-        else:
-            terms = _sub_block_terms(rows, zeros, n, first, tables, buffers)
-            value = 0j if terms is None else terms.sum().item()
-        while not count & 1:  # close each subtree this unit completes
+    for count, first in enumerate(range(start, stop, sub), start=1):
+        terms = _sub_block_terms(rows, zeros, n, first, tables, buffers)
+        value = 0j if terms is None else terms.sum().item()
+        while not count & 1:  # close each subtree this sub-block completes
             value = sums.pop() + value
             count >>= 1
         sums.append(value)
-    # numpy's sum adds its pairwise sum to +0j, as each unit's sum did,
-    # so the two can differ only in the sign of a zero
+    # numpy's sum adds its pairwise sum to +0j, as each sub-block's sum
+    # did, so the two can differ only in the sign of a zero
     return 0j + sums[0]
 
 
@@ -289,17 +280,16 @@ def _float_sums(crows: tuple, orders) -> list:
     # superdiagonal are never read, so each sum has the bits of H_k's
     # own signed rows.  Every sub-block of every order writes into one
     # set of sub-block-sized buffers, made here (see the module
-    # docstring): the product pair, the dead pair, the factor tables
-    # and their zero flags, which each order fills once for all of its
-    # sub-blocks, and the 64-term leaf of _sum_block
+    # docstring): the product pair, the dead pair, and the factor
+    # tables and their zero flags, which each order fills once for all
+    # of its sub-blocks
     import numpy as np
 
     crows = [np.array(row, np.complex128) for row in crows]
     block = _BLOCK
     size = min(_SUB_BLOCK, block, 1 << (max(orders) - 1))
     buffers = (np.empty((2, size), np.complex128), np.empty((2, size), bool),
-               np.empty(2 * size, np.complex128), np.empty(2 * size, bool),
-               np.empty(64, np.complex128))
+               np.empty(2 * size, np.complex128), np.empty(2 * size, bool))
     zeros = tuple(z if z.any() else None for z in (row == 0 for row in crows))
     sums = []
     # an overflowing product becomes inf or nan in the value, not a warning

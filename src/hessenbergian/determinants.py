@@ -34,6 +34,8 @@ Two routes live here:
   superdiagonal h_{j-1,j}, so the loop, :func:`_float_prefixes`, resumes
   from that state: :mod:`split_read` runs it over the head rows of a
   large document in one process and over the tail rows in another.
+  :mod:`matrix` is imported only where an exact matrix is converted, so
+  :mod:`split_read`, which builds no matrix, does not load it.
 
   An exact matrix runs the same loop fraction-free, on the Gaussian
   integers that :func:`gaussian_rows` converts the stored rows to, as
@@ -65,17 +67,21 @@ from __future__ import annotations
 import math
 from itertools import compress, repeat
 from operator import mul
+from typing import TYPE_CHECKING
 
 from .errors import (DEFAULT_ORACLE_CAP, OrderTooLargeForOracle,
                      _check_order_cap)
-from .matrix import (HessenbergMatrix, exact_prefixes, exact_value,
-                     gaussian_rows)
+
+if TYPE_CHECKING:
+    from .matrix import HessenbergMatrix
 
 
 def det_prefixes(matrix: HessenbergMatrix) -> list:
     """[det(H_0), det(H_1), ..., det(H_n)] for the leading principal
     submatrices H_k of the matrix, with det(H_0) = 1; one O(n^2) pass."""
     if not matrix.is_float_backed:
+        from .matrix import exact_prefixes, gaussian_rows
+
         parts, scales, kind = gaussian_rows(matrix.rows)
         return exact_prefixes(_gaussian_prefixes(parts), scales, kind)
     dets = [1 + 0j]
@@ -159,6 +165,8 @@ def det_recurrence(matrix: HessenbergMatrix):
     entry is divided by its row scales."""
     if matrix.is_float_backed:
         return det_prefixes(matrix)[-1]
+    from .matrix import exact_value, gaussian_rows
+
     parts, scales, kind = gaussian_rows(matrix.rows)
     return exact_value(_gaussian_prefixes(parts)[-1], math.prod(scales), kind)
 

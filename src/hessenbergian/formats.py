@@ -42,11 +42,12 @@ JSON numbers that each hold a fraction or an exponent, with no
 whitespace, the subset that ``dump_text(matrix_to_json(m))`` writes for
 a float matrix, and reads them with one JSON parse of a flat list of the
 numbers, so each value is bit for bit what :func:`_decode_rows` gives
-its pair.  A chunk of any other text returns None and takes the parser
-and :func:`_decode_rows`, as a whole document does.  :mod:`split_read`
-reads the order token with the JSON scanner and goes on only with the
-keys, order, rows and realization that :func:`_matrix_document`, the
-one check that :func:`matrix_from_json` runs, accepts.
+its pair.  A chunk of any other text returns None, and the whole
+document is then read in one process, by the parser and
+:func:`_decode_rows`.  :mod:`split_read` reads the order from its
+digits, as JSON reads an integer, and goes on only with the keys,
+order, rows and realization that :func:`_matrix_document`, the one
+check that :func:`matrix_from_json` runs, accepts.
 
 No document is read or written with numpy.  The loaders import
 :mod:`matrix` and :mod:`ldevc` where they build a matrix or a spec, so
@@ -308,8 +309,8 @@ def _decode_pair_rows(text: bytes):
     list of the numbers, read pairwise into ``complex``, and the rows cut
     as the brackets say.  None where the text is not of that shape
     (whitespace, an integer part, a bare number, any other JSON value) or
-    a value is not finite: the parser and :func:`_decode_rows` then read
-    it, or word its error."""
+    a value is not finite: the one-process read of the whole document
+    then reads it, or words its error."""
     # With the digits and signs deleted and each e or E made a point, a
     # part is one or more points, so none is empty; with the points
     # deleted too, each row of k pairs leaves [[, then ],[, k - 1 times,

@@ -6,10 +6,10 @@
 evaluates the recurrence on two cores.  Row j of the recurrence reads
 nothing above it but the running q_k, det(H_{j-1}) and the
 superdiagonal h_{j-1,j} (see :mod:`determinants`), so one forked child
-reads, parses, decodes and checks the head rows and runs the float
-recurrence over them, and sends only that state down its pipe, about as
-many values as it has rows, while this process reads, parses, decodes
-and checks the tail rows.  This process then resumes the same loop,
+reads, decodes and checks the head rows and runs the float recurrence
+over them, and sends only that state down its pipe, about as many
+values as it has rows, while this process reads, decodes and checks the
+tail rows.  This process then resumes the same loop,
 :func:`determinants._float_prefixes`, from the child's state, so the
 value is bit for bit that of :func:`determinants.det_recurrence` on the
 matrix the one-process read builds.  No row crosses the pipe.
@@ -17,19 +17,17 @@ matrix the one-process read builds.  No row crosses the pipe.
 No process reads the whole file.  This process reads a few bytes at
 each end of it and the window where it cuts it, all with ``os.pread``,
 and then each process reads only its own byte range, in chunks of
-``_CHUNK`` bytes.  Every chunk must be ASCII, so its bytes are its
-characters.  The rows of a chunk end at the last row boundary ``]],[[``
-in it, and the rest of the chunk, part of a row, is carried into the
-next chunk.  The rows are decoded by :func:`formats._decode_pair_rows`,
-which reads the rows of ``[re, im]`` float pairs that the package writes
-with one JSON parse of a flat list of their numbers.  Where it returns
-None (whitespace, an integer or bare number, an invalid token, a value
-beyond the doubles), they are parsed one at a time with
-``json.JSONDecoder.raw_decode`` and decoded together with
-:func:`formats._decode_rows`, and either way each value has the bits
-that the one-process read gives it.  So a process holds at most one
-chunk of text plus the row that runs past it, and the parsed and decoded
-rows of one chunk.
+``_CHUNK`` bytes.  The rows of a chunk end at the last row boundary
+``]],[[`` in it, and the rest of the chunk, part of a row, is carried
+into the next chunk.  The rows are decoded by
+:func:`formats._decode_pair_rows` alone, which reads the ASCII rows of
+``[re, im]`` float pairs that the package writes with one JSON parse of
+a flat list of their numbers, each value with the bits that the
+one-process read gives it.  Any other chunk (a byte that is not ASCII,
+whitespace, an integer or bare number, an invalid token, a value beyond
+the doubles) fails the process that reads it.  So a process holds at
+most one chunk of text plus the row that runs past it, and the parsed
+and decoded rows of one chunk.
 The child runs the loop over each chunk's rows as they are decoded and
 keeps none of them, only the state; this process keeps its decoded tail
 rows, which wait for the child's state.  So the command's peak memory
@@ -44,37 +42,37 @@ allowed, read as float, and only where ``os.fork`` exists, the process
 runs one thread as the OS counts them (CPython 3.12+ warns on a fork
 beside any other thread, a native pool such as a BLAS library's
 included) and at least two CPUs are usable.  This process checks the
-start of the file and its end, then cuts it at the first row boundary
+start of the file and its end, reads the order from the digits of the
+start (an integer with no leading zero, as JSON reads one, within the
+int/str digit limit), then cuts the file at the first row boundary
 ``]],[[`` at or after ``_HEAD_SHARE`` of its length, short of trailing
-whitespace.  The child reads the order token with the JSON scanner and
-then the rows in order from the start of the ``rows`` list; the head
-holds them only if one of them ends exactly at the cut, each followed by
-a comma.  This process reads the rows from just past the cut, each
-followed by a comma, up to one that ends where the closing ``]}``
-starts.  So, when both succeed, the text is ``{"order":N,"rows":[`` and
-then the rows, which is a matrix document with exactly the keys
-``order`` and ``rows``.  Both decode every row as float, and the first
+whitespace.  The child reads the rows in order from the start of the
+``rows`` list; the head holds them only if one of them ends exactly at
+the cut, each followed by a comma.  This process reads the rows from
+just past the cut, each followed by a comma, up to one that ends where
+the closing ``]}`` starts.  So, when both succeed, the text is
+``{"order":N,"rows":[`` and then the rows, which is a matrix document
+with exactly the keys ``order`` and ``rows``.  Both decode every row as float, and the first
 scalar, a list by the canonical start and then decoded as a pair, names
 the float realization, as :func:`formats._matrix_document` reads it.
 The child checks the length of each head row against the order, and
 this process checks the tail rows once the child has said where they
 start, and that the rows number the order, as the matrix constructor
 does.  Any other outcome returns None, and the caller reads the whole
-file in one process, which alone words every error: a byte that is not
-ASCII (a UTF-8 byte order mark included), a text that does not parse (a
-NaN token, an integer past the digit limit, whitespace between rows, a
-cut inside a string), a row that does not decode as float, an exact
-document, a wrong order or row length, a file that changes while it is
-read, or a child that fails.  The child is reaped before this module
-returns or raises, killed first where it has not finished, and the file
-is closed.  The child loads nothing and writes only to its pipe: its
-state goes as ``marshal`` bytes (``complex`` values, which ``marshal``
-carries exactly), and it leaves by ``os._exit`` whatever happens.
+file in one process, which alone words every error or reads what the
+pair rule refuses: a byte that is not ASCII (a UTF-8 byte order mark
+included), any text but rows of float pairs (a NaN token, an integer
+part, whitespace, a cut inside a string, an exact document), a wrong
+order or row length, a file that changes while it is read, or a child
+that fails.  The child is reaped before this module returns or raises,
+killed first where it has not finished, and the file is closed.  The
+child loads nothing and writes only to its pipe: its state goes as
+``marshal`` bytes (``complex`` values, which ``marshal`` carries
+exactly), and it leaves by ``os._exit`` whatever happens.
 """
 
 from __future__ import annotations
 
-import json
 import marshal
 import os
 import re
@@ -83,11 +81,12 @@ import threading
 
 from .determinants import _float_prefixes
 from .errors import FLOAT
-from .formats import _decode_pair_rows, _decode_rows, _refuse_constant
+from .formats import _decode_pair_rows
 
 # the start of every document dump_text(matrix_to_json(m)) writes for
-# a matrix of order 2 or more, and json's whitespace
-_CANONICAL_START = re.compile(rb'\{"order":\d+,"rows":\[\[\[')
+# a matrix of order 2 or more, its order an integer with no leading
+# zero, as JSON writes one, and json's whitespace
+_CANONICAL_START = re.compile(rb'\{"order":([1-9]\d*),"rows":\[\[\[')
 _JSON_SPACE = b" \t\n\r"
 _ROW_BOUNDARY = b"]],[["
 # the bytes read at each end of the file to check its start and its end
@@ -142,9 +141,10 @@ def _det_file(fd: int):
         body = tail.rstrip(_JSON_SPACE)  # the end of the text, up to }
         if not (start and body.endswith(b"]]]}")):
             return None
+        order = int(start[1])  # ValueError past the int/str digit limit
         end = size - len(tail) + len(body)
         cut = _cut(fd, int(end * _HEAD_SHARE), end)
-    except OSError:
+    except (OSError, ValueError):
         return None
     if cut is None:
         return None
@@ -157,8 +157,7 @@ def _det_file(fd: int):
         return None
     if pid == 0:
         os.close(read_fd)
-        _head_child(fd, head[:start.end()].decode("ascii"), cut + 2,
-                    write_fd)
+        _head_child(fd, order, start.end() - 2, cut + 2, write_fd)
     os.close(write_fd)
     status = None
     try:
@@ -177,7 +176,7 @@ def _det_file(fd: int):
             os.waitpid(pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         return None
-    order, m, q, det, prev = marshal.loads(payload)
+    m, q, det, prev = marshal.loads(payload)
     if m + len(rows) != order or any(len(row) != min(i + 1, order)
                                      for i, row in enumerate(rows, m + 1)):
         return None
@@ -204,14 +203,14 @@ def _cut(fd: int, pos: int, end: int):
 def _row_chunks(fd: int, pos: int, end: int):
     """The rows in bytes ``pos`` to ``end`` of the file, each followed
     by a comma but the last, which ends at ``end``: for each chunk read,
-    the float rows that end in it.  ValueError (or the parser's error)
-    where they do not read so."""
-    scan = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
+    the float rows that end in it, decoded by
+    :func:`formats._decode_pair_rows`.  ValueError where they do not
+    read so."""
     carried = []  # the text of the row that the chunks so far end inside
     while pos < end:
         data = os.pread(fd, min(_CHUNK, end - pos), pos)
-        if not data or not data.isascii():
-            raise ValueError("not a chunk of ASCII text")
+        if not data:
+            raise ValueError("the file got shorter")
         pos += len(data)
         # the rows end with the range, or else at the last boundary
         stop = len(data)
@@ -220,41 +219,24 @@ def _row_chunks(fd: int, pos: int, end: int):
             if stop < 2:  # no boundary: a row runs on past this chunk
                 carried.append(data)
                 continue
-        text = b"".join([*carried, data[:stop]])
+        rows = _decode_pair_rows(b"".join([*carried, data[:stop]]))
+        if rows is None:
+            raise ValueError("not rows of [re, im] float pairs")
         carried = [data[stop + 1:]]
-        decoded = _decode_pair_rows(text)
-        if decoded is None:  # any other shape: parsed row by row
-            text = text.decode("ascii")
-            rows, at = [], 0
-            while True:
-                row, at = scan(text, at)
-                rows.append(row)
-                if at == len(text):
-                    break
-                if text[at] != ",":
-                    raise ValueError("rows not followed by a comma")
-                at += 1
-            decoded = (all(type(row) is list for row in rows)
-                       and _decode_rows(rows, FLOAT, FLOAT))
-            if not decoded:
-                raise ValueError("rows that do not decode as float")
-        yield decoded
+        yield rows
 
 
-def _head_child(fd: int, head: str, end: int, write_fd: int) -> None:
-    """The child: read the order from ``head``, the canonical start,
-    and the head rows, which end at ``end``; run the recurrence over
-    each chunk of them as it is decoded; send its state down the pipe as
-    ``(order, m, q, det(H_m), h_{m,m+1})``; and leave by os._exit, 0
-    only if all of it ran."""
+def _head_child(fd: int, order: int, start: int, end: int,
+                write_fd: int) -> None:
+    """The child: read the head rows, which start at ``start`` and end
+    at ``end``; run the recurrence over each chunk of them as it is
+    decoded; send its state down the pipe as
+    ``(m, q, det(H_m), h_{m,m+1})``; and leave by os._exit, 0 only if
+    all of it ran and the head holds fewer rows than ``order``."""
     status = 1
     try:
-        scan = json.JSONDecoder(parse_constant=_refuse_constant).raw_decode
-        order, pos = scan(head, len('{"order":'))
-        if type(order) is not int or not head.startswith(',"rows":[', pos):
-            return
         m, q, prev, dets = 0, [], None, [1 + 0j]
-        for rows in _row_chunks(fd, len(head) - 2, end):
+        for rows in _row_chunks(fd, start, end):
             if any(len(row) != i + 1 for i, row in enumerate(rows, m + 1)):
                 return
             m += len(rows)
@@ -262,7 +244,7 @@ def _head_child(fd: int, head: str, end: int, write_fd: int) -> None:
             del dets[:-1]
         if 0 < m < order:
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps((order, m, q, dets[-1], prev)))
+                pipe.write(marshal.dumps((m, q, dets[-1], prev)))
             status = 0
     finally:
         os._exit(status)

@@ -885,7 +885,8 @@ def test_split_read_cases_pass():
 def test_only_a_large_det_loads_split_read(tmp_path, matrix_file,
                                            alpha_spec_file):
     # below the threshold, and in every other command, the module that
-    # forks is neither loaded nor compiled
+    # forks is neither loaded nor compiled; the large det builds no
+    # matrix, so it loads no hessenbergian.matrix
     from hessenbergian.cli import _SPLIT_READ_CHARS, random_float_matrix
     from hessenbergian.formats import matrix_to_json
 
@@ -908,6 +909,8 @@ def test_only_a_large_det_loads_split_read(tmp_path, matrix_file,
         assert proc.returncode == 0, (argv, proc.stderr[-300:])
         modules = _imported_modules(proc.stderr)
         assert ("hessenbergian.split_read" in modules) == loads, argv
+        if loads:
+            assert "hessenbergian.matrix" not in modules, argv
 
 
 @pytest.fixture
